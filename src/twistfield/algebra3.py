@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass, field as dc_field
 
 from .gf import Field, FieldTower, format_triple
-from .linalg import MatF
+from .linalg import MatF, identity_rows, kernel_rows
 
 Vec3 = tuple[int, int, int]
 Tensor = tuple[tuple[tuple[int, int, int], ...], ...]
@@ -108,23 +108,13 @@ class Algebra3:
         object.__setattr__(self, "tensor", t)
 
     def mulvec(self, a: Vec3, b: Vec3) -> Vec3:
+        """a*b = sum_i a_i (e_i * b)."""
         fld = self.field
-        s = self.tensor
         out = [0, 0, 0]
-        for i in range(3):
-            ai = a[i]
-            if not ai:
-                continue
-            si = s[i]
-            for j in range(3):
-                bj = b[j]
-                if not bj:
-                    continue
-                coef = fld.mul(ai, bj)
-                row = si[j]
+        for ai, row in zip(a, basis_products(self, b)):
+            if ai:
                 for k in range(3):
-                    if row[k]:
-                        out[k] = fld.add(out[k], fld.mul(coef, row[k]))
+                    out[k] = fld.add(out[k], fld.mul(ai, row[k]))
         return (out[0], out[1], out[2])
 
     def is_commutative(self) -> bool:
@@ -154,38 +144,41 @@ def to_structure_constants(spec: TwistedFieldSpec) -> Algebra3:
     return Algebra3(spec.tower.base, tuple(tensor))
 
 
-def left_mul_matrix(alg: Algebra3, a: Vec3) -> MatF:
-    """Matrix of x -> a*x in the standard basis; linear in a."""
+def basis_products(alg, b: Vec3) -> list[Vec3]:
+    """The rows e_i * b, i = 0, 1, 2: the one contraction of a structure tensor.
+
+    `alg` is anything with a tabulated `field` and a 3x3x3 `tensor` (an
+    :class:`Algebra3`, or a split Albert spec, where row i is phi(alpha_i, b)).
+    Every product, multiplication matrix and Av generator derives from it.
+    """
     fld = alg.field
-    s = alg.tensor
+    add_t, mul_t = fld.add_t, fld.mul_t
+    if mul_t is None:
+        raise ValueError(f"structure-tensor products need a tabulated field, not {fld!r}")
     rows = []
-    for k in range(3):
-        row = []
-        for j in range(3):
-            acc = 0
-            for i in range(3):
-                if a[i] and s[i][j][k]:
-                    acc = fld.add(acc, fld.mul(a[i], s[i][j][k]))
-            row.append(acc)
-        rows.append(tuple(row))
-    return MatF(fld, tuple(rows))
+    for si in alg.tensor:
+        r0 = r1 = r2 = 0
+        for bj, (s0, s1, s2) in zip(b, si):
+            if bj:
+                m = mul_t[bj]
+                if s0:
+                    r0 = add_t[r0][m[s0]]
+                if s1:
+                    r1 = add_t[r1][m[s1]]
+                if s2:
+                    r2 = add_t[r2][m[s2]]
+        rows.append((r0, r1, r2))
+    return rows
+
+
+def left_mul_matrix(alg: Algebra3, a: Vec3) -> MatF:
+    """Matrix of x -> a*x in the standard basis; its columns are a*e_j."""
+    return MatF(alg.field, tuple(zip(*(alg.mulvec(a, e) for e in identity_rows(3)))))
 
 
 def right_mul_matrix(alg: Algebra3, b: Vec3) -> MatF:
-    """Matrix of x -> x*b in the standard basis; linear in b."""
-    fld = alg.field
-    s = alg.tensor
-    rows = []
-    for k in range(3):
-        row = []
-        for i in range(3):
-            acc = 0
-            for j in range(3):
-                if b[j] and s[i][j][k]:
-                    acc = fld.add(acc, fld.mul(b[j], s[i][j][k]))
-            row.append(acc)
-        rows.append(tuple(row))
-    return MatF(fld, tuple(rows))
+    """Matrix of x -> x*b in the standard basis; its columns are e_i*b."""
+    return MatF(alg.field, tuple(zip(*basis_products(alg, b))))
 
 
 def det3(fld: Field, rows) -> int:
@@ -207,10 +200,6 @@ def is_division(alg: Algebra3) -> bool:
         if det3(fld, right_mul_matrix(alg, a).rows) == 0:
             return False
     return True
-
-
-def algebra_of(spec: TwistedFieldSpec) -> Algebra3:
-    return to_structure_constants(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -271,3 +260,34 @@ def isotopy_class(spec: TwistedFieldSpec) -> IsotopyClass:
     if spec.norm_c() == minus_one:
         return IsotopyClass.COMMUTATIVE_ISOTOPIC
     return IsotopyClass.NON_COMMUTATIVE
+
+
+def commutative_isotope(alg: Algebra3) -> Algebra3 | None:
+    """The commutative algebra x o y = (T x) * y, or None when no such T exists.
+
+    T is found as the kernel of the linear conditions (T e_i) e_j = (T e_j) e_i.
+    Over a twisted field that kernel is one line F*T exactly for the
+    commutative-isotopic class (T is multiplication in K by 1/a, with a the
+    isotopy witness from c = -1; for c = -1, T is the identity) and zero
+    otherwise.  Since T is invertible, (A, o) has the same spaces Av as A.
+    """
+    fld = alg.field
+    unit = identity_rows(3)
+    prods = [basis_products(alg, e) for e in unit]  # prods[j][m] = e_m * e_j
+    eqs = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        for k in range(3):
+            row = [0] * 9  # unknown T[m][i], the e_m-coordinate of T e_i, sits at 3m + i
+            for m in range(3):
+                row[3 * m + i] = prods[j][m][k]
+                row[3 * m + j] = fld.neg(prods[i][m][k])
+            eqs.append(row)
+    kernel = kernel_rows(fld, eqs, 9)
+    if len(kernel) != 1:
+        return None
+    t = kernel[0]
+    images = [(t[i], t[3 + i], t[6 + i]) for i in range(3)]  # T e_i
+    iso = Algebra3(fld, tuple(tuple(alg.mulvec(ti, e) for e in unit) for ti in images))
+    if not iso.is_commutative():
+        raise RuntimeError("commutative isotope is not commutative")
+    return iso

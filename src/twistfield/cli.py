@@ -1,6 +1,8 @@
 """Batch command-line frontend emitting reproducible JSON/CSV reports.
 
-Exit codes: 0 = pass, 1 = counterexample or failed verdict, 2 = usage error.
+Exit codes: 0 = pass, 1 = counterexample or failed verdict, 2 = usage error,
+3 = internal error (a broken invariant or a bug: JSON {"error": ...} on stdout,
+the traceback on stderr).
 Identical configuration and seed produce byte-identical JSON except for the
 runtime_ms field, regardless of worker count.
 """
@@ -39,6 +41,7 @@ from .splitalbert import SplitAlbertSpec, split_twisted_field
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class UsageError(Exception):
@@ -304,7 +307,7 @@ def cmd_verify(args) -> int:
             spec = SplitAlbertSpec(tower.base, d)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        verdict = engine.search_theorem_7_2_analogue(spec, workers=args.workers)
+        verdict = engine.search_theorem_7_2_analogue(spec)
         head = header_for(tower, d=d)
     payload = {
         "command": "verify",
@@ -378,6 +381,8 @@ def main(argv=None) -> int:
         "line-census": cmd_line_census,
     }
     try:
+        if args.workers < 1:
+            raise UsageError(f"--workers must be >= 1, got {args.workers}")
         return handlers[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -385,6 +390,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a broken invariant or a bug, never a counterexample
+        import traceback  # only on this path, so start-up does not load it
+
+        traceback.print_exc()
+        print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}, indent=2, sort_keys=True))
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

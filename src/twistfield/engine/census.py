@@ -4,27 +4,28 @@ The sweep over v' happens once per algebra: every nonzero v' is classified and
 its space Av' reduced to a canonical RREF key, producing an inventory of
 distinct spaces with fiber sizes.  Intersection dimension depends only on the
 pair of spaces, so per-vector tallies are exact fiber-weighted space tallies.
-The v' range is partitioned into fixed-size index chunks; worker count only
-affects scheduling, never chunk boundaries, so merged reports are
-byte-reproducible for any --workers value.
+The v' range is partitioned into fixed-size index chunks (`index_chunks`) that
+`parallel_map` runs serially or in a pool; worker count only affects
+scheduling, never chunk boundaries, so merged reports are byte-reproducible for
+any --workers value.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field as dc_field
 
-from ..algebra3 import Algebra3, IsotopyClass
-from ..gf import Field, FieldSpec
-from ..linalg import Subspace, added_rank, rref_rows
+from ..algebra3 import Algebra3, IsotopyClass, commutative_isotope
+from ..gf import Field
+from ..linalg import Subspace, added_rank, intersect_rows, rref_rows
 from .spaces import (
     DEGENERATE,
     NONDEGENERATE,
     ZERO,
     PairVector,
     classify,
-    meet_line,
     pair_rows,
 )
 
@@ -35,7 +36,6 @@ DIM_KEYS = ("dim3", "dim2", "dim1", "dim0_nondegenerate", "dim0_degenerate")
 
 @dataclass
 class SpaceRec:
-    key: tuple
     rows: tuple
     pivots: tuple
     kind: str
@@ -75,52 +75,58 @@ def _scan_range(alg: Algebra3, start: int, end: int) -> list:
         coords = decode_vector(q, idx)
         x, y = coords[:3], coords[3:]
         rows, pivots = rref_rows(fld, pair_rows(alg, x, y))
-        key = rows
-        rec = found.get(key)
+        rec = found.get(rows)
         if rec is None:
             stack, _ = rref_rows(fld, (x, y))
             kind = NONDEGENERATE if len(stack) == 2 else DEGENERATE
-            found[key] = [rows, pivots, kind, 1, coords, idx]
+            found[rows] = [rows, pivots, kind, 1, coords, idx]
         else:
             rec[3] += 1
     return list(found.values())
 
 
-# worker-side context for multiprocessing pools
-_CTX: dict = {}
+def index_chunks(total: int) -> list[tuple[int, int]]:
+    """The [start, end) ranges of CHUNK indices that cover range(total)."""
+    return [(s, min(s + CHUNK, total)) for s in range(0, total, CHUNK)]
 
 
-def _algebra_config(alg: Algebra3) -> tuple:
-    spec = alg.field.spec
-    if spec is None:
-        raise ValueError("parallel sweeps need a field built from a FieldSpec")
-    return (spec.p, spec.m, spec.modulus, alg.tensor)
+def pool_size(workers: int, n_chunks: int) -> int:
+    """Processes worth starting: at most one per chunk and one per CPU."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return max(1, min(workers, n_chunks, os.cpu_count() or 1))
 
 
-def _algebra_from_config(cfg: tuple) -> Algebra3:
-    p, m, modulus, tensor = cfg
-    fld = Field.from_spec(FieldSpec(p, m, tuple(modulus)))
-    return Algebra3(fld, tensor)
+_WORKER: tuple = ()  # (fn, init), set in each pool process by _worker_init
 
 
-def _pool_init(cfg: tuple) -> None:
-    _CTX["alg"] = _algebra_from_config(cfg)
+def _worker_init(fn, init: tuple) -> None:
+    global _WORKER
+    _WORKER = (fn, init)
 
 
-def _pool_scan(rng: tuple) -> list:
-    return _scan_range(_CTX["alg"], rng[0], rng[1])
+def _worker_call(chunk: tuple) -> object:
+    fn, init = _WORKER
+    return fn(*init, *chunk)
+
+
+def parallel_map(fn, chunks: list, workers: int, init: tuple) -> list:
+    """[fn(*init, start, end) for (start, end) in chunks], in chunk order.
+
+    Runs in a pool of `pool_size` processes when that is more than one; each
+    process receives `fn` and `init` once, through the pool initializer.
+    """
+    n = pool_size(workers, len(chunks))
+    if n == 1:
+        return [fn(*init, *chunk) for chunk in chunks]
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    with multiprocessing.get_context(method).Pool(
+            n, initializer=_worker_init, initargs=(fn, init)) as pool:
+        return pool.map(_worker_call, chunks)
 
 
 def build_inventory(alg: Algebra3, workers: int = 1) -> AvInventory:
-    q = alg.field.order
-    total = q**6
-    chunks = [(s, min(s + CHUNK, total)) for s in range(0, total, CHUNK)]
-    if workers > 1 and len(chunks) > 1:
-        ctx = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn")
-        with ctx.Pool(workers, initializer=_pool_init, initargs=(_algebra_config(alg),)) as pool:
-            partials = pool.map(_pool_scan, chunks)
-    else:
-        partials = [_scan_range(alg, s, e) for s, e in chunks]
+    partials = parallel_map(_scan_range, index_chunks(alg.field.order**6), workers, (alg,))
     merged: dict = {}
     for partial in partials:
         for rows, pivots, kind, fiber, rep, first in partial:
@@ -138,8 +144,7 @@ def build_inventory(alg: Algebra3, workers: int = 1) -> AvInventory:
         plane = None
         if kind == NONDEGENERATE:
             plane = rref_rows(fld, (tuple(rep[:3]), tuple(rep[3:])))[0]
-        spaces.append(SpaceRec(tuple(rows), tuple(rows), tuple(pivots), kind,
-                               fiber, tuple(rep), first, plane))
+        spaces.append(SpaceRec(tuple(rows), tuple(pivots), kind, fiber, tuple(rep), first, plane))
     return AvInventory(alg, spaces)
 
 
@@ -348,7 +353,7 @@ def complementary_space_count(alg: Algebra3, v: PairVector, *,
 
 
 def base_plane_rows(alg: Algebra3, v: PairVector):
-    """RREF rows of the plane {a v : a in <x, y>} inside Av."""
+    """RREF rows of the plane {a v : a in <x, y>} inside Av, products taken in `alg`."""
     rows = (
         tuple(alg.mulvec(v.x, v.x)) + tuple(alg.mulvec(v.x, v.y)),
         tuple(alg.mulvec(v.y, v.x)) + tuple(alg.mulvec(v.y, v.y)),
@@ -357,16 +362,26 @@ def base_plane_rows(alg: Algebra3, v: PairVector):
     return out, pivots
 
 
-def _line_counts(alg: Algebra3, v: PairVector, base_rows, base_pivots, hits):
-    """Group the dim-1 hit lines by membership in the base plane <x,y>v."""
-    fld = alg.field
-    mv_rows, mv_pivots = base_plane_rows(alg, v)
+def plane_algebra(alg: Algebra3) -> Algebra3:
+    """The algebra whose plane <x,y>v is the distinguished one in Av.
+
+    That is the commutative isotope of `alg` when it has one (it has the same
+    spaces Av), else `alg` itself.  For a twisted field with c != -1 in the
+    commutative-isotopic class, <x,y>v taken in A_c is not that plane.
+    """
+    return commutative_isotope(alg) or alg
+
+
+def _line_counts(plane_alg: Algebra3, v: PairVector, base_rows, base_pivots, hits):
+    """Group the dim-1 hit lines by membership in the base plane <x,y>v of `plane_alg`."""
+    fld = plane_alg.field
+    mv_rows, mv_pivots = base_plane_rows(plane_alg, v)
     counts: dict[tuple, int] = {}
     in_plane: dict[tuple, bool] = {}
     for d, rec in hits:
         if d != 1:
             continue
-        line = meet_line(fld, base_rows, base_pivots, rec.rows)
+        line = intersect_rows(fld, base_rows, base_pivots, rec.rows)
         counts[line] = counts.get(line, 0) + rec.fiber
         if line not in in_plane:
             in_plane[line] = added_rank(fld, mv_rows, mv_pivots, line) == 0
@@ -407,7 +422,7 @@ def line_profile(alg: Algebra3, v: PairVector, *, inventory: AvInventory | None 
     if inventory is None:
         inventory = build_inventory(alg)
     base_rows, base_pivots, _, _, hits = _profile_counts(alg, v, inventory)
-    grouped, detail = _line_counts(alg, v, base_rows, base_pivots, hits)
+    grouped, detail = _line_counts(plane_algebra(alg), v, base_rows, base_pivots, hits)
     predicted = predicted_line_profile(q, algebra_class)
     return CensusReport(
         parameters={"q": q, "v": v.to_json(), "v_kind": NONDEGENERATE,
@@ -467,11 +482,11 @@ def hit_span_conditions(alg: Algebra3, v: PairVector, rec: SpaceRec) -> bool:
     return True
 
 
-def _scan_vectors(alg: Algebra3, inventory: AvInventory, cls_value: str | None,
-                  with_lines: bool, start: int, end: int) -> tuple:
+def _scan_vectors(alg: Algebra3, inventory: AvInventory, cls: IsotopyClass,
+                  plane_alg: Algebra3 | None, start: int, end: int) -> tuple:
+    """Check every nondegenerate v in [start, end); lines too unless `plane_alg` is None."""
     fld = alg.field
     q = fld.order
-    cls = IsotopyClass(cls_value) if cls_value else None
     pred_v, pred_s = predicted_profile(q, cls, NONDEGENERATE)
     pred_comp = predicted_complementary_spaces(q, cls, NONDEGENERATE)
     pred_lines = predicted_line_profile(q, cls)
@@ -487,27 +502,14 @@ def _scan_vectors(alg: Algebra3, inventory: AvInventory, cls_value: str | None,
         comp = spaces["dim0_nondegenerate"] + spaces["dim0_degenerate"]
         ok = ok and comp == pred_comp
         ok = ok and all(hit_span_conditions(alg, v, rec) for _, rec in hits)
-        if with_lines:
-            grouped, _ = _line_counts(alg, v, base_rows, base_pivots, hits)
+        if plane_alg is not None:
+            grouped, _ = _line_counts(plane_alg, v, base_rows, base_pivots, hits)
             ok = ok and grouped == pred_lines
         checked += 1
         if not ok:
             mismatches.append({"v": v.to_json(),
                                "observed": {"vectors": vectors, "spaces": spaces}})
     return checked, mismatches
-
-
-def _pool_init_scan(cfg: tuple, spaces: list, cls_value: str | None, with_lines: bool) -> None:
-    alg = _algebra_from_config(cfg)
-    _CTX["alg"] = alg
-    _CTX["inventory"] = AvInventory(alg, [SpaceRec(*args) for args in spaces])
-    _CTX["cls_value"] = cls_value
-    _CTX["with_lines"] = with_lines
-
-
-def _pool_scan_vectors(rng: tuple) -> tuple:
-    return _scan_vectors(_CTX["alg"], _CTX["inventory"], _CTX["cls_value"],
-                         _CTX["with_lines"], rng[0], rng[1])
 
 
 def scan_all_nondegenerate(alg: Algebra3, *, algebra_class: IsotopyClass,
@@ -517,21 +519,9 @@ def scan_all_nondegenerate(alg: Algebra3, *, algebra_class: IsotopyClass,
     fld = alg.field
     q = fld.order
     inventory = build_inventory(alg, workers=workers)
-    total = q**6
-    chunks = [(s, min(s + CHUNK, total)) for s in range(0, total, CHUNK)]
-    if workers > 1 and len(chunks) > 1:
-        spaces = [
-            (r.key, r.rows, r.pivots, r.kind, r.fiber, r.rep, r.first_index, r.plane)
-            for r in inventory.spaces
-        ]
-        ctx = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn")
-        with ctx.Pool(workers, initializer=_pool_init_scan,
-                      initargs=(_algebra_config(alg), spaces,
-                                algebra_class.value, with_lines)) as pool:
-            results = pool.map(_pool_scan_vectors, chunks)
-    else:
-        results = [_scan_vectors(alg, inventory, algebra_class.value, with_lines, s, e)
-                   for s, e in chunks]
+    plane_alg = plane_algebra(alg) if with_lines else None
+    results = parallel_map(_scan_vectors, index_chunks(q**6), workers,
+                           (alg, inventory, algebra_class, plane_alg))
     checked = sum(r[0] for r in results)
     mismatches = [m for r in results for m in r[1]]
     expected_v, expected_s = predicted_profile(q, algebra_class, NONDEGENERATE)

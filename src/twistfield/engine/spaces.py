@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..algebra3 import Algebra3, left_mul_matrix, right_mul_matrix
+from ..algebra3 import Algebra3, basis_products, left_mul_matrix, right_mul_matrix
 from ..gf import Field
 from ..linalg import (
     Subspace,
     added_rank,
     intersect,
-    intersect_rows,
     kernel_rows,
     rref_rows,
 )
@@ -51,26 +50,7 @@ def classify(fld: Field, v: PairVector) -> str:
 
 def pair_rows(alg: Algebra3, x: Vec3, y: Vec3) -> list[tuple[int, ...]]:
     """Rows e_i * v = (e_i x | e_i y); their span is Av."""
-    fld = alg.field
-    s = alg.tensor
-    rows = []
-    for i in range(3):
-        si = s[i]
-        row = [0] * 6
-        for j in range(3):
-            r = si[j]
-            xj = x[j]
-            if xj:
-                for k in range(3):
-                    if r[k]:
-                        row[k] = fld.add(row[k], fld.mul(xj, r[k]))
-            yj = y[j]
-            if yj:
-                for k in range(3):
-                    if r[k]:
-                        row[3 + k] = fld.add(row[3 + k], fld.mul(yj, r[k]))
-        rows.append(tuple(row))
-    return rows
+    return [rx + ry for rx, ry in zip(basis_products(alg, x), basis_products(alg, y))]
 
 
 def av_subspace(alg: Algebra3, v: PairVector) -> Subspace:
@@ -154,7 +134,3 @@ def dim_against(fld: Field, base_rows, base_pivots, other_basis) -> int:
     """dim of the intersection of two row spaces; `other_basis` must be independent rows."""
     return len(other_basis) - added_rank(fld, base_rows, base_pivots, other_basis)
 
-
-def meet_line(fld: Field, base_rows, base_pivots, other_rows):
-    """The RREF rows of the intersection of two row spaces."""
-    return intersect_rows(fld, base_rows, base_pivots, other_rows)

@@ -175,14 +175,6 @@ def verify_theorem_B(tf: TwistedFieldSpec, workers: int = 1,
 # ---------------------------------------------------------------------------
 
 
-def _u_rows(spec: SplitAlbertSpec, x: tuple, y: tuple):
-    """Generators of U(x, y) = {(ux, uy)} as three rows of F^6."""
-    rx = rmat(spec, TriVector("V", x)).rows
-    ry = rmat(spec, TriVector("V", y)).rows
-    return [tuple(rx[k][i] for k in range(3)) + tuple(ry[k][i] for k in range(3))
-            for i in range(3)]
-
-
 def verify_split_theorem_3_1(spec: SplitAlbertSpec, mode: str = "auto",
                              rng: random.Random | None = None,
                              samples: int = 20000) -> Verdict:
@@ -214,7 +206,8 @@ def verify_split_theorem_3_1(spec: SplitAlbertSpec, mode: str = "auto",
     rinvs = [rmat_inv(spec, TriVector("V", v)).rows for v in regs]
     for i, x in enumerate(regs):
         for j, y in enumerate(regs):
-            rows, _ = rref_rows(fld, _u_rows(spec, x, y))
+            # U(x, y) is spanned by the rows (phi(alpha_i, x) | phi(alpha_i, y))
+            rows, _ = rref_rows(fld, pair_rows(spec, x, y))
             skey[i][j] = skey_pool.setdefault(rows, len(skey_pool))
             m = mat_mul(fld, rinvs[j], rmats[i])
             mkey[i][j] = mkey_pool.setdefault(m, len(mkey_pool))
@@ -328,7 +321,7 @@ def _admissible(fld: Field, x, y, x2, y2) -> bool:
     return det2(fld, ((w[0], w[1]), (w[2], w[3]))) != 0
 
 
-def search_theorem_7_2_analogue(spec: SplitAlbertSpec, workers: int = 1) -> Verdict:
+def search_theorem_7_2_analogue(spec: SplitAlbertSpec) -> Verdict:
     """Sweep for two-dimensional U(x,y) meet U(x',y') under the stability hypotheses.
 
     Heuristic evidence only: the d = 1 obstruction is a statement over an
@@ -348,7 +341,7 @@ def search_theorem_7_2_analogue(spec: SplitAlbertSpec, workers: int = 1) -> Verd
                 pairs.append((x, y))
     urows = {}
     for x, y in pairs:
-        rows, pivots = rref_rows(fld, _u_rows(spec, x, y))
+        rows, pivots = rref_rows(fld, pair_rows(spec, x, y))
         urows[(x, y)] = (rows, pivots)
     reps = [(v.x, v.y) for v in plane_representatives(fld)]
     hits = []

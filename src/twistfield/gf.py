@@ -418,7 +418,6 @@ def parse_elem(fld: Field, text: str) -> int:
         m *= f.deg_over_sub
         f = f.subfield
     coeffs = [0] * m
-    sign = 1
     for chunk in text.replace("-", "+-").split("+"):
         if chunk == "":
             continue
@@ -434,7 +433,7 @@ def parse_elem(fld: Field, text: str) -> int:
             power = 0
         if power >= m:
             raise ValueError(f"power {power} too large in element literal {text!r}")
-        coef = (-coef if neg else coef) * sign % fld.p
+        coef = (-coef if neg else coef) % fld.p
         coeffs[power] = (coeffs[power] + coef) % fld.p
     return _undigits(coeffs, fld.p)
 
@@ -549,16 +548,3 @@ class FieldTower:
             "f_coeffs": [format_elem(self.base, c) for c in self.f],
         }
 
-
-def frobenius(tower: FieldTower, x: int) -> int:
-    """x^q, the generator of the Galois group of the tower."""
-    return tower.frobenius(x)
-
-
-def norm(tower: FieldTower, x: int) -> int:
-    """x * x^sigma * x^sigma^2, returned as a base-field element."""
-    return tower.norm(x)
-
-
-def elements(fld: Field) -> Iterator[int]:
-    return fld.elements()

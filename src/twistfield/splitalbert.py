@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebra3 import TwistedFieldSpec, mu as twisted_mu
 from .gf import Field, FieldTower
-from .linalg import MatF, mat_vec
+from .linalg import MatF, identity_rows, mat_vec
 
 Vec3 = tuple[int, int, int]
 
@@ -35,8 +35,11 @@ def m3(i: int) -> int:
 
 @dataclass(frozen=True)
 class SplitAlbertSpec:
+    """phi_{d0,d1,d2}; `tensor[i][j]` holds the W-coordinates of phi(alpha_i, beta_j)."""
+
     field: Field = dc_field(compare=False)
     d: tuple[int, int, int] = (1, 1, 1)
+    tensor: tuple = dc_field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for di in self.d:
@@ -45,6 +48,10 @@ class SplitAlbertSpec:
                 raise ValueError("split Albert constants must be nonzero")
         if self.d_product == self.field.neg(1):
             raise ValueError("d0*d1*d2 = -1 is excluded")
+        unit = identity_rows(3)
+        tensor = tuple(tuple(phi(self, TriVector("U", a), TriVector("V", b)).coords
+                             for b in unit) for a in unit)
+        object.__setattr__(self, "tensor", tensor)
 
     @property
     def d_product(self) -> int:

@@ -10,6 +10,8 @@ from twistfield.algebra3 import (
     Algebra3,
     IsotopyClass,
     TwistedFieldSpec,
+    basis_products,
+    commutative_isotope,
     det3,
     is_division,
     isotopy_class,
@@ -22,6 +24,9 @@ from twistfield.algebra3 import (
     twisted_product,
     valid_c_values,
 )
+from twistfield.engine.spaces import pair_rows
+from twistfield.linalg import mat_vec
+from twistfield.splitalbert import SplitAlbertSpec, TriVector, rmat
 
 # q=3, c=2, f = t^3 - t - 1: structure constants computed once from the mini
 # oracle below and frozen.
@@ -89,13 +94,15 @@ def test_mu_with_c_one_has_isotropic_vectors(tower3):
         assert twisted_product(tower3, 1, x, x) == 0
 
 
-def test_structure_constants_round_trip(comm3):
-    alg = to_structure_constants(comm3)
-    K = comm3.tower.ext
-    basis = [1, 3, 9]
-    for i, j in itertools.product(range(3), repeat=2):
-        direct = K.coeffs(mu(comm3, basis[i], basis[j]))
-        assert alg.mulvec(K.coeffs(basis[i]), K.coeffs(basis[j])) == direct
+def test_structure_constants_round_trip(comm3, noncomm4):
+    for spec in (comm3, noncomm4):
+        alg = to_structure_constants(spec)
+        K = spec.tower.ext
+        q = spec.q
+        basis = [1, q, q * q]
+        for i, j in itertools.product(range(3), repeat=2):
+            direct = K.coeffs(mu(spec, basis[i], basis[j]))
+            assert alg.mulvec(K.coeffs(basis[i]), K.coeffs(basis[j])) == direct
 
 
 def test_commutative_tensor_symmetry(comm3):
@@ -105,10 +112,77 @@ def test_commutative_tensor_symmetry(comm3):
     assert all(s[i][j] == s[j][i] for i in range(3) for j in range(3))
 
 
-def test_mul_matrices_vanish_at_zero(alg3):
+def test_mul_matrices_vanish_at_zero(alg3, alg4):
     zero = (0, 0, 0)
-    assert all(c == 0 for row in left_mul_matrix(alg3, zero).rows for c in row)
-    assert all(c == 0 for row in right_mul_matrix(alg3, zero).rows for c in row)
+    for alg in (alg3, alg4):
+        assert all(c == 0 for row in left_mul_matrix(alg, zero).rows for c in row)
+        assert all(c == 0 for row in right_mul_matrix(alg, zero).rows for c in row)
+        assert basis_products(alg, zero) == [zero] * 3
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_contraction_reproduces_products_and_matrices(q):
+    # every product derives from basis_products; check them all against mu itself
+    tower = gf.FieldTower.build(q)
+    K = tower.ext
+    F = tower.base
+    basis = [1, q, q * q]
+    for c in (valid_c_values(tower)[0], valid_c_values(tower)[-1]):
+        spec = TwistedFieldSpec(tower, c)
+        alg = to_structure_constants(spec)
+        for y in K.elements():
+            b = K.coeffs(y)
+            assert basis_products(alg, b) == [K.coeffs(mu(spec, e, y)) for e in basis]
+            R = right_mul_matrix(alg, b).rows
+            for x in K.elements():
+                a = K.coeffs(x)
+                want = K.coeffs(mu(spec, x, y))
+                assert alg.mulvec(a, b) == want
+                assert mat_vec(F, left_mul_matrix(alg, a).rows, b) == want
+                assert mat_vec(F, R, a) == want
+    # over the split Albert tensor, row i is phi(alpha_i, y): column i of R_y
+    split = SplitAlbertSpec(F, (1, 2, 2))
+    vecs = [K.coeffs(x) for x in K.elements()]  # all of F^3
+    for y in vecs:
+        ry = rmat(split, TriVector("V", y)).rows
+        assert basis_products(split, y) == [tuple(ry[k][i] for k in range(3)) for i in range(3)]
+    for x, y in zip(vecs, reversed(vecs)):
+        rx = rmat(split, TriVector("V", x)).rows
+        ry = rmat(split, TriVector("V", y)).rows
+        assert pair_rows(split, x, y) == [
+            tuple(rx[k][i] for k in range(3)) + tuple(ry[k][i] for k in range(3))
+            for i in range(3)]
+
+
+def test_contraction_needs_a_tabulated_field():
+    K = gf.FieldTower.build(7).ext  # GF(343) has no tables
+    split = SplitAlbertSpec(K, (1, 1, 1))
+    with pytest.raises(ValueError, match="tabulated"):
+        basis_products(split, (1, 0, 0))
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_commutative_isotope_is_multiplication_by_the_inverse_witness(q):
+    # x o y = (T x) y with T = 1/a in K, up to F^x, a the witness from c = -1
+    tower = gf.FieldTower.build(q)
+    K = tower.ext
+    minus_one = K.neg(1)
+    basis = [1, q, q * q]
+    for c in valid_c_values(tower):
+        spec = TwistedFieldSpec(tower, c)
+        iso = commutative_isotope(to_structure_constants(spec))
+        if isotopy_class(spec) is IsotopyClass.NON_COMMUTATIVE:
+            assert iso is None
+            continue
+        assert iso.is_commutative()
+        a_inv = K.inv(isotopy_witness(tower, minus_one, c).a)
+        want = [K.mul(a_inv, twisted_product(tower, minus_one, x, y))
+                for x in basis for y in basis]
+        got = [K.from_coeffs(iso.mulvec(K.coeffs(x), K.coeffs(y)))
+               for x in basis for y in basis]
+        assert any(got == [K.mul(lam, w) for w in want] for lam in range(1, q)), c
+        if c == minus_one:
+            assert iso == to_structure_constants(spec)
 
 
 def test_left_matrix_agrees_with_tensor_contraction(alg3):

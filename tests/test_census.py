@@ -12,13 +12,15 @@ from twistfield.algebra3 import (
     to_structure_constants,
     valid_c_values,
 )
-from twistfield.engine import PairVector
+from twistfield.engine import PairVector, census
 from twistfield.engine.census import (
     build_inventory,
     complementary_space_count,
     global_counts,
+    index_chunks,
     line_profile,
     per_vector_profile,
+    pool_size,
     predicted_global_counts,
     scan_all_nondegenerate,
 )
@@ -122,6 +124,46 @@ def test_line_profile_q4(alg4, inv4):
     assert rep.match is True
 
 
+def test_line_profile_every_commutative_isotopic_c_q3(tower3):
+    # the distinguished plane is <x,y>v in the commutative isotope, not in A_c
+    for c in valid_c_values(tower3):
+        spec = TwistedFieldSpec(tower3, c)
+        alg = to_structure_constants(spec)
+        inv = build_inventory(alg)
+        for v in (V0, PairVector((0, 1, 2), (1, 1, 0))):
+            rep = line_profile(alg, v, inventory=inv, algebra_class=isotopy_class(spec))
+            assert rep.match is True, (c, v)
+
+
+def test_line_profile_commutative_isotope_q5(tower5):
+    c = next(c for c in valid_c_values(tower5)
+             if c != tower5.ext.neg(1) and tower5.norm(c) == tower5.base.neg(1))
+    spec = TwistedFieldSpec(tower5, c)
+    rep = line_profile(to_structure_constants(spec), PairVector((1, 2, 0), (0, 3, 1)),
+                       algebra_class=isotopy_class(spec))
+    assert rep.match is True
+
+
+def test_pool_size_is_bounded_by_chunks_and_cpus(monkeypatch):
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 4)
+    assert pool_size(1, 10) == 1
+    assert pool_size(3, 10) == 3
+    assert pool_size(10**6, 10) == 4
+    assert pool_size(10**6, 2) == 2
+    monkeypatch.setattr(census.os, "cpu_count", lambda: None)
+    assert pool_size(8, 10) == 1
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            pool_size(bad, 10)
+
+
+def test_index_chunks_cover_the_range_in_order():
+    chunks = index_chunks(3**6)
+    assert chunks[0][0] == 0 and chunks[-1][1] == 3**6
+    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+    assert len(index_chunks(4**6)) == 4**6 // census.CHUNK
+
+
 def test_line_counts_partition_dim1_total(alg3, inv3):
     prof = per_vector_profile(alg3, V0, inventory=inv3,
                               algebra_class=IsotopyClass.COMMUTATIVE_ISOTOPIC)
@@ -181,8 +223,8 @@ def test_noncommutative_profiles_for_every_valid_c_q4(tower4):
 def test_worker_count_does_not_change_inventory(alg3):
     a = build_inventory(alg3, workers=1)
     b = build_inventory(alg3, workers=3)
-    assert [(r.key, r.fiber, r.kind, r.rep, r.first_index) for r in a.spaces] == \
-           [(r.key, r.fiber, r.kind, r.rep, r.first_index) for r in b.spaces]
+    assert [(r.rows, r.fiber, r.kind, r.rep, r.first_index) for r in a.spaces] == \
+           [(r.rows, r.fiber, r.kind, r.rep, r.first_index) for r in b.spaces]
 
 
 def test_worker_count_does_not_change_scan(alg3):

@@ -178,6 +178,35 @@ def test_exit_code_one_on_failed_verdict(capsys, monkeypatch):
     assert json.loads(out)["report"]["passed"] is False
 
 
+def test_workers_below_one_is_usage_error(capsys):
+    for workers in ("0", "-2"):
+        code, out, err = run_cli(capsys, "census", "--q", "3", "--norm-target", "-1",
+                                 "--v", "[1,0,0],[0,1,0]", "--workers", workers)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "--workers" in err
+
+
+def test_internal_error_is_not_a_counterexample(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("fast sweep disagrees with direct intersection")
+
+    monkeypatch.setattr(cli.engine, "verify_theorem_B", broken)
+    code, out, err = run_cli(capsys, "verify", "--theorem", "B", "--q", "3",
+                             "--norm-target", "-1")
+    assert code == cli.EXIT_INTERNAL == 3
+    assert json.loads(out) == {"error": "RuntimeError: fast sweep disagrees with direct intersection"}
+    assert "Traceback" in err
+
+
+def test_scan_all_commutative_isotope_other_than_minus_one(capsys):
+    code, out, _ = run_cli(capsys, "census", "--scan-all", "--q", "3", "--c", "[0,1,0]")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["observed"] == {"vectors_checked": 624, "mismatches": 0}
+    assert report["match"] is True
+
+
 def test_reports_reconstruct_from_json(capsys):
     from twistfield.engine.census import CensusReport
 

@@ -67,12 +67,15 @@ def test_av_dimension_three_for_nonzero(alg3):
         assert av_subspace(alg3, v).dim == 3
 
 
-def test_pair_rows_match_right_mul_stack(alg3):
+def test_pair_rows_match_right_mul_stack(alg3, alg4):
     # rows e_i v are the columns of the stacked right-multiplication matrices
-    for v in (PairVector((1, 2, 0), (0, 1, 1)), PairVector((2, 0, 1), (1, 1, 1))):
-        rx = right_mul_matrix(alg3, v.x).rows
-        ry = right_mul_matrix(alg3, v.y).rows
-        rows = pair_rows(alg3, v.x, v.y)
+    cases = [(alg, v) for alg in (alg3, alg4)
+             for v in (PairVector((1, 2, 0), (0, 1, 1)), PairVector((2, 0, 1), (1, 1, 1)),
+                       PairVector((0, 0, 0), (1, 0, 2)))]
+    for alg, v in cases:
+        rx = right_mul_matrix(alg, v.x).rows
+        ry = right_mul_matrix(alg, v.y).rows
+        rows = pair_rows(alg, v.x, v.y)
         for i in range(3):
             stacked_col = tuple(rx[k][i] for k in range(3)) + tuple(ry[k][i] for k in range(3))
             assert tuple(rows[i]) == stacked_col

@@ -83,7 +83,7 @@ def test_pow_matches_repeated_multiplication():
 def test_elements_order_and_count():
     for q in (3, 4, 27):
         F = gf.Field.of_order(q) if q != 27 else gf.FieldTower.build(3).ext
-        got = list(gf.elements(F))
+        got = list(F.elements())
         assert got[0] == 0
         assert len(got) == q
         assert got == sorted(got)
