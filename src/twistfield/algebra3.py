@@ -9,6 +9,7 @@ norm != 1.  Coordinatized over the power basis (1, t, t^2) of K it becomes an
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass, field as dc_field
 
 from .gf import Field, FieldTower, format_triple
@@ -169,6 +170,40 @@ def basis_products(alg, b: Vec3) -> list[Vec3]:
                     r2 = add_t[r2][m[s2]]
         rows.append((r0, r1, r2))
     return rows
+
+
+def left_division_tables(alg: Algebra3) -> tuple[array, array]:
+    """Left multiplication and left division on F^3 indices, n = q^3 of them.
+
+    The index of (c0, c1, c2) is c0 + q*c1 + q^2*c2.  mul[a*n + x] is the index
+    of a*x; for a != 0, ldiv[a*n + b] is the x with a*x = b (row 0 is zeros).
+    Raises RuntimeError unless every row a != 0 of mul is a permutation: that
+    is the division certificate, since a*x = 0 then forces a = 0 or x = 0.
+    """
+    fld = alg.field
+    q = fld.order
+    qq, n = q * q, q**3
+    add_t, mul_t = fld.add_t, fld.mul_t
+    vecs = [(i % q, i // q % q, i // qq) for i in range(n)]
+    mul = array("H", bytes(2 * n * n))
+    for x in range(n):
+        # a*x = a0 (e_0 x) + a1 (e_1 x) + a2 (e_2 x), for a in index order
+        m0, m1, m2 = ([tuple(mul_t[k][c] for c in r) for k in range(q)]
+                      for r in basis_products(alg, vecs[x]))
+        col = []
+        for s2 in m2:
+            for s1 in m1:
+                t0, t1, t2 = (add_t[add_t[s1[k]][s2[k]]] for k in range(3))
+                col += [t0[u0] + q * t1[u1] + qq * t2[u2] for u0, u1, u2 in m0]
+        mul[x::n] = array("H", col)
+    ldiv = array("H", bytes(2 * n))
+    for a in range(1, n):
+        row = mul[a * n:(a + 1) * n]
+        if len(set(row)) != n:
+            raise RuntimeError(f"left multiplication by {vecs[a]} is not injective: "
+                               "not a division algebra")
+        ldiv += array("H", sorted(range(n), key=row.__getitem__))  # the inverse permutation
+    return mul, ldiv
 
 
 def left_mul_matrix(alg: Algebra3, a: Vec3) -> MatF:

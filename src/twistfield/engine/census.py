@@ -2,12 +2,24 @@
 
 The sweep over v' happens once per algebra: every nonzero v' is classified and
 its space Av' reduced to a canonical RREF key, producing an inventory of
-distinct spaces with fiber sizes.  Intersection dimension depends only on the
-pair of spaces, so per-vector tallies are exact fiber-weighted space tallies.
-The v' range is partitioned into fixed-size index chunks (`index_chunks`) that
+distinct spaces with fiber sizes, the position of each v' in that list
+(`space_of`), and the left multiplication and division tables of A.  The v'
+range is partitioned into fixed-size index chunks (`index_chunks`) that
 `parallel_map` runs serially or in a pool; worker count only affects
 scheduling, never chunk boundaries, so merged reports are byte-reproducible for
 any --workers value.
+
+The census kernel (`_meet`) makes no rank test.  A is a division algebra, so
+each nonzero w in Av meet Av' is a'v' for exactly one a', and
+(k^-1 a')(k v') = a'v'.  Letting w run over one generator a v of each of the
+q^2+q+1 lines of Av and a' over A minus 0, the vector v' = L_{a'}^-1 w is
+reached exactly (q^d - 1)/(q - 1) times, d = dim(Av meet Av').  The
+multiplicities give the vector tallies, `space_of` the space tallies, and a
+v' reached once lies on the line spanned by the generator that reached it.
+The run checks what the counting rests on, raising RuntimeError (never a
+mismatch) when it fails: every row a != 0 of the multiplication table is a
+permutation (built with the inventory), every multiplicity is 1, q+1 or
+q^2+q+1, and every space met is met on its whole fiber with a single d.
 """
 
 from __future__ import annotations
@@ -15,11 +27,14 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
-from ..algebra3 import Algebra3, IsotopyClass, commutative_isotope
+from ..algebra3 import Algebra3, IsotopyClass, commutative_isotope, left_division_tables
 from ..gf import Field
-from ..linalg import Subspace, added_rank, intersect_rows, rref_rows
+from ..linalg import Subspace, rref_rows
 from .spaces import (
     DEGENERATE,
     NONDEGENERATE,
@@ -49,6 +64,13 @@ class SpaceRec:
 class AvInventory:
     alg: Algebra3
     spaces: list[SpaceRec]
+    # space_of[i]: position in `spaces` of Av' for the v' of index i (-1 for v' = 0)
+    space_of: array = dc_field(repr=False, compare=False)
+    # left multiplication and division on F^3 indices (algebra3.left_division_tables)
+    mul: array = dc_field(repr=False, compare=False)
+    ldiv: array = dc_field(repr=False, compare=False)
+    # kind -> (vectors, spaces) of that kind
+    totals: dict = dc_field(repr=False, compare=False)
 
     @property
     def field(self) -> Field:
@@ -66,11 +88,13 @@ def decode_vector(q: int, idx: int) -> tuple:
     return tuple(coords)
 
 
-def _scan_range(alg: Algebra3, start: int, end: int) -> list:
-    """Partial inventory over v' indices [start, end)."""
+def _scan_range(alg: Algebra3, start: int, end: int) -> tuple[list, array]:
+    """Partial inventory over v' indices [start, end): the distinct spaces in
+    order of first index, and each index's position in that list (-1 for v' = 0)."""
     fld = alg.field
     q = fld.order
     found: dict = {}
+    local = array("i", [-1] * (start == 0))
     for idx in range(max(start, 1), end):
         coords = decode_vector(q, idx)
         x, y = coords[:3], coords[3:]
@@ -79,10 +103,10 @@ def _scan_range(alg: Algebra3, start: int, end: int) -> list:
         if rec is None:
             stack, _ = rref_rows(fld, (x, y))
             kind = NONDEGENERATE if len(stack) == 2 else DEGENERATE
-            found[rows] = [rows, pivots, kind, 1, coords, idx]
-        else:
-            rec[3] += 1
-    return list(found.values())
+            rec = found[rows] = [rows, pivots, kind, 0, coords, idx, len(found)]
+        rec[3] += 1
+        local.append(rec[6])
+    return [rec[:6] for rec in found.values()], local
 
 
 def index_chunks(total: int) -> list[tuple[int, int]]:
@@ -128,24 +152,34 @@ def parallel_map(fn, chunks: list, workers: int, init: tuple) -> list:
 def build_inventory(alg: Algebra3, workers: int = 1) -> AvInventory:
     partials = parallel_map(_scan_range, index_chunks(alg.field.order**6), workers, (alg,))
     merged: dict = {}
-    for partial in partials:
-        for rows, pivots, kind, fiber, rep, first in partial:
-            key = tuple(rows)
-            rec = merged.get(key)
+    for found, _ in partials:
+        for rows, pivots, kind, fiber, rep, first in found:
+            rec = merged.get(rows)
             if rec is None:
-                merged[key] = [rows, pivots, kind, fiber, rep, first]
+                merged[rows] = [rows, pivots, kind, fiber, rep, first]
             else:
                 rec[3] += fiber
                 if first < rec[5]:
                     rec[4], rec[5] = rep, first
     fld = alg.field
     spaces = []
+    position = {}
+    totals = {NONDEGENERATE: [0, 0], DEGENERATE: [0, 0]}
     for rows, pivots, kind, fiber, rep, first in sorted(merged.values(), key=lambda r: r[5]):
         plane = None
         if kind == NONDEGENERATE:
             plane = rref_rows(fld, (tuple(rep[:3]), tuple(rep[3:])))[0]
+        position[rows] = len(spaces)
         spaces.append(SpaceRec(tuple(rows), tuple(pivots), kind, fiber, tuple(rep), first, plane))
-    return AvInventory(alg, spaces)
+        totals[kind][0] += fiber
+        totals[kind][1] += 1
+    space_of = array("i")
+    for found, local in partials:
+        ids = [position[rec[0]] for rec in found] + [-1]  # a local -1 maps to ids[-1]
+        space_of.extend(ids[i] for i in local)
+    mul, ldiv = left_division_tables(alg)
+    return AvInventory(alg, spaces, space_of, mul, ldiv,
+                       {kind: tuple(t) for kind, t in totals.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -289,25 +323,108 @@ class CensusReport:
         return rows
 
 
-def _profile_counts(alg: Algebra3, v: PairVector, inventory: AvInventory):
-    fld = alg.field
-    base_rows, base_pivots = rref_rows(fld, pair_rows(alg, v.x, v.y))
-    if len(base_rows) != 3:
-        raise RuntimeError("Av has dimension != 3; not a division algebra or v = 0")
+# ---------------------------------------------------------------------------
+# the census kernel
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _points(q: int) -> tuple[int, ...]:
+    """Indices of the q^2+q+1 vectors of F^3 whose first nonzero coordinate is 1."""
+    return tuple(i for i in range(1, q**3) if next(c for c in decode_vector(q, i) if c) == 1)
+
+
+def _unit_row(fld: Field, row: tuple) -> tuple:
+    """`row` scaled so that its first nonzero entry is 1: the RREF basis of its line."""
+    k = fld.inv(next(c for c in row if c))
+    return row if k == 1 else tuple(fld.mul(k, c) for c in row)
+
+
+@dataclass
+class Meet:
+    """What the kernel reads off for one base vector v."""
+
+    gens: list  # (a x, a y) as F^3 indices, one generator a v per line of Av
+    reached: list  # reached[g]: the F^6 indices of L_{a'}^-1 gens[g], a' != 0
+    mult: Counter  # F^6 index of v' -> times reached, (q^d - 1)/(q - 1)
+    vectors: dict  # DIM_KEYS -> vectors v'
+    spaces: dict  # DIM_KEYS -> distinct spaces Av'
+    hits: list  # (d, rec) for each space Av' with d in (1, 2)
+
+
+def _meet(inventory: AvInventory, v: PairVector) -> Meet:
+    """dim(Av meet Av') for every v', by (q^2+q+1)(q^3-1) table lookups (module docstring)."""
+    q = inventory.field.order
+    n = q**3
+    mul, ldiv, space_of = inventory.mul, inventory.ldiv, inventory.space_of
+    ix, iy = (w[0] + q * w[1] + q * q * w[2] for w in (v.x, v.y))
+    gens = [(mul[a * n + ix], mul[a * n + iy]) for a in _points(q)]
+    reached = [[x + n * y for x, y in zip(ldiv[n + w1::n], ldiv[n + w2::n])]
+               for w1, w2 in gens]
+    mult: Counter = Counter()
+    for vs in reached:
+        mult.update(vs)
+    dim_of = {1: 1, q + 1: 2, q * q + q + 1: 3}
+    met: dict[int, list] = {}  # position of Av' -> [d, vectors v' reached]
+    for vi, m in mult.items():
+        d = dim_of.get(m)
+        if d is None:
+            raise RuntimeError(f"v' index {vi} reached {m} times, not 1, q+1 or q^2+q+1")
+        pos = space_of[vi]
+        got = met.get(pos)
+        if got is None:
+            met[pos] = [d, 1]
+        elif got[0] != d:
+            raise RuntimeError(f"space {pos} met in dimensions {got[0]} and {d}")
+        else:
+            got[1] += 1
     vectors = dict.fromkeys(DIM_KEYS, 0)
     spaces = dict.fromkeys(DIM_KEYS, 0)
+    for kind, (n_vectors, n_spaces) in inventory.totals.items():
+        vectors["dim0_" + kind] = n_vectors
+        spaces["dim0_" + kind] = n_spaces
     hits = []
-    for rec in inventory.spaces:
-        d = 3 - added_rank(fld, base_rows, base_pivots, rec.rows)
-        if d == 0:
-            key = "dim0_" + rec.kind
-        else:
-            key = f"dim{d}"
-        vectors[key] += rec.fiber
-        spaces[key] += 1
-        if d in (1, 2):
+    for pos, (d, count) in met.items():
+        rec = inventory.spaces[pos]
+        if count != rec.fiber:
+            raise RuntimeError(f"space {pos} met on {count} of its {rec.fiber} vectors")
+        vectors[f"dim{d}"] += count
+        spaces[f"dim{d}"] += 1
+        vectors["dim0_" + rec.kind] -= count
+        spaces["dim0_" + rec.kind] -= 1
+        if d < 3:
             hits.append((d, rec))
-    return base_rows, base_pivots, vectors, spaces, hits
+    return Meet(gens, reached, mult, vectors, spaces, hits)
+
+
+def _lines(plane_alg: Algebra3, v: PairVector, meet: Meet) -> dict[tuple, tuple[int, bool]]:
+    """{line: (v' count, in base plane)} over the lines Av meet Av' of the dim-1 v'.
+
+    A v' reached once meets Av in the line of the generator that reached it.
+    The base plane is <x,y>v with products taken in `plane_alg`; its q+1 lines
+    are spanned by b v for b = y and b = x + k y.
+    """
+    fld = plane_alg.field
+    q = fld.order
+    plane = set()
+    for b in [v.y] + [tuple(fld.add(c, fld.mul(k, d)) for c, d in zip(v.x, v.y))
+                      for k in range(q)]:
+        plane.add(_unit_row(fld, plane_alg.mulvec(b, v.x) + plane_alg.mulvec(b, v.y)))
+    out = {}
+    for (w1, w2), vs in zip(meet.gens, meet.reached):
+        n = list(map(meet.mult.__getitem__, vs)).count(1)
+        if n:
+            row = _unit_row(fld, decode_vector(q, w1 + q**3 * w2))
+            out[(row,)] = (n, row in plane)
+    return out
+
+
+def _group_lines(lines: dict) -> dict:
+    grouped: dict = {"in_base_plane": {}, "outside_base_plane": {}}
+    for n, in_plane in lines.values():
+        bucket = grouped["in_base_plane" if in_plane else "outside_base_plane"]
+        bucket[str(n)] = bucket.get(str(n), 0) + 1
+    return grouped
 
 
 def per_vector_profile(alg: Algebra3, v: PairVector, *, inventory: AvInventory | None = None,
@@ -321,19 +438,20 @@ def per_vector_profile(alg: Algebra3, v: PairVector, *, inventory: AvInventory |
         raise ValueError("census base vector must be nonzero")
     if inventory is None:
         inventory = build_inventory(alg, workers=workers)
-    base_rows, _, vectors, spaces, _ = _profile_counts(alg, v, inventory)
-    vectors["zero_vector"] = 1
+    meet = _meet(inventory, v)
+    vectors = {**meet.vectors, "zero_vector": 1}
     pred_v, pred_s = predicted_profile(fld.order, algebra_class, kind)
     predicted = None
     match = None
     if pred_v is not None:
         predicted = {"vectors": {**pred_v, "zero_vector": 1}, "spaces": pred_s}
-        match = predicted["vectors"] == vectors and pred_s == spaces
+        match = predicted["vectors"] == vectors and pred_s == meet.spaces
+    base_rows, _ = rref_rows(fld, pair_rows(alg, v.x, v.y))
     return CensusReport(
         parameters={"q": fld.order, "v": v.to_json(), "v_kind": kind,
                     "Av": Subspace(fld, 6, base_rows).to_json(),
                     "algebra_class": algebra_class.value if algebra_class else None},
-        observed={"vectors": vectors, "spaces": spaces},
+        observed={"vectors": vectors, "spaces": meet.spaces},
         predicted=predicted,
         match=match,
         runtime_ms=(time.perf_counter() - t0) * 1000,
@@ -348,18 +466,8 @@ def complementary_space_count(alg: Algebra3, v: PairVector, *,
         raise ValueError("base vector must be nonzero")
     if inventory is None:
         inventory = build_inventory(alg)
-    _, _, _, spaces, _ = _profile_counts(alg, v, inventory)
+    spaces = _meet(inventory, v).spaces
     return spaces["dim0_nondegenerate"] + spaces["dim0_degenerate"]
-
-
-def base_plane_rows(alg: Algebra3, v: PairVector):
-    """RREF rows of the plane {a v : a in <x, y>} inside Av, products taken in `alg`."""
-    rows = (
-        tuple(alg.mulvec(v.x, v.x)) + tuple(alg.mulvec(v.x, v.y)),
-        tuple(alg.mulvec(v.y, v.x)) + tuple(alg.mulvec(v.y, v.y)),
-    )
-    out, pivots = rref_rows(alg.field, rows)
-    return out, pivots
 
 
 def plane_algebra(alg: Algebra3) -> Algebra3:
@@ -370,31 +478,6 @@ def plane_algebra(alg: Algebra3) -> Algebra3:
     commutative-isotopic class, <x,y>v taken in A_c is not that plane.
     """
     return commutative_isotope(alg) or alg
-
-
-def _line_counts(plane_alg: Algebra3, v: PairVector, base_rows, base_pivots, hits):
-    """Group the dim-1 hit lines by membership in the base plane <x,y>v of `plane_alg`."""
-    fld = plane_alg.field
-    mv_rows, mv_pivots = base_plane_rows(plane_alg, v)
-    counts: dict[tuple, int] = {}
-    in_plane: dict[tuple, bool] = {}
-    for d, rec in hits:
-        if d != 1:
-            continue
-        line = intersect_rows(fld, base_rows, base_pivots, rec.rows)
-        counts[line] = counts.get(line, 0) + rec.fiber
-        if line not in in_plane:
-            in_plane[line] = added_rank(fld, mv_rows, mv_pivots, line) == 0
-    grouped: dict = {"in_base_plane": {}, "outside_base_plane": {}}
-    for line, n in counts.items():
-        bucket = grouped["in_base_plane" if in_plane[line] else "outside_base_plane"]
-        bucket[str(n)] = bucket.get(str(n), 0) + 1
-    detail = [
-        {"line": Subspace(fld, 6, line).to_json(), "vectors": n,
-         "in_base_plane": in_plane[line]}
-        for line, n in sorted(counts.items())
-    ]
-    return grouped, detail
 
 
 def predicted_line_profile(q: int, algebra_class: IsotopyClass | None) -> dict | None:
@@ -421,8 +504,11 @@ def line_profile(alg: Algebra3, v: PairVector, *, inventory: AvInventory | None 
         raise ValueError("line profile needs a nondegenerate base vector")
     if inventory is None:
         inventory = build_inventory(alg)
-    base_rows, base_pivots, _, _, hits = _profile_counts(alg, v, inventory)
-    grouped, detail = _line_counts(plane_algebra(alg), v, base_rows, base_pivots, hits)
+    lines = _lines(plane_algebra(alg), v, _meet(inventory, v))
+    grouped = _group_lines(lines)
+    detail = [{"line": Subspace(fld, 6, line).to_json(), "vectors": n, "in_base_plane": in_plane}
+              for line, (n, in_plane) in sorted(lines.items())]
+    base_rows, _ = rref_rows(fld, pair_rows(alg, v.x, v.y))
     predicted = predicted_line_profile(q, algebra_class)
     return CensusReport(
         parameters={"q": q, "v": v.to_json(), "v_kind": NONDEGENERATE,
@@ -445,10 +531,10 @@ def global_counts(alg: Algebra3, *, inventory: AvInventory | None = None,
     if inventory is None:
         inventory = build_inventory(alg, workers=workers)
     observed = {
-        "nondegenerate_vectors": sum(r.fiber for r in inventory.spaces if r.kind == NONDEGENERATE),
-        "degenerate_nonzero_vectors": sum(r.fiber for r in inventory.spaces if r.kind == DEGENERATE),
-        "nondegenerate_spaces": sum(1 for r in inventory.spaces if r.kind == NONDEGENERATE),
-        "degenerate_spaces": sum(1 for r in inventory.spaces if r.kind == DEGENERATE),
+        "nondegenerate_vectors": inventory.totals[NONDEGENERATE][0],
+        "degenerate_nonzero_vectors": inventory.totals[DEGENERATE][0],
+        "nondegenerate_spaces": inventory.totals[NONDEGENERATE][1],
+        "degenerate_spaces": inventory.totals[DEGENERATE][1],
     }
     predicted = predicted_global_counts(q)
     return CensusReport(
@@ -465,26 +551,28 @@ def global_counts(alg: Algebra3, *, inventory: AvInventory | None = None,
 # ---------------------------------------------------------------------------
 
 
-def hit_span_conditions(alg: Algebra3, v: PairVector, rec: SpaceRec) -> bool:
-    """A hit with dim(Av meet Av') in {1, 2} forces x', y' nondegenerate,
-    <x,x'> and <y,y'> two-dimensional, and <x',y'> != <x,y>."""
-    fld = alg.field
-    if rec.kind != NONDEGENERATE:
-        return False
-    v_plane = rref_rows(fld, (v.x, v.y))[0]
-    if rec.plane == v_plane:
-        return False
-    x2, y2 = rec.rep[:3], rec.rep[3:]
-    if len(rref_rows(fld, (v.x, x2))[0]) != 2:
-        return False
-    if len(rref_rows(fld, (v.y, y2))[0]) != 2:
-        return False
-    return True
+def span_frame(fld: Field, v: PairVector) -> tuple:
+    """The RREF of <x,y> and the sets F*x and F*y: what `hit_span_conditions` compares."""
+    plane, _ = rref_rows(fld, (v.x, v.y))
+    fx, fy = ({tuple(fld.mul(k, c) for c in w) for k in range(fld.order)} for w in (v.x, v.y))
+    return plane, fx, fy
+
+
+def hit_span_conditions(frame: tuple, rec: SpaceRec) -> bool:
+    """A hit with dim(Av meet Av') in {1, 2}, v nondegenerate, forces v' nondegenerate,
+    <x',y'> != <x,y>, x' not in F*x and y' not in F*y (`frame` = span_frame(fld, v))."""
+    plane, fx, fy = frame
+    return (rec.kind == NONDEGENERATE and rec.plane != plane
+            and rec.rep[:3] not in fx and rec.rep[3:] not in fy)
 
 
 def _scan_vectors(alg: Algebra3, inventory: AvInventory, cls: IsotopyClass,
                   plane_alg: Algebra3 | None, start: int, end: int) -> tuple:
-    """Check every nondegenerate v in [start, end); lines too unless `plane_alg` is None."""
+    """Check every nondegenerate v in [start, end); lines too unless `plane_alg` is None.
+
+    Each mismatch names the checks it failed (tally, complement, span, lines)
+    and carries the observed tallies and line profile.
+    """
     fld = alg.field
     q = fld.order
     pred_v, pred_s = predicted_profile(q, cls, NONDEGENERATE)
@@ -495,20 +583,25 @@ def _scan_vectors(alg: Algebra3, inventory: AvInventory, cls: IsotopyClass,
     for idx in range(max(start, 1), end):
         coords = decode_vector(q, idx)
         v = PairVector(coords[:3], coords[3:])
-        if classify(fld, v) != NONDEGENERATE:
+        frame = span_frame(fld, v)
+        if len(frame[0]) != 2:
             continue
-        base_rows, base_pivots, vectors, spaces, hits = _profile_counts(alg, v, inventory)
-        ok = vectors == pred_v and spaces == pred_s
-        comp = spaces["dim0_nondegenerate"] + spaces["dim0_degenerate"]
-        ok = ok and comp == pred_comp
-        ok = ok and all(hit_span_conditions(alg, v, rec) for _, rec in hits)
+        meet = _meet(inventory, v)
+        observed = {"vectors": meet.vectors, "spaces": meet.spaces}
+        failed = []
+        if meet.vectors != pred_v or meet.spaces != pred_s:
+            failed.append("tally")
+        if meet.spaces["dim0_nondegenerate"] + meet.spaces["dim0_degenerate"] != pred_comp:
+            failed.append("complement")
+        if not all(hit_span_conditions(frame, rec) for _, rec in meet.hits):
+            failed.append("span")
         if plane_alg is not None:
-            grouped, _ = _line_counts(plane_alg, v, base_rows, base_pivots, hits)
-            ok = ok and grouped == pred_lines
+            observed["lines"] = _group_lines(_lines(plane_alg, v, meet))
+            if observed["lines"] != pred_lines:
+                failed.append("lines")
         checked += 1
-        if not ok:
-            mismatches.append({"v": v.to_json(),
-                               "observed": {"vectors": vectors, "spaces": spaces}})
+        if failed:
+            mismatches.append({"v": v.to_json(), "failed": failed, "observed": observed})
     return checked, mismatches
 
 

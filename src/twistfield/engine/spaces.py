@@ -8,7 +8,6 @@ from ..algebra3 import Algebra3, basis_products, left_mul_matrix, right_mul_matr
 from ..gf import Field
 from ..linalg import (
     Subspace,
-    added_rank,
     intersect,
     kernel_rows,
     rref_rows,
@@ -128,9 +127,4 @@ def plane_representatives(fld: Field) -> list[PairVector]:
         reps.append(PairVector((1, a, 0), (0, 0, 1)))
     reps.append(PairVector((0, 1, 0), (0, 0, 1)))
     return reps
-
-
-def dim_against(fld: Field, base_rows, base_pivots, other_basis) -> int:
-    """dim of the intersection of two row spaces; `other_basis` must be independent rows."""
-    return len(other_basis) - added_rank(fld, base_rows, base_pivots, other_basis)
 

@@ -264,14 +264,15 @@ def test_criterion_8_property_suites(tower3, alg3, inv3):
         s2 = span(F5, 6, [tuple(rng.randrange(5) for _ in range(6)) for _ in range(3)])
         ok = ok and s1.dim + s2.dim == intersect(s1, s2).dim + subspace_sum(s1, s2).dim
     # the section-6 facts live in test_engine_properties; spot-check one here
-    from twistfield.engine.census import hit_span_conditions
-    from twistfield.engine.spaces import dim_against, pair_rows
-    from twistfield.linalg import rref_rows
+    from twistfield.engine.census import hit_span_conditions, span_frame
+    from twistfield.engine.spaces import pair_rows
+    from twistfield.linalg import added_rank, rref_rows
     base_rows, base_pivots = rref_rows(alg3.field, pair_rows(alg3, V0.x, V0.y))
+    frame = span_frame(alg3.field, V0)
     for rec in inv3.spaces:
-        d = dim_against(alg3.field, base_rows, base_pivots, rec.rows)
+        d = len(rec.rows) - added_rank(alg3.field, base_rows, base_pivots, rec.rows)
         if d in (1, 2):
-            ok = ok and hit_span_conditions(alg3, V0, rec)
+            ok = ok and hit_span_conditions(frame, rec)
     report("criterion 8: property suites (field axioms, norm fibers, RREF canonicity, "
            "modular law, intersection span conditions)", ok,
            f"{time.perf_counter() - t0:.1f}s")

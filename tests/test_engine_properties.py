@@ -21,8 +21,8 @@ from twistfield.engine import (
     intersection_dim,
     plane_representatives,
 )
-from twistfield.engine.census import decode_vector, hit_span_conditions
-from twistfield.engine.spaces import dim_against, pair_rows, solve3
+from twistfield.engine.census import decode_vector, hit_span_conditions, span_frame
+from twistfield.engine.spaces import pair_rows, solve3
 from twistfield.linalg import Subspace, added_rank, intersect_rows, rref_rows
 
 
@@ -48,7 +48,7 @@ def test_degenerate_meets_trivially_or_equals(which, alg3, inv3, alg4, inv4):
     for rec in deg_spaces:
         assert rec.fiber == q**3 - 1  # one space per degenerate line
         for other in inv.spaces:
-            d = dim_against(fld, rec.rows, rec.pivots, other.rows)
+            d = len(other.rows) - added_rank(fld, rec.rows, rec.pivots, other.rows)
             if other.rows == rec.rows:
                 assert d == 3
             else:
@@ -145,10 +145,11 @@ def test_hits_force_span_conditions(which, alg3, inv3, alg4, inv4):
     vectors = list(nondeg_vectors(fld))
     for v in rng.sample(vectors, 60):
         base_rows, base_pivots = rref_rows(fld, pair_rows(alg, v.x, v.y))
+        frame = span_frame(fld, v)
         for rec in inv.spaces:
-            d = dim_against(fld, base_rows, base_pivots, rec.rows)
+            d = len(rec.rows) - added_rank(fld, base_rows, base_pivots, rec.rows)
             if d in (1, 2):
-                assert hit_span_conditions(alg, v, rec), (v, rec.rep, d)
+                assert hit_span_conditions(frame, rec), (v, rec.rep, d)
 
 
 # -- dim-2 planes: distinctness and the bijection onto non-base planes -----------
@@ -166,7 +167,7 @@ def test_two_dim_planes_biject_q3(alg3, inv3):
         ))
         planes = set()
         for rec in inv3.spaces:
-            if dim_against(fld, base_rows, base_pivots, rec.rows) == 2:
+            if len(rec.rows) - added_rank(fld, base_rows, base_pivots, rec.rows) == 2:
                 meet = intersect_rows(fld, base_rows, base_pivots, rec.rows)
                 assert meet not in planes  # distinct spaces give distinct planes
                 planes.add(meet)
