@@ -284,7 +284,7 @@ def cmd_verify(args) -> int:
     if args.theorem == "A":
         c = resolve_c(tower, args)
         alg = to_structure_constants(TwistedFieldSpec(tower, c))
-        verdict = engine.verify_theorem_A(alg, rng=rng)
+        verdict = engine.verify_theorem_A(alg, workers=args.workers)
         head = header_for(tower, c)
     elif args.theorem == "B":
         c = resolve_c(tower, args)
@@ -338,6 +338,8 @@ def cmd_census(args) -> int:
     if not args.v:
         raise UsageError("census needs --v or --scan-all")
     v = parse_pair_vector(tower, args.v)
+    if engine.classify(tower.base, v) == engine.ZERO:
+        raise UsageError("census base vector must be nonzero")
     report = engine.per_vector_profile(alg, v, algebra_class=cls, workers=args.workers)
     payload = {
         "command": "census",
@@ -356,10 +358,9 @@ def cmd_line_census(args) -> int:
     spec = TwistedFieldSpec(tower, c)
     alg = to_structure_constants(spec)
     v = parse_pair_vector(tower, args.v)
-    try:
-        report = engine.line_profile(alg, v, algebra_class=isotopy_class(spec))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if engine.classify(tower.base, v) != engine.NONDEGENERATE:
+        raise UsageError("line profile needs a nondegenerate base vector")
+    report = engine.line_profile(alg, v, algebra_class=isotopy_class(spec))
     payload = {
         "command": "line-census",
         "header": header_for(tower, c),
@@ -385,9 +386,6 @@ def main(argv=None) -> int:
             raise UsageError(f"--workers must be >= 1, got {args.workers}")
         return handlers[args.command](args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a broken invariant or a bug, never a counterexample

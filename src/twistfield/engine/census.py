@@ -7,7 +7,9 @@ distinct spaces with fiber sizes, the position of each v' in that list
 range is partitioned into fixed-size index chunks (`index_chunks`) that
 `parallel_map` runs serially or in a pool; worker count only affects
 scheduling, never chunk boundaries, so merged reports are byte-reproducible for
-any --workers value.
+any --workers value.  The census reports and the Theorem A and B verifiers
+all read this one sweep: A checks the fibers of `space_of`, B takes its
+dimensions from the kernel below.
 
 The census kernel (`_meet`) makes no rank test.  A is a division algebra, so
 each nonzero w in Av meet Av' is a'v' for exactly one a', and

@@ -6,22 +6,16 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 from ..algebra3 import Algebra3, IsotopyClass, TwistedFieldSpec, isotopy_class, to_structure_constants
 from ..gf import Field
 from ..linalg import added_rank, kernel_rows, mat_mul, rref_rows
 from ..splitalbert import SplitAlbertSpec, TriVector, rmat, rmat_inv
-from .census import AvInventory, build_inventory
+from .census import AvInventory, _meet, build_inventory, decode_vector
 from .normalform import det2, pair_normal_form, template_matches
-from .spaces import (
-    NONDEGENERATE,
-    PairVector,
-    classify,
-    intersection_dim,
-    pair_rows,
-    plane_representatives,
-)
+from .spaces import NONDEGENERATE, PairVector, intersection_dim, pair_rows, plane_representatives
 
 
 @dataclass
@@ -55,74 +49,39 @@ class Verdict:
         )
 
 
-def _scale_vec(fld: Field, k: int, v: tuple) -> tuple:
-    return tuple(fld.mul(k, c) for c in v)
+def verify_theorem_A(alg: Algebra3, workers: int = 1,
+                     inventory: AvInventory | None = None) -> Verdict:
+    """Av = Av' iff Fv = Fv', over all nondegenerate vectors.
 
-
-def _av_key(alg: Algebra3, v: PairVector) -> tuple:
-    rows, _ = rref_rows(alg.field, pair_rows(alg, v.x, v.y))
-    return rows
-
-
-def _nondegenerate_vectors(fld: Field):
-    q = fld.order
-    from .census import decode_vector
-
-    for idx in range(1, q**6):
-        coords = decode_vector(q, idx)
-        v = PairVector(coords[:3], coords[3:])
-        if classify(fld, v) == NONDEGENERATE:
-            yield v
-
-
-def verify_theorem_A(alg: Algebra3, mode: str = "auto", rng: random.Random | None = None,
-                     samples: int = 2000) -> Verdict:
-    """Av = Av' iff Fv = Fv', over nondegenerate vectors.
-
-    Exhaustive: group every nondegenerate v by the canonical key of Av; the
-    statement holds iff each group is exactly one punctured scalar line.
+    Reads the inventory's sweep over A^2: the statement holds iff the fiber
+    of each nondegenerate space in `space_of` is exactly the q - 1 vectors
+    k rep, k in F^x.  Witnesses decode a failing space's fiber.
     """
     t0 = time.perf_counter()
     fld = alg.field
     q = fld.order
-    if mode == "auto":
-        mode = "exhaustive" if q <= 4 else "sampled"
+    if inventory is None:
+        inventory = build_inventory(alg, workers=workers)
+    space_of = inventory.space_of
+    fiber_size = Counter(space_of)
+    failed = []
+    for pos, rec in enumerate(inventory.spaces):
+        if rec.kind != NONDEGENERATE:
+            continue
+        line = [sum(fld.mul(k, c) * q**j for j, c in enumerate(rec.rep)) for k in range(1, q)]
+        if fiber_size[pos] != q - 1 or any(space_of[i] != pos for i in line):
+            failed.append(pos)
     witnesses = []
-    checked = 0
-    if mode == "exhaustive":
-        groups: dict[tuple, list[PairVector]] = {}
-        for v in _nondegenerate_vectors(fld):
-            groups.setdefault(_av_key(alg, v), []).append(v)
-            checked += 1
-        for key, members in groups.items():
-            rep = members[0]
-            line = {(_scale_vec(fld, k, rep.x), _scale_vec(fld, k, rep.y))
-                    for k in range(1, q)}
-            got = {(v.x, v.y) for v in members}
-            if got != line:
-                witnesses.append({"Av_key": [list(r) for r in key],
-                                  "members": sorted(got)[:4]})
-    else:
-        rng = rng or random.Random(0)
-        vectors = list(_nondegenerate_vectors(fld))
-        for _ in range(samples):
-            v = rng.choice(vectors)
-            k = rng.randrange(1, q)
-            kv = PairVector(_scale_vec(fld, k, v.x), _scale_vec(fld, k, v.y))
-            if _av_key(alg, v) != _av_key(alg, kv):
-                witnesses.append({"v": v.to_json(), "k": k, "kind": "scalar direction"})
-            w = rng.choice(vectors)
-            checked += 1
-            if any(w.flat == _scale_vec(fld, k2, v.flat) for k2 in range(1, q)):
-                continue
-            if _av_key(alg, v) == _av_key(alg, w):
-                witnesses.append({"v": v.to_json(), "v2": w.to_json(), "kind": "distinct lines"})
+    for pos in failed[:5]:
+        members = [decode_vector(q, i) for i, p in enumerate(space_of) if p == pos]
+        witnesses.append({"Av_key": [list(r) for r in inventory.spaces[pos].rows],
+                          "members": sorted((v[:3], v[3:]) for v in members)[:4]})
     return Verdict(
         name="theorem-A",
-        passed=not witnesses,
-        checked=checked,
-        witnesses=witnesses[:5],
-        details={"mode": mode, "q": q},
+        passed=not failed,
+        checked=inventory.totals[NONDEGENERATE][0],
+        witnesses=witnesses,
+        details={"mode": "exhaustive", "q": q},
         runtime_ms=(time.perf_counter() - t0) * 1000,
     )
 
@@ -134,6 +93,9 @@ def verify_theorem_B(tf: TwistedFieldSpec, workers: int = 1,
     v runs over one representative per coordinate plane, v' over every distinct
     Av'; a dim-2 pair forces both vectors nondegenerate and simultaneous GL2
     frame changes preserve intersection dimensions, so this covers all pairs.
+    The dimensions come from the census kernel (`census._meet`).  `checked`
+    counts, per representative, the spaces in inventory order up to the first
+    dim-2 one, or all of them; each witness is cross-checked directly.
     """
     t0 = time.perf_counter()
     alg = to_structure_constants(tf)
@@ -145,18 +107,20 @@ def verify_theorem_B(tf: TwistedFieldSpec, workers: int = 1,
     hits = []
     checked = 0
     for v in plane_representatives(fld):
-        base_rows, base_pivots = rref_rows(fld, pair_rows(alg, v.x, v.y))
-        for rec in inventory.spaces:
-            checked += 1
-            d = 3 - added_rank(fld, base_rows, base_pivots, rec.rows)
-            if d == 2:
-                v2 = PairVector(rec.rep[:3], rec.rep[3:])
-                dim_check, _ = intersection_dim(alg, v, v2)
-                if dim_check != 2:
-                    raise RuntimeError("fast sweep disagrees with direct intersection")
-                hits.append({"v": v.to_json(), "v2": v2.to_json()})
-                break
-        if hits and expect_witness:
+        two_dim = [inventory.space_of[rec.first_index]
+                   for d, rec in _meet(inventory, v).hits if d == 2]
+        if not two_dim:
+            checked += len(inventory.spaces)
+            continue
+        pos = min(two_dim)
+        checked += pos + 1
+        rep = inventory.spaces[pos].rep
+        v2 = PairVector(rep[:3], rep[3:])
+        dim_check, _ = intersection_dim(alg, v, v2)
+        if dim_check != 2:
+            raise RuntimeError("fast sweep disagrees with direct intersection")
+        hits.append({"v": v.to_json(), "v2": v2.to_json()})
+        if expect_witness:
             break
     passed = bool(hits) == expect_witness
     return Verdict(

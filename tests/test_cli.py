@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from twistfield import cli
 from twistfield.engine.verify import Verdict
 
@@ -168,10 +170,24 @@ def test_json_determinism_across_runs_and_workers(capsys):
     assert strip_runtimes(json.loads(out)) == outs[0]
 
 
+@pytest.mark.parametrize("theorem, q, c", [
+    ("A", "3", "[2,0,0]"), ("B", "3", "[2,0,0]"),
+    ("A", "4", "[0,u+1,0]"), ("B", "4", "[0,u+1,0]"),  # non-commutative
+])
+def test_verify_json_determinism_across_workers(capsys, theorem, q, c):
+    outs = []
+    for workers in ("1", "2"):
+        code, out, _ = run_cli(capsys, "verify", "--theorem", theorem, "--q", q, "--c", c,
+                               "--workers", workers)
+        assert code == 0
+        outs.append(strip_runtimes(json.loads(out)))
+    assert outs[0] == outs[1]
+
+
 def test_exit_code_one_on_failed_verdict(capsys, monkeypatch):
     # the theorems hold, so force a failing verdict to check the exit mapping
     monkeypatch.setattr(cli.engine, "verify_theorem_A",
-                        lambda alg, rng=None: Verdict("theorem-A", False, 1))
+                        lambda alg, workers=1: Verdict("theorem-A", False, 1))
     code, out, _ = run_cli(capsys, "verify", "--theorem", "A", "--q", "3",
                            "--norm-target", "-1")
     assert code == 1
@@ -196,6 +212,26 @@ def test_internal_error_is_not_a_counterexample(capsys, monkeypatch):
                              "--norm-target", "-1")
     assert code == cli.EXIT_INTERNAL == 3
     assert json.loads(out) == {"error": "RuntimeError: fast sweep disagrees with direct intersection"}
+    assert "Traceback" in err
+
+
+def test_zero_census_vector_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "census", "--q", "3", "--norm-target", "-1",
+                             "--v", "[0,0,0],[0,0,0]")
+    assert code == cli.EXIT_USAGE == 2
+    assert out == ""
+    assert "nonzero" in err
+
+
+def test_engine_value_error_is_internal(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("an invariant deep in the engine")
+
+    monkeypatch.setattr(cli.engine, "verify_theorem_B", broken)
+    code, out, err = run_cli(capsys, "verify", "--theorem", "B", "--q", "3",
+                             "--norm-target", "-1")
+    assert code == cli.EXIT_INTERNAL == 3
+    assert json.loads(out) == {"error": "ValueError: an invariant deep in the engine"}
     assert "Traceback" in err
 
 

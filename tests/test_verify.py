@@ -1,23 +1,37 @@
 from __future__ import annotations
 
+import dataclasses
 import random
+from array import array
 
 import pytest
 
 from twistfield import gf
 from twistfield.algebra3 import (
+    IsotopyClass,
     TwistedFieldSpec,
+    isotopy_class,
     pick_c_by_norm,
     to_structure_constants,
     valid_c_values,
 )
 from twistfield.engine import (
+    DEGENERATE,
+    NONDEGENERATE,
+    PairVector,
+    build_inventory,
+    classify,
+    plane_representatives,
     search_theorem_7_2_analogue,
     verify_normal_forms,
     verify_split_theorem_3_1,
     verify_theorem_A,
     verify_theorem_B,
 )
+from twistfield.engine.census import decode_vector
+from twistfield.engine.spaces import pair_rows
+from twistfield.engine.verify import Verdict
+from twistfield.linalg import added_rank, rref_rows
 from twistfield.splitalbert import SplitAlbertSpec
 
 
@@ -40,10 +54,11 @@ def test_theorem_A_q4(alg4):
     assert verdict.passed and verdict.checked == 3780
 
 
-def test_theorem_A_q5_sampled(tower5):
+def test_theorem_A_q5_exhaustive(tower5):
     alg = to_structure_constants(TwistedFieldSpec(tower5, pick_c_by_norm(tower5, 2)))
-    verdict = verify_theorem_A(alg, rng=random.Random(0), samples=400)
-    assert verdict.passed and verdict.details["mode"] == "sampled"
+    verdict = verify_theorem_A(alg)
+    assert verdict.passed and verdict.details["mode"] == "exhaustive"
+    assert verdict.checked == (5**3 - 1) * (5**3 - 5) == 14880
 
 
 def test_theorem_B_commutative_q3(comm3):
@@ -130,3 +145,136 @@ def test_two_dim_search_notes_heuristic():
     spec = SplitAlbertSpec(gf.Field.of_order(3), (1, 1, 1))
     verdict = search_theorem_7_2_analogue(spec)
     assert "heuristic" in verdict.details["note"]
+
+
+# -- the checkers before the census kernel, kept as references -------------------------
+
+
+def reference_theorem_A(alg):
+    """Theorem A by grouping every nondegenerate v on a fresh RREF key of Av."""
+    fld = alg.field
+    q = fld.order
+    groups: dict = {}
+    for idx in range(1, q**6):
+        coords = decode_vector(q, idx)
+        v = PairVector(coords[:3], coords[3:])
+        if classify(fld, v) == NONDEGENERATE:
+            key = rref_rows(fld, pair_rows(alg, v.x, v.y))[0]
+            groups.setdefault(key, []).append((v.x, v.y))
+    witnesses = []
+    for key, members in groups.items():
+        x, y = members[0]
+        line = {(tuple(fld.mul(k, c) for c in x), tuple(fld.mul(k, c) for c in y))
+                for k in range(1, q)}
+        if set(members) != line:
+            witnesses.append({"Av_key": [list(r) for r in key], "members": sorted(members)[:4]})
+    return Verdict("theorem-A", not witnesses, sum(map(len, groups.values())), witnesses[:5],
+                   {"mode": "exhaustive", "q": q})
+
+
+def reference_theorem_B(tf, inventory):
+    """Theorem B by one added_rank per (plane representative, distinct Av'), with the early stops."""
+    alg = to_structure_constants(tf)
+    fld = alg.field
+    cls = isotopy_class(tf)
+    expect_witness = cls is IsotopyClass.COMMUTATIVE_ISOTOPIC
+    hits = []
+    checked = 0
+    for v in plane_representatives(fld):
+        base_rows, base_pivots = rref_rows(fld, pair_rows(alg, v.x, v.y))
+        for rec in inventory.spaces:
+            checked += 1
+            if 3 - added_rank(fld, base_rows, base_pivots, rec.rows) == 2:
+                hits.append({"v": v.to_json(), "v2": [list(rec.rep[:3]), list(rec.rep[3:])]})
+                break
+        if hits and expect_witness:
+            break
+    return Verdict("theorem-B", bool(hits) == expect_witness, checked, hits[:3],
+                   {"q": fld.order, "algebra_class": cls.value,
+                    "expected": "witness" if expect_witness else "no dim-2 pairs"})
+
+
+def same_verdict(got, want):
+    return ((got.name, got.passed, got.checked, got.witnesses, got.details)
+            == (want.name, want.passed, want.checked, want.witnesses, want.details))
+
+
+def cases(q, tower):
+    """The c compared at each q: every valid c at q=3, 5 spread over the 42 at q=4,
+    and one c per class (norm -1 and norm 2) at q=5."""
+    if q == 3:
+        return valid_c_values(tower)
+    if q == 4:
+        return valid_c_values(tower)[::9]
+    return [pick_c_by_norm(tower, tower.base.neg(1)), pick_c_by_norm(tower, 2)]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_theorem_B_matches_rank_reference(request, q):
+    tower = request.getfixturevalue(f"tower{q}")
+    classes = set()
+    for c in cases(q, tower):
+        spec = TwistedFieldSpec(tower, c)
+        inventory = build_inventory(to_structure_constants(spec))
+        verdict = verify_theorem_B(spec, inventory=inventory)
+        assert same_verdict(verdict, reference_theorem_B(spec, inventory)), c
+        assert verdict.passed
+        classes.add(verdict.details["algebra_class"])
+    assert len(classes) == (2 if q == 5 else 1)  # N(c) != 1 leaves only -1 at q=3
+
+
+@pytest.mark.parametrize("case", ["q3-[2,0,0]", "q3-[0,1,0]", "alg4", "q5-norm-1", "q5-norm2"])
+def test_theorem_A_matches_grouping_reference(request, tower3, tower5, case):
+    if case == "alg4":
+        alg = request.getfixturevalue("alg4")
+    elif case.startswith("q3"):
+        alg = to_structure_constants(TwistedFieldSpec(tower3, gf.parse_triple(tower3, case[3:])))
+    else:
+        target = tower5.base.neg(1) if case == "q5-norm-1" else 2
+        alg = to_structure_constants(TwistedFieldSpec(tower5, pick_c_by_norm(tower5, target)))
+    verdict = verify_theorem_A(alg)
+    assert same_verdict(verdict, reference_theorem_A(alg))
+    q = alg.field.order
+    assert verdict.passed and verdict.checked == (q**3 - 1) * (q**3 - q)
+
+
+def index3(w):
+    """The F^6 index of a vector over GF(3) (inverse of decode_vector)."""
+    return sum(c * 3**j for j, c in enumerate(w))
+
+
+def test_corrupted_inventory_is_never_a_verdict_for_B_and_a_witness_for_A(comm3, alg3, inv3):
+    # point the space of 2 v, v the first plane representative, at a degenerate space
+    fld = alg3.field
+    v = plane_representatives(fld)[0]
+    broken = inv3.space_of[index3(v.flat)]
+    other = next(i for i, rec in enumerate(inv3.spaces) if rec.kind == DEGENERATE)
+    space_of = array("i", inv3.space_of)
+    space_of[index3(tuple(fld.mul(2, c) for c in v.flat))] = other
+    bad = dataclasses.replace(inv3, space_of=space_of)
+    with pytest.raises(RuntimeError, match="met on"):
+        verify_theorem_B(comm3, inventory=bad)
+    verdict = verify_theorem_A(alg3, inventory=bad)
+    assert verdict.passed is False
+    assert verdict.witnesses == [{"Av_key": [list(r) for r in inv3.spaces[broken].rows],
+                                  "members": [(v.x, v.y)]}]
+
+
+def test_theorem_A_checks_both_fiber_size_and_fiber_members(alg3, inv3):
+    fld = alg3.field
+    v = plane_representatives(fld)[0]
+    two_v = index3(tuple(fld.mul(2, c) for c in v.flat))
+    mine = inv3.space_of[two_v]
+    other = next(i for i, rec in enumerate(inv3.spaces)
+                 if rec.kind == NONDEGENERATE and i != mine)
+    keys = [[list(r) for r in inv3.spaces[i].rows] for i in sorted((mine, other))]
+    # 2 v moved into another space: that space has q vectors, v's space q - 2
+    moved = array("i", inv3.space_of)
+    moved[two_v] = other
+    # 2 v swapped with 2 rep' of the other space: both keep q - 1 vectors
+    swapped = array("i", moved)
+    swapped[index3(tuple(fld.mul(2, c) for c in inv3.spaces[other].rep))] = mine
+    for space_of in (moved, swapped):
+        verdict = verify_theorem_A(alg3, inventory=dataclasses.replace(inv3, space_of=space_of))
+        assert verdict.passed is False
+        assert [w["Av_key"] for w in verdict.witnesses] == keys
