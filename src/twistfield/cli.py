@@ -36,7 +36,7 @@ from .gf import (
     parse_elem,
     parse_triple,
 )
-from .splitalbert import SplitAlbertSpec, split_twisted_field
+from .splitalbert import SplitAlbertSpec, split_twisted_field, splitting_counterexample
 
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -60,7 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, required=True, help="base field order (3,4,5,7,8,9)")
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled modes")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="processes for the census --scan-all pool (>= 1); "
+                            "every other command runs in one process")
         if c_flags:
             group = p.add_mutually_exclusive_group()
             group.add_argument("--c", help='twisting element literal, e.g. "[2,0,0]"')
@@ -254,13 +256,7 @@ def cmd_split(args) -> int:
         rng = random.Random(args.seed)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(20000)]
         mode = "sampled"
-    from .splitalbert import check_splitting_identity
-
-    try:
-        check_splitting_identity(stf, pairs)
-        ok = True
-    except RuntimeError:
-        ok = False
+    bad = splitting_counterexample(stf, pairs)
     payload = {
         "command": "split",
         "header": header_for(tower, c),
@@ -268,14 +264,17 @@ def cmd_split(args) -> int:
             "d": [format_triple(tower, di) for di in stf.spec.d],
             "d_product": format_triple(tower, stf.spec.d_product),
             "minus_norm_c": format_triple(tower, tower.ext.neg(tower.embed(tower.norm(c)))),
-            "splitting_identity": ok,
+            "splitting_identity": bad is None,
             "mode": mode,
             "pairs_checked": len(pairs),
             "runtime_ms": round((time.perf_counter() - t0) * 1000, 3),
         },
     }
+    if bad is not None:
+        payload["report"]["witness"] = {"x": format_triple(tower, bad[0]),
+                                        "y": format_triple(tower, bad[1])}
     print(render(payload, args.format))
-    return EXIT_PASS if ok else EXIT_COUNTEREXAMPLE
+    return EXIT_PASS if bad is None else EXIT_COUNTEREXAMPLE
 
 
 def cmd_verify(args) -> int:
@@ -284,11 +283,11 @@ def cmd_verify(args) -> int:
     if args.theorem == "A":
         c = resolve_c(tower, args)
         alg = to_structure_constants(TwistedFieldSpec(tower, c))
-        verdict = engine.verify_theorem_A(alg, workers=args.workers)
+        verdict = engine.verify_theorem_A(alg)
         head = header_for(tower, c)
     elif args.theorem == "B":
         c = resolve_c(tower, args)
-        verdict = engine.verify_theorem_B(TwistedFieldSpec(tower, c), workers=args.workers)
+        verdict = engine.verify_theorem_B(TwistedFieldSpec(tower, c))
         head = header_for(tower, c)
     elif args.theorem == "3.1":
         d = parse_split_d(tower.base, args.d)
@@ -340,7 +339,7 @@ def cmd_census(args) -> int:
     v = parse_pair_vector(tower, args.v)
     if engine.classify(tower.base, v) == engine.ZERO:
         raise UsageError("census base vector must be nonzero")
-    report = engine.per_vector_profile(alg, v, algebra_class=cls, workers=args.workers)
+    report = engine.per_vector_profile(alg, v, algebra_class=cls)
     payload = {
         "command": "census",
         "header": header_for(tower, c),

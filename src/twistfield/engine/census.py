@@ -1,15 +1,15 @@
 """Censuses of dim(Av meet Av') over all v' in F^6, with closed-form predictions.
 
-The sweep over v' happens once per algebra: every nonzero v' is classified and
-its space Av' reduced to a canonical RREF key, producing an inventory of
-distinct spaces with fiber sizes, the position of each v' in that list
-(`space_of`), and the left multiplication and division tables of A.  The v'
-range is partitioned into fixed-size index chunks (`index_chunks`) that
-`parallel_map` runs serially or in a pool; worker count only affects
-scheduling, never chunk boundaries, so merged reports are byte-reproducible for
-any --workers value.  The census reports and the Theorem A and B verifiers
-all read this one sweep: A checks the fibers of `space_of`, B takes its
-dimensions from the kernel below.
+The sweep over v' happens once per algebra and makes no rank test.  A is a
+division algebra, so for x' != 0 Av' is the graph {(w, T w)} of
+T = R_{y'} R_{x'}^-1, with RREF rows (e_j | a_j y') where a_j x' = e_j; for
+x' = 0 it is 0 + A.  One serial pass reads each a_j(x') off the left
+multiplication table (RuntimeError if some e_j is missing) and keys each v'
+by the indices of a_j y'.  The inventory lists the distinct spaces in order
+of least index, with fiber sizes, the position of each v' in that list
+(`space_of`), and the left multiplication and division tables of A.  The
+census reports and the Theorem A and B verifiers all read this one sweep: A
+checks the fibers of `space_of`, B takes its dimensions from the kernel below.
 
 The census kernel (`_meet`) makes no rank test.  A is a division algebra, so
 each nonzero w in Av meet Av' is a'v' for exactly one a', and
@@ -33,6 +33,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from operator import itemgetter
 
 from ..algebra3 import Algebra3, IsotopyClass, commutative_isotope, left_division_tables
 from ..gf import Field
@@ -90,27 +91,6 @@ def decode_vector(q: int, idx: int) -> tuple:
     return tuple(coords)
 
 
-def _scan_range(alg: Algebra3, start: int, end: int) -> tuple[list, array]:
-    """Partial inventory over v' indices [start, end): the distinct spaces in
-    order of first index, and each index's position in that list (-1 for v' = 0)."""
-    fld = alg.field
-    q = fld.order
-    found: dict = {}
-    local = array("i", [-1] * (start == 0))
-    for idx in range(max(start, 1), end):
-        coords = decode_vector(q, idx)
-        x, y = coords[:3], coords[3:]
-        rows, pivots = rref_rows(fld, pair_rows(alg, x, y))
-        rec = found.get(rows)
-        if rec is None:
-            stack, _ = rref_rows(fld, (x, y))
-            kind = NONDEGENERATE if len(stack) == 2 else DEGENERATE
-            rec = found[rows] = [rows, pivots, kind, 0, coords, idx, len(found)]
-        rec[3] += 1
-        local.append(rec[6])
-    return [rec[:6] for rec in found.values()], local
-
-
 def index_chunks(total: int) -> list[tuple[int, int]]:
     """The [start, end) ranges of CHUNK indices that cover range(total)."""
     return [(s, min(s + CHUNK, total)) for s in range(0, total, CHUNK)]
@@ -152,36 +132,51 @@ def parallel_map(fn, chunks: list, workers: int, init: tuple) -> list:
 
 
 def build_inventory(alg: Algebra3, workers: int = 1) -> AvInventory:
-    partials = parallel_map(_scan_range, index_chunks(alg.field.order**6), workers, (alg,))
-    merged: dict = {}
-    for found, _ in partials:
-        for rows, pivots, kind, fiber, rep, first in found:
-            rec = merged.get(rows)
-            if rec is None:
-                merged[rows] = [rows, pivots, kind, fiber, rep, first]
-            else:
-                rec[3] += fiber
-                if first < rec[5]:
-                    rec[4], rec[5] = rep, first
+    """Every distinct Av' (v' != 0) in order of least index, read off the table `mul`.
+
+    One serial pass (module docstring).  `workers` is checked and otherwise
+    unused; it stays for the benchmark's per-layer run, which passes 1 and 2.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     fld = alg.field
-    spaces = []
-    position = {}
-    totals = {NONDEGENERATE: [0, 0], DEGENERATE: [0, 0]}
-    for rows, pivots, kind, fiber, rep, first in sorted(merged.values(), key=lambda r: r[5]):
-        plane = None
-        if kind == NONDEGENERATE:
-            plane = rref_rows(fld, (tuple(rep[:3]), tuple(rep[3:])))[0]
-        position[rows] = len(spaces)
-        spaces.append(SpaceRec(tuple(rows), tuple(pivots), kind, fiber, tuple(rep), first, plane))
-        totals[kind][0] += fiber
-        totals[kind][1] += 1
-    space_of = array("i")
-    for found, local in partials:
-        ids = [position[rec[0]] for rec in found] + [-1]  # a local -1 maps to ids[-1]
-        space_of.extend(ids[i] for i in local)
+    q = fld.order
+    n = q**3
     mul, ldiv = left_division_tables(alg)
-    return AvInventory(alg, spaces, space_of, mul, ldiv,
-                       {kind: tuple(t) for kind, t in totals.items()})
+    vecs = [decode_vector(q, i)[:3] for i in range(n)]
+    solve = []  # [a_0, a_1, a_2] with a_j x' = e_j, for x' = 1 .. n-1
+    for x in range(1, n):
+        col = mul[x::n]  # a -> a x'
+        if not all(q**j in col for j in range(3)):
+            raise RuntimeError(f"some e_j is not a*x for x = {vecs[x]}: not a division algebra")
+        solve.append([col.index(q**j) for j in range(3)])
+    take = [itemgetter(*a_j) for a_j in zip(*solve)]
+    # v' = (x', y') is keyed by the indices of a_j y', or by None when x' = 0;
+    # indices run x' fastest, so ids come out in order of least index
+    ids: dict = {}
+    space_of = array("i", [-1])
+    for y in range(n):
+        col = mul[y::n]
+        if y:
+            space_of.append(ids.setdefault(None, len(ids)))
+        space_of.extend([ids.setdefault(key, len(ids)) for key in zip(*(t(col) for t in take))])
+    first = dict(zip(reversed(space_of), range(len(space_of) - 1, -1, -1)))  # least index
+    fiber = Counter(space_of)
+    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    spaces = []
+    for pos, key in enumerate(ids):
+        if key is None:  # Av' = 0 + A
+            rows, pivots = tuple((0, 0, 0) + e for e in unit), (3, 4, 5)
+        else:
+            rows, pivots = tuple(e + vecs[t] for e, t in zip(unit, key)), (0, 1, 2)
+        rep = decode_vector(q, first[pos])
+        plane, _ = rref_rows(fld, (rep[:3], rep[3:]))
+        kind = NONDEGENERATE if len(plane) == 2 else DEGENERATE
+        spaces.append(SpaceRec(rows, pivots, kind, fiber[pos], rep, first[pos],
+                               plane if kind == NONDEGENERATE else None))
+    totals = {kind: (sum(r.fiber for r in spaces if r.kind == kind),
+                     sum(r.kind == kind for r in spaces)) for kind in (NONDEGENERATE, DEGENERATE)}
+    return AvInventory(alg, spaces, space_of, mul, ldiv, totals)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +425,7 @@ def _group_lines(lines: dict) -> dict:
 
 
 def per_vector_profile(alg: Algebra3, v: PairVector, *, inventory: AvInventory | None = None,
-                       algebra_class: IsotopyClass | None = None,
-                       workers: int = 1) -> CensusReport:
+                       algebra_class: IsotopyClass | None = None) -> CensusReport:
     """Tally dim(Av meet Av') over all q^6 vectors v', with closed-form predictions."""
     t0 = time.perf_counter()
     fld = alg.field
@@ -439,7 +433,7 @@ def per_vector_profile(alg: Algebra3, v: PairVector, *, inventory: AvInventory |
     if kind == ZERO:
         raise ValueError("census base vector must be nonzero")
     if inventory is None:
-        inventory = build_inventory(alg, workers=workers)
+        inventory = build_inventory(alg)
     meet = _meet(inventory, v)
     vectors = {**meet.vectors, "zero_vector": 1}
     pred_v, pred_s = predicted_profile(fld.order, algebra_class, kind)
@@ -525,13 +519,12 @@ def line_profile(alg: Algebra3, v: PairVector, *, inventory: AvInventory | None 
     )
 
 
-def global_counts(alg: Algebra3, *, inventory: AvInventory | None = None,
-                  workers: int = 1) -> CensusReport:
+def global_counts(alg: Algebra3, *, inventory: AvInventory | None = None) -> CensusReport:
     """Vector and distinct-space counts by degeneracy class over all of F^6."""
     t0 = time.perf_counter()
     q = alg.field.order
     if inventory is None:
-        inventory = build_inventory(alg, workers=workers)
+        inventory = build_inventory(alg)
     observed = {
         "nondegenerate_vectors": inventory.totals[NONDEGENERATE][0],
         "degenerate_nonzero_vectors": inventory.totals[DEGENERATE][0],
@@ -609,11 +602,14 @@ def _scan_vectors(alg: Algebra3, inventory: AvInventory, cls: IsotopyClass,
 
 def scan_all_nondegenerate(alg: Algebra3, *, algebra_class: IsotopyClass,
                            with_lines: bool = True, workers: int = 1) -> CensusReport:
-    """Check the per-vector (and optionally per-line) profile for every nondegenerate v."""
+    """Check the per-vector (and optionally per-line) profile for every nondegenerate v.
+
+    The v range is cut into fixed `index_chunks`, so `workers` never changes the report.
+    """
     t0 = time.perf_counter()
     fld = alg.field
     q = fld.order
-    inventory = build_inventory(alg, workers=workers)
+    inventory = build_inventory(alg)
     plane_alg = plane_algebra(alg) if with_lines else None
     results = parallel_map(_scan_vectors, index_chunks(q**6), workers,
                            (alg, inventory, algebra_class, plane_alg))

@@ -49,8 +49,7 @@ class Verdict:
         )
 
 
-def verify_theorem_A(alg: Algebra3, workers: int = 1,
-                     inventory: AvInventory | None = None) -> Verdict:
+def verify_theorem_A(alg: Algebra3, inventory: AvInventory | None = None) -> Verdict:
     """Av = Av' iff Fv = Fv', over all nondegenerate vectors.
 
     Reads the inventory's sweep over A^2: the statement holds iff the fiber
@@ -61,7 +60,7 @@ def verify_theorem_A(alg: Algebra3, workers: int = 1,
     fld = alg.field
     q = fld.order
     if inventory is None:
-        inventory = build_inventory(alg, workers=workers)
+        inventory = build_inventory(alg)
     space_of = inventory.space_of
     fiber_size = Counter(space_of)
     failed = []
@@ -86,8 +85,7 @@ def verify_theorem_A(alg: Algebra3, workers: int = 1,
     )
 
 
-def verify_theorem_B(tf: TwistedFieldSpec, workers: int = 1,
-                     inventory: AvInventory | None = None) -> Verdict:
+def verify_theorem_B(tf: TwistedFieldSpec, inventory: AvInventory | None = None) -> Verdict:
     """Two-dim intersections exist iff the algebra is commutative-isotopic.
 
     v runs over one representative per coordinate plane, v' over every distinct
@@ -102,7 +100,7 @@ def verify_theorem_B(tf: TwistedFieldSpec, workers: int = 1,
     cls = isotopy_class(tf)
     fld = alg.field
     if inventory is None:
-        inventory = build_inventory(alg, workers=workers)
+        inventory = build_inventory(alg)
     expect_witness = cls is IsotopyClass.COMMUTATIVE_ISOTOPIC
     hits = []
     checked = 0

@@ -327,11 +327,17 @@ def lambda_map(stf: SplitTwistedField, xi: Vec3) -> Vec3:
     return (frob[xi[2]], frob[xi[0]], frob[xi[1]])
 
 
-def check_splitting_identity(stf: SplitTwistedField, pairs) -> None:
-    """nu(E x, E y) = E(mu(x, y)) on the given pairs of K elements."""
+def splitting_counterexample(stf: SplitTwistedField, pairs) -> tuple[int, int] | None:
+    """The first pair (x, y) of K elements with nu(E x, E y) != E(mu(x, y)), or None."""
     tf = TwistedFieldSpec(stf.tower, stf.c)
     for x, y in pairs:
-        lhs = nu_product(stf, stf.embed(x), stf.embed(y))
-        rhs = stf.embed(twisted_mu(tf, x, y))
-        if lhs != rhs:
-            raise RuntimeError(f"splitting identity fails at ({x}, {y})")
+        if nu_product(stf, stf.embed(x), stf.embed(y)) != stf.embed(twisted_mu(tf, x, y)):
+            return x, y
+    return None
+
+
+def check_splitting_identity(stf: SplitTwistedField, pairs) -> None:
+    """nu(E x, E y) = E(mu(x, y)) on the given pairs of K elements."""
+    bad = splitting_counterexample(stf, pairs)
+    if bad is not None:
+        raise RuntimeError(f"splitting identity fails at {bad}")

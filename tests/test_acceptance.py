@@ -7,12 +7,14 @@ wall-clock budgets.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
 import random
 import time
 
-from twistfield import gf
+from twistfield import cli, gf
 from twistfield.algebra3 import (
     IsotopyClass,
     TwistedFieldSpec,
@@ -291,9 +293,11 @@ def test_criterion_9_determinism(alg3, comm3):
     ok = outs[0] == outs[1] == outs[2]
     profs = []
     for workers in (1, 3):
-        rep = per_vector_profile(alg3, V0, algebra_class=cls, workers=workers)
-        payload = rep.to_json_dict()
-        payload.pop("runtime_ms")
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["census", "--v", "[1,0,0],[0,1,0]", "--q", "3", "--c", "[2,0,0]",
+                             "--workers", str(workers)]) == 0
+        payload = json.loads(out.getvalue())
+        payload["report"].pop("runtime_ms")
         profs.append(json.dumps(payload, sort_keys=True))
     ok = ok and profs[0] == profs[1]
     report("criterion 9: identical census JSON for worker counts 1/2/4 (runtime_ms excluded)",

@@ -22,6 +22,7 @@ from twistfield.engine.census import (
     DIM_KEYS,
     build_inventory,
     decode_vector,
+    index_chunks,
     line_profile,
     per_vector_profile,
     plane_algebra,
@@ -85,6 +86,62 @@ def assert_kernel_matches_reference(alg, inventory, plane_alg, v):
     else:  # the base plane <x,y>v is not two-dimensional, and no v' meets Av in a line
         assert 1 not in meet.mult.values() and ref_lines == {}, v
     return ref_lines
+
+
+def reference_inventory(alg):
+    """(spaces, space_of) by the rank sweep: one RREF of Av' per v', in index chunks."""
+    partials = [reference_scan_range(alg, start, end)
+                for start, end in index_chunks(alg.field.order**6)]
+    merged: dict = {}
+    for found, _ in partials:
+        for rows, pivots, kind, fiber, rep, first in found:
+            rec = merged.get(rows)
+            if rec is None:
+                merged[rows] = [rows, pivots, kind, fiber, rep, first]
+            else:
+                rec[3] += fiber
+                if first < rec[5]:
+                    rec[4], rec[5] = rep, first
+    fld = alg.field
+    spaces = []
+    position = {}
+    for rows, pivots, kind, fiber, rep, first in sorted(merged.values(), key=lambda r: r[5]):
+        plane = None
+        if kind == NONDEGENERATE:
+            plane = rref_rows(fld, (tuple(rep[:3]), tuple(rep[3:])))[0]
+        position[rows] = len(spaces)
+        spaces.append((tuple(rows), tuple(pivots), kind, fiber, tuple(rep), first, plane))
+    space_of = array("i")
+    for found, local in partials:
+        ids = [position[rec[0]] for rec in found] + [-1]  # a local -1 maps to ids[-1]
+        space_of.extend(ids[i] for i in local)
+    return spaces, space_of
+
+
+def reference_scan_range(alg, start, end):
+    fld = alg.field
+    q = fld.order
+    found: dict = {}
+    local = array("i", [-1] * (start == 0))
+    for idx in range(max(start, 1), end):
+        coords = decode_vector(q, idx)
+        x, y = coords[:3], coords[3:]
+        rows, pivots = rref_rows(fld, pair_rows(alg, x, y))
+        rec = found.get(rows)
+        if rec is None:
+            stack, _ = rref_rows(fld, (x, y))
+            kind = NONDEGENERATE if len(stack) == 2 else DEGENERATE
+            rec = found[rows] = [rows, pivots, kind, 0, coords, idx, len(found)]
+        rec[3] += 1
+        local.append(rec[6])
+    return [rec[:6] for rec in found.values()], local
+
+
+def assert_inventory_matches_reference(alg, inventory):
+    spaces, space_of = reference_inventory(alg)
+    assert [(r.rows, r.pivots, r.kind, r.fiber, r.rep, r.first_index, r.plane)
+            for r in inventory.spaces] == spaces
+    assert inventory.space_of == space_of
 
 
 def twisted(tower, c_literal):
@@ -162,6 +219,25 @@ def test_line_witnesses_match_reference(alg3, inv3):
 # -- the tables and the inventory ----------------------------------------------------
 
 
+@pytest.mark.parametrize("c", ["[2,0,0]", "[0,1,0]"])
+def test_inventory_matches_rank_sweep_q3(tower3, c):
+    _, alg = twisted(tower3, c)
+    assert_inventory_matches_reference(alg, build_inventory(alg))
+
+
+def test_inventory_matches_rank_sweep_q4(alg4, inv4):
+    assert not alg4.is_commutative()
+    assert_inventory_matches_reference(alg4, inv4)
+
+
+@pytest.mark.parametrize("norm", ["-1", "2"])
+def test_inventory_matches_rank_sweep_q5(tower5, norm):
+    fld = tower5.base
+    spec = TwistedFieldSpec(tower5, pick_c_by_norm(tower5, fld.neg(1) if norm == "-1" else 2))
+    alg = to_structure_constants(spec)
+    assert_inventory_matches_reference(alg, build_inventory(alg))
+
+
 @pytest.mark.parametrize("which", ["q3", "q4"])
 def test_left_division_tables_match_products(which, alg3, alg4):
     alg = alg3 if which == "q3" else alg4
@@ -219,6 +295,18 @@ def test_zero_divisors_raise_runtime_error(tower3):
         left_division_tables(alg)
     with pytest.raises(RuntimeError):
         per_vector_profile(alg, V0)
+
+
+def test_missing_division_vector_raises_runtime_error(alg3, monkeypatch):
+    # column x' = e_0 of mul stops reaching e_0 (index 1): no a with a e_0 = e_0
+    n = 27
+    mul, ldiv = left_division_tables(alg3)
+    mul = array("H", mul)
+    a = mul[1::n].index(1)
+    mul[a * n + 1] = 0
+    monkeypatch.setattr(census, "left_division_tables", lambda alg: (mul, ldiv))
+    with pytest.raises(RuntimeError, match="not a division algebra"):
+        build_inventory(alg3)
 
 
 def test_corrupted_space_of_raises_runtime_error(alg3, inv3):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from twistfield import cli
+from twistfield import cli, gf, splitalbert
 from twistfield.engine.verify import Verdict
 
 
@@ -89,6 +89,39 @@ def test_split_report(capsys):
     assert payload["report"]["mode"] == "exhaustive"
     assert payload["report"]["d"] == ["[1,0,0]", "[1,0,0]", "[1,0,0]"]
     assert payload["report"]["d_product"] == payload["report"]["minus_norm_c"]
+
+
+def test_passing_split_report_has_no_witness(capsys):
+    code, out, _ = run_cli(capsys, "split", "--q", "3", "--norm-target", "-1")
+    assert code == 0
+    assert "witness" not in json.loads(out)["report"]
+
+
+def test_split_failure_reports_witness(capsys, monkeypatch):
+    # the identity holds, so break mu at two pairs; the first in sweep order is the witness
+    real = splitalbert.twisted_mu
+    bad = {(2, 5), (7, 3)}
+    monkeypatch.setattr(splitalbert, "twisted_mu",
+                        lambda tf, x, y: (real(tf, x, y) + ((x, y) in bad)) % 27)
+    code, out, _ = run_cli(capsys, "split", "--q", "3", "--norm-target", "-1")
+    assert code == cli.EXIT_COUNTEREXAMPLE == 1
+    report = json.loads(out)["report"]
+    assert report["splitting_identity"] is False
+    assert report["pairs_checked"] == 27 * 27
+    tower = gf.FieldTower.build(3)
+    assert report["witness"] == {"x": gf.format_triple(tower, 2),
+                                 "y": gf.format_triple(tower, 5)}
+
+
+def test_error_inside_split_check_is_internal(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("embedding invariant broken")
+
+    monkeypatch.setattr(splitalbert, "nu_product", broken)
+    code, out, err = run_cli(capsys, "split", "--q", "3", "--norm-target", "-1")
+    assert code == cli.EXIT_INTERNAL == 3
+    assert json.loads(out) == {"error": "RuntimeError: embedding invariant broken"}
+    assert "Traceback" in err
 
 
 def test_field_info(capsys):
@@ -187,7 +220,7 @@ def test_verify_json_determinism_across_workers(capsys, theorem, q, c):
 def test_exit_code_one_on_failed_verdict(capsys, monkeypatch):
     # the theorems hold, so force a failing verdict to check the exit mapping
     monkeypatch.setattr(cli.engine, "verify_theorem_A",
-                        lambda alg, workers=1: Verdict("theorem-A", False, 1))
+                        lambda alg: Verdict("theorem-A", False, 1))
     code, out, _ = run_cli(capsys, "verify", "--theorem", "A", "--q", "3",
                            "--norm-target", "-1")
     assert code == 1

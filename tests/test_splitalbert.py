@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from twistfield import gf
+from twistfield import gf, splitalbert
 from twistfield.algebra3 import TwistedFieldSpec, det3, valid_c_values
 from twistfield.linalg import identity_rows, mat_mul, mat_vec, rank, MatF, rref_rows
 from twistfield.splitalbert import (
@@ -25,6 +25,7 @@ from twistfield.splitalbert import (
     rmat_inv,
     scale_isomorphism,
     split_twisted_field,
+    splitting_counterexample,
 )
 
 F3 = gf.Field.of_order(3)
@@ -298,6 +299,20 @@ def test_splitting_identity_exhaustive_q3(comm3):
     stf = split_twisted_field(comm3)
     pairs = [(x, y) for x in range(27) for y in range(27)]
     check_splitting_identity(stf, pairs)
+
+
+def test_splitting_counterexample_is_the_first_failing_pair(comm3, monkeypatch):
+    stf = split_twisted_field(comm3)
+    pairs = [(x, y) for x in range(27) for y in range(27)]
+    assert splitting_counterexample(stf, pairs) is None
+    real = splitalbert.twisted_mu
+    bad = {(4, 9), (5, 1)}
+    monkeypatch.setattr(splitalbert, "twisted_mu",
+                        lambda tf, x, y: (real(tf, x, y) + ((x, y) in bad)) % 27)
+    assert splitting_counterexample(stf, pairs) == (4, 9)
+    assert splitting_counterexample(stf, pairs[::-1]) == (5, 1)
+    with pytest.raises(RuntimeError, match=r"\(4, 9\)"):
+        check_splitting_identity(stf, pairs)
 
 
 @pytest.mark.parametrize("q", [4, 5])
