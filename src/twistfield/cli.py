@@ -3,7 +3,7 @@
 Exit codes: 0 = pass, 1 = counterexample or failed verdict, 2 = usage error,
 3 = internal error (a broken invariant or a bug: JSON {"error": ...} on stdout,
 the traceback on stderr).
-Identical configuration and seed produce byte-identical JSON except for the
+Identical configuration produces byte-identical JSON except for the
 runtime_ms field, regardless of worker count.
 """
 
@@ -13,14 +13,12 @@ import argparse
 import csv
 import io
 import json
-import random
 import re
 import sys
 import time
 
 from . import engine
 from .algebra3 import (
-    IsotopyClass,
     TwistedFieldSpec,
     is_division,
     isotopy_class,
@@ -57,9 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, c_flags=True):
-        p.add_argument("--q", type=int, required=True, help="base field order (3,4,5,7,8,9)")
+        p.add_argument("--q", type=int, required=True,
+                       help=f"base field order ({','.join(map(str, SUPPORTED_Q))})")
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled modes")
         p.add_argument("--workers", type=int, default=1,
                        help="processes for the census --scan-all pool (>= 1); "
                             "every other command runs in one process")
@@ -129,11 +127,11 @@ def resolve_c(tower: FieldTower, args) -> int:
 
 
 def parse_pair_vector(tower: FieldTower, text: str) -> engine.PairVector:
-    groups = re.findall(r"\[([^\]]*)\]", text)
-    if len(groups) != 2:
+    match = re.fullmatch(r"\s*\[([^\[\]]*)\]\s*,\s*\[([^\[\]]*)\]\s*", text)
+    if match is None:
         raise UsageError(f'base vector must look like "[1,0,0],[0,1,0]", got {text!r}')
     coords = []
-    for g in groups:
+    for g in match.groups():
         parts = g.split(",")
         if len(parts) != 3:
             raise UsageError(f"expected 3 coordinates in [{g}]")
@@ -144,27 +142,25 @@ def parse_pair_vector(tower: FieldTower, text: str) -> engine.PairVector:
     return engine.PairVector(coords[0], coords[1])
 
 
-def default_split_d(fld: Field) -> tuple[int, int, int]:
+def resolve_split_spec(fld: Field, text: str | None) -> SplitAlbertSpec:
+    """phi_d for --d "d0,d1,d2", or for the lex-least valid d when --d is absent."""
     q = fld.order
-    for idx in range(q**3):
-        d = (idx % q, idx // q % q, idx // (q * q))
-        try:
-            return SplitAlbertSpec(fld, d).d
-        except ValueError:
-            continue
-    raise UsageError("no valid split constants exist")  # unreachable
-
-
-def parse_split_d(fld: Field, text: str | None) -> tuple[int, int, int]:
     if text is None:
-        return default_split_d(fld)
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError('split constants must look like "1,1,2"')
-    try:
-        return tuple(parse_elem(fld, s) for s in parts)
-    except ValueError as exc:
-        raise UsageError(f"malformed element literal: {exc}") from exc
+        candidates = [(idx % q, idx // q % q, idx // (q * q)) for idx in range(q**3)]
+    else:
+        parts = text.split(",")
+        if len(parts) != 3:
+            raise UsageError('split constants must look like "1,1,2"')
+        try:
+            candidates = [tuple(parse_elem(fld, s) for s in parts)]
+        except ValueError as exc:
+            raise UsageError(f"malformed element literal: {exc}") from exc
+    for d in candidates:
+        try:
+            return SplitAlbertSpec(fld, d)
+        except ValueError as exc:
+            error = exc
+    raise UsageError(str(error))
 
 
 def header_for(tower: FieldTower, c: int | None = None, d=None) -> dict:
@@ -249,14 +245,10 @@ def cmd_split(args) -> int:
     stf = split_twisted_field(spec)
     n = tower.ext.order
     t0 = time.perf_counter()
-    if n <= 125:
-        pairs = [(x, y) for x in range(n) for y in range(n)]
-        mode = "exhaustive"
-    else:
-        rng = random.Random(args.seed)
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(20000)]
-        mode = "sampled"
-    bad = splitting_counterexample(stf, pairs)
+    # both sides are F-bilinear (split_twisted_field checks that E is F-linear),
+    # so the basis pairs of (1, t, t^2) decide all n^2 pairs
+    basis = (1, args.q, args.q**2)
+    bad = splitting_counterexample(stf, [(x, y) for x in basis for y in basis])
     payload = {
         "command": "split",
         "header": header_for(tower, c),
@@ -265,8 +257,8 @@ def cmd_split(args) -> int:
             "d_product": format_triple(tower, stf.spec.d_product),
             "minus_norm_c": format_triple(tower, tower.ext.neg(tower.embed(tower.norm(c)))),
             "splitting_identity": bad is None,
-            "mode": mode,
-            "pairs_checked": len(pairs),
+            "mode": "exhaustive",
+            "pairs_checked": n * n,
             "runtime_ms": round((time.perf_counter() - t0) * 1000, 3),
         },
     }
@@ -279,7 +271,6 @@ def cmd_split(args) -> int:
 
 def cmd_verify(args) -> int:
     tower = resolve_tower(args.q)
-    rng = random.Random(args.seed)
     if args.theorem == "A":
         c = resolve_c(tower, args)
         alg = to_structure_constants(TwistedFieldSpec(tower, c))
@@ -289,29 +280,19 @@ def cmd_verify(args) -> int:
         c = resolve_c(tower, args)
         verdict = engine.verify_theorem_B(TwistedFieldSpec(tower, c))
         head = header_for(tower, c)
-    elif args.theorem == "3.1":
-        d = parse_split_d(tower.base, args.d)
-        try:
-            spec = SplitAlbertSpec(tower.base, d)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        verdict = engine.verify_split_theorem_3_1(spec, rng=rng)
-        head = header_for(tower, d=d)
     elif args.theorem == "7.1":
         verdict = engine.verify_normal_forms(tower.base)
         head = header_for(tower)
     else:
-        d = parse_split_d(tower.base, args.d)
-        try:
-            spec = SplitAlbertSpec(tower.base, d)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        verdict = engine.search_theorem_7_2_analogue(spec)
-        head = header_for(tower, d=d)
+        spec = resolve_split_spec(tower.base, args.d)
+        if args.theorem == "3.1":
+            verdict = engine.verify_split_theorem_3_1(spec)
+        else:
+            verdict = engine.search_theorem_7_2_analogue(spec)
+        head = header_for(tower, d=spec.d)
     payload = {
         "command": "verify",
         "theorem": args.theorem,
-        "seed": args.seed,
         "header": head,
         "report": verdict.to_json_dict(),
     }

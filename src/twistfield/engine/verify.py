@@ -4,10 +4,10 @@ matrix-pair normal forms, and the finite-field analogue of the d = 1 obstruction
 
 from __future__ import annotations
 
-import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from operator import itemgetter
 
 from ..algebra3 import Algebra3, IsotopyClass, TwistedFieldSpec, isotopy_class, to_structure_constants
 from ..gf import Field
@@ -137,100 +137,102 @@ def verify_theorem_B(tf: TwistedFieldSpec, inventory: AvInventory | None = None)
 # ---------------------------------------------------------------------------
 
 
-def verify_split_theorem_3_1(spec: SplitAlbertSpec, mode: str = "auto",
-                             rng: random.Random | None = None,
-                             samples: int = 20000) -> Verdict:
+def verify_split_theorem_3_1(spec: SplitAlbertSpec) -> Verdict:
     """U(x,y) = U(x',y') iff (x',y') = k(x,y) or (y,y') = k(x,x'), regular quadruples.
 
-    Cross-checks the matrix criterion R_{x'}^{-1} R_x = R_{y'}^{-1} R_y on every
-    quadruple as well.
+    Also checks the matrix criterion R_{x'}^{-1} R_x = R_{y'}^{-1} R_y.  All
+    r^4 quadruples are decided from partitions of the r^2 regular pairs.  Span
+    equality groups pairs by their RREF key `skey`.  The prediction groups them
+    by the label (rep x, rep y, y0/x0), or ("diag", y0/x0) when rep x = rep y.
+    The two agree on every quadruple iff #skey = #label = #(skey, label).  For
+    the matrix criterion, S = {skey(i,j) = skey(k,l)} is walked class by class,
+    checking mkey(i,k) = mkey(j,l) on each element; then S lies inside
+    M = {mkey(i,k) = mkey(j,l)}, and |S| = |M| (a sum of squared class sizes
+    on each side) makes them equal.  Witnesses come from the classes that split.
     """
     t0 = time.perf_counter()
     fld = spec.field
     q = fld.order
-    if mode == "auto":
-        mode = "exhaustive" if q <= 4 else "sampled"
     regs = [(a, b, c) for a in range(1, q) for b in range(1, q) for c in range(1, q)]
     r = len(regs)
     index = {v: i for i, v in enumerate(regs)}
-    # projective representative and leading coordinate per regular vector
-    rep_id = []
-    for v in regs:
-        s = fld.inv(v[0])
-        rep_id.append(index[tuple(fld.mul(s, c) for c in v)])
-    div = [[fld.mul(a, fld.inv(b)) if b else 0 for b in range(q)] for a in range(q)]
-
-    skey_pool: dict[tuple, int] = {}
-    skey = [[0] * r for _ in range(r)]
-    mkey_pool: dict[tuple, int] = {}
-    mkey = [[0] * r for _ in range(r)]
+    # projective representative per regular vector
+    rep_id = [index[tuple(fld.mul(fld.inv(v[0]), c) for c in v)] for v in regs]
     rmats = [rmat(spec, TriVector("V", v)).rows for v in regs]
     rinvs = [rmat_inv(spec, TriVector("V", v)).rows for v in regs]
+
+    # pair p = i * r + j stands for (x, y) = (regs[i], regs[j]); mrow[i][k] keys
+    # R_{x_k}^{-1} R_{x_i}
+    skey_pool: dict[tuple, int] = {}
+    label_pool: dict[tuple, int] = {}
+    mkey_pool: dict[tuple, int] = {}
+    skey, label, mrow = [], [], []
     for i, x in enumerate(regs):
         for j, y in enumerate(regs):
             # U(x, y) is spanned by the rows (phi(alpha_i, x) | phi(alpha_i, y))
             rows, _ = rref_rows(fld, pair_rows(spec, x, y))
-            skey[i][j] = skey_pool.setdefault(rows, len(skey_pool))
-            m = mat_mul(fld, rinvs[j], rmats[i])
-            mkey[i][j] = mkey_pool.setdefault(m, len(mkey_pool))
+            skey.append(skey_pool.setdefault(rows, len(skey_pool)))
+            ratio = fld.div(y[0], x[0])
+            lab = ("diag", ratio) if rep_id[i] == rep_id[j] else (rep_id[i], rep_id[j], ratio)
+            label.append(label_pool.setdefault(lab, len(label_pool)))
+        mrow.append([mkey_pool.setdefault(mat_mul(fld, rinvs[k], rmats[i]), len(mkey_pool))
+                     for k in range(r)])
 
     witnesses = []
-    checked = 0
 
-    def examine(i: int, j: int, k: int, l: int) -> None:
-        nonlocal checked
-        checked += 1
-        eq = skey[i][j] == skey[k][l]
-        same_scale = (rep_id[i] == rep_id[k] and rep_id[j] == rep_id[l]
-                      and div[regs[k][0]][regs[i][0]] == div[regs[l][0]][regs[j][0]])
-        swap_scale = (rep_id[j] == rep_id[i] and rep_id[l] == rep_id[k]
-                      and div[regs[j][0]][regs[i][0]] == div[regs[l][0]][regs[k][0]])
-        cond = same_scale or swap_scale
-        matrix_eq = mkey[i][k] == mkey[j][l]
-        if eq != cond or eq != matrix_eq:
-            witnesses.append({
-                "x": regs[i], "y": regs[j], "x2": regs[k], "y2": regs[l],
-                "span_equal": eq, "proportionality": cond, "matrix_criterion": matrix_eq,
-            })
+    def witness(p: int, p2: int) -> None:
+        (i, j), (k, l) = divmod(p, r), divmod(p2, r)
+        witnesses.append({
+            "x": regs[i], "y": regs[j], "x2": regs[k], "y2": regs[l],
+            "span_equal": skey[p] == skey[p2],
+            "proportionality": label[p] == label[p2],
+            "matrix_criterion": mrow[i][k] == mrow[j][l],
+        })
 
-    if mode == "exhaustive":
-        for i in range(r):
-            for j in range(r):
-                for k in range(r):
-                    for l in range(r):
-                        examine(i, j, k, l)
-                        if len(witnesses) > 5:
-                            break
-                    if len(witnesses) > 5:
-                        break
-                if len(witnesses) > 5:
-                    break
-            if len(witnesses) > 5:
-                break
-    else:
-        rng = rng or random.Random(0)
-        for _ in range(samples):
-            i, j, k, l = (rng.randrange(r) for _ in range(4))
-            examine(i, j, k, l)
-        # force both equality branches to appear
-        for _ in range(samples // 10):
-            i, j = rng.randrange(r), rng.randrange(r)
-            kk = rng.randrange(1, q)
-            x2 = tuple(fld.mul(kk, c) for c in regs[i])
-            y2 = tuple(fld.mul(kk, c) for c in regs[j])
-            examine(i, j, index[x2], index[y2])
-            x, x2v = regs[i], regs[j]
-            y = tuple(fld.mul(kk, c) for c in x)
-            y2 = tuple(fld.mul(kk, c) for c in x2v)
-            examine(i, index[y], j, index[y2])
+    by_skey = _classes(skey, len(skey_pool))
+    if not len(skey_pool) == len(label_pool) == len(set(zip(skey, label))):
+        # some class of one partition meets two classes of the other
+        for classes, other in ((by_skey, label), (_classes(label, len(label_pool)), skey)):
+            for members in classes:
+                split = [p2 for p2 in members if other[p2] != other[members[0]]]
+                if split and len(witnesses) < 5:
+                    witness(members[0], split[0])
+
+    s_size = 0
+    for members in by_skey:
+        s_size += len(members) ** 2
+        pick_k = itemgetter(*(p // r for p in members))
+        pick_l = itemgetter(*(p % r for p in members))
+        for p in members:
+            i, j = divmod(p, r)
+            if len(witnesses) < 5 and pick_k(mrow[i]) != pick_l(mrow[j]):
+                witness(p, next(p2 for p2 in members
+                                if mrow[i][p2 // r] != mrow[j][p2 % r]))
+    mflat = [m for row in mrow for m in row]
+    if sum(n * n for n in Counter(mflat).values()) != s_size and not witnesses:
+        # S lies inside M but is smaller: equal mkey(i,k) = mkey(j,l), unequal spans
+        for members in _classes(mflat, len(mkey_pool)):
+            for ik in members:
+                for jl in members:
+                    (i, k), (j, l) = divmod(ik, r), divmod(jl, r)
+                    if len(witnesses) < 5 and skey[i * r + j] != skey[k * r + l]:
+                        witness(i * r + j, k * r + l)
     return Verdict(
         name="split-theorem-3.1",
         passed=not witnesses,
-        checked=checked,
-        witnesses=witnesses[:5],
-        details={"mode": mode, "q": q, "d": list(spec.d)},
+        checked=r**4,
+        witnesses=witnesses,
+        details={"mode": "exhaustive", "q": q, "d": list(spec.d)},
         runtime_ms=(time.perf_counter() - t0) * 1000,
     )
+
+
+def _classes(keys: list[int], count: int) -> list[list[int]]:
+    """Positions grouped by key id, each group in ascending order."""
+    out: list[list[int]] = [[] for _ in range(count)]
+    for pos, key in enumerate(keys):
+        out[key].append(pos)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ covers every field the census code touches.  No discrete-log shortcuts.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field as dc_field
 from typing import Iterator
 
@@ -408,33 +409,24 @@ def format_elem(fld: Field, a: int) -> str:
 
 
 def parse_elem(fld: Field, text: str) -> int:
-    """Inverse of :func:`format_elem`; also accepts bare integers mod p."""
+    """Inverse of :func:`format_elem`; also accepts bare integers mod p and "-".
+
+    Terms are ASCII-digit coefficients and powers, joined by "+" or "-" with
+    no empty term, so "+", "1+" and "1_0" are malformed.
+    """
     text = text.strip().replace(" ", "")
     if not text:
         raise ValueError("empty element literal")
-    m = 1
-    f: Field | None = fld
-    while f is not None and f.subfield is not None:
-        m *= f.deg_over_sub
-        f = f.subfield
-    coeffs = [0] * m
-    for chunk in text.replace("-", "+-").split("+"):
-        if chunk == "":
-            continue
-        neg = chunk.startswith("-")
-        if neg:
-            chunk = chunk[1:]
-        if fld.var in chunk:
-            head, _, tail = chunk.partition(fld.var)
-            coef = int(head) if head else 1
-            power = int(tail.lstrip("^")) if tail else 1
-        else:
-            coef = int(chunk)
-            power = 0
-        if power >= m:
-            raise ValueError(f"power {power} too large in element literal {text!r}")
-        coef = (-coef if neg else coef) % fld.p
-        coeffs[power] = (coeffs[power] + coef) % fld.p
+    term = rf"(?:([0-9]*){re.escape(fld.var)}(?:\^([0-9]+))?|([0-9]+))"
+    if re.fullmatch(rf"[+-]?{term}(?:[+-]{term})*", text) is None:
+        raise ValueError(f"expected terms like 2u^2+u+1 or -1, got {text!r}")
+    coeffs = [0] * len(fld.prime_coeffs(0))
+    for sign, coef, power, const in re.findall(rf"([+-]?){term}", text):
+        k = 0 if const else int(power or 1)
+        if k >= len(coeffs):
+            raise ValueError(f"power {k} too large in element literal {text!r}")
+        c = int(const or coef or 1)
+        coeffs[k] = (coeffs[k] + (-c if sign == "-" else c)) % fld.p
     return _undigits(coeffs, fld.p)
 
 

@@ -286,9 +286,22 @@ class SplitTwistedField:
 
 
 def split_twisted_field(tf: TwistedFieldSpec) -> SplitTwistedField:
+    """The split form of `tf`, after checking that `frob_t` is F-linear.
+
+    Then E is F-linear, so nu(E x, E y) and E(mu(x, y)) are both F-bilinear,
+    and the splitting identity holds on all of K x K once it holds on the 9
+    pairs of the basis (1, t, t^2).  A Frobenius table that is not F-linear
+    raises RuntimeError.
+    """
     tower = tf.tower
     K = tower.ext
     frob = tower.frob_t
+    q = tower.q
+    columns = [K.coeffs(frob[q**i]) for i in range(3)]
+    matrix = tuple(zip(*columns))
+    for x in K.elements():
+        if frob[x] != K.from_coeffs(mat_vec(tower.base, matrix, K.coeffs(x))):
+            raise RuntimeError(f"Frobenius is not F-linear at {x}")
     c_conj = (tf.c, frob[tf.c], frob[frob[tf.c]])
     d = tuple(K.neg(c_conj[m3(i + 1)]) for i in range(3))
     spec = SplitAlbertSpec(K, d)

@@ -98,9 +98,10 @@ def test_passing_split_report_has_no_witness(capsys):
 
 
 def test_split_failure_reports_witness(capsys, monkeypatch):
-    # the identity holds, so break mu at two pairs; the first in sweep order is the witness
+    # the identity holds, so break mu at two basis pairs of (1, t, t^2); the first in
+    # sweep order is the witness
     real = splitalbert.twisted_mu
-    bad = {(2, 5), (7, 3)}
+    bad = {(3, 9), (9, 1)}
     monkeypatch.setattr(splitalbert, "twisted_mu",
                         lambda tf, x, y: (real(tf, x, y) + ((x, y) in bad)) % 27)
     code, out, _ = run_cli(capsys, "split", "--q", "3", "--norm-target", "-1")
@@ -109,8 +110,8 @@ def test_split_failure_reports_witness(capsys, monkeypatch):
     assert report["splitting_identity"] is False
     assert report["pairs_checked"] == 27 * 27
     tower = gf.FieldTower.build(3)
-    assert report["witness"] == {"x": gf.format_triple(tower, 2),
-                                 "y": gf.format_triple(tower, 5)}
+    assert report["witness"] == {"x": gf.format_triple(tower, 3),
+                                 "y": gf.format_triple(tower, 9)}
 
 
 def test_error_inside_split_check_is_internal(capsys, monkeypatch):
@@ -121,6 +122,31 @@ def test_error_inside_split_check_is_internal(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "split", "--q", "3", "--norm-target", "-1")
     assert code == cli.EXIT_INTERNAL == 3
     assert json.loads(out) == {"error": "RuntimeError: embedding invariant broken"}
+    assert "Traceback" in err
+
+
+@pytest.mark.parametrize("q, target", [("7", "-1"), ("7", "2"), ("8", "u"), ("8", "u+1"),
+                                       ("9", "-1"), ("9", "u")])
+def test_split_is_exhaustive_at_every_q(capsys, q, target):
+    code, out, _ = run_cli(capsys, "split", "--q", q, "--norm-target", target)
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["splitting_identity"] is True and report["mode"] == "exhaustive"
+    assert report["pairs_checked"] == int(q) ** 6
+
+
+def test_nonlinear_frobenius_table_is_internal(capsys, monkeypatch):
+    real = cli.resolve_tower
+
+    def corrupted(q):
+        tower = real(q)
+        tower.frob_t[1 + q] = tower.frob_t[2 + q]  # 1 + t maps where 2 + t does
+        return tower
+
+    monkeypatch.setattr(cli, "resolve_tower", corrupted)
+    code, out, err = run_cli(capsys, "split", "--q", "3", "--norm-target", "-1")
+    assert code == cli.EXIT_INTERNAL == 3
+    assert json.loads(out) == {"error": "RuntimeError: Frobenius is not F-linear at 4"}
     assert "Traceback" in err
 
 
@@ -145,6 +171,7 @@ def test_verify_31_and_71(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["header"]["d"] == ["1", "1", "1"]
+    assert "seed" not in payload
     code, out, _ = run_cli(capsys, "verify", "--theorem", "7.1", "--q", "3")
     assert code == 0
     assert json.loads(out)["report"]["details"]["tag_counts"]["I*"] > 0
@@ -172,6 +199,15 @@ def test_malformed_inputs(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "census", "--q", "3", "--norm-target", "-1")
     assert code == 2 and "--scan-all" in err
+
+
+@pytest.mark.parametrize("command", ["split", "verify"])
+def test_seed_option_is_gone(capsys, command):
+    argv = [command, "--q", "3", "--norm-target", "-1", "--seed", "1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + (["--theorem", "3.1"] if command == "verify" else []))
+    assert exc.value.code == cli.EXIT_USAGE == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_line_census(capsys):

@@ -208,7 +208,7 @@ def test_bad_tower_modulus_rejected():
 # -- element syntax -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("q", [3, 4, 8, 9])
+@pytest.mark.parametrize("q", gf.SUPPORTED_Q)
 def test_format_parse_round_trip(q):
     F = gf.Field.of_order(q)
     for a in F.elements():

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from twistfield import gf, splitalbert
-from twistfield.algebra3 import TwistedFieldSpec, det3, valid_c_values
+from twistfield.algebra3 import TwistedFieldSpec, det3, pick_c_by_norm, valid_c_values
 from twistfield.linalg import identity_rows, mat_mul, mat_vec, rank, MatF, rref_rows
 from twistfield.splitalbert import (
     SplitAlbertSpec,
@@ -322,6 +323,43 @@ def test_splitting_identity_random(q):
     rng = random.Random(q)
     n = tower.ext.order
     check_splitting_identity(stf, [(rng.randrange(n), rng.randrange(n)) for _ in range(300)])
+
+
+def basis_pairs(q):
+    """The 9 pairs of the F-basis (1, t, t^2) of K, as element indices."""
+    basis = (1, q, q * q)
+    return [(x, y) for x in basis for y in basis]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_basis_pairs_decide_the_splitting_identity(request, q):
+    # both sides are F-bilinear, so the 9 basis pairs agree with all n^2 pairs, also
+    # for a nu with rotated conjugates of c (still K-bilinear, and wrong off the base field)
+    tower = request.getfixturevalue(f"tower{q}")
+    n = tower.ext.order
+    every = [(x, y) for x in range(n) for y in range(n)]
+    if q == 5:
+        cs = [pick_c_by_norm(tower, tower.base.neg(1)), pick_c_by_norm(tower, 2)]
+    else:
+        cs = valid_c_values(tower)
+    failing = 0
+    for c in cs:
+        stf = split_twisted_field(TwistedFieldSpec(tower, c))
+        assert splitting_counterexample(stf, basis_pairs(q)) is None
+        assert splitting_counterexample(stf, every) is None
+        a, b, d = stf.c_conj
+        rotated = dataclasses.replace(stf, c_conj=(b, d, a))
+        on_basis = splitting_counterexample(rotated, basis_pairs(q))
+        assert (on_basis is None) == (splitting_counterexample(rotated, every) is None), c
+        failing += on_basis is not None
+    assert failing == sum(c >= q for c in cs)  # exactly the c outside F have distinct conjugates
+
+
+def test_nonlinear_frobenius_table_is_refused(tower3):
+    tower = dataclasses.replace(tower3, frob_t=list(tower3.frob_t))
+    tower.frob_t[1 + 3] = tower.frob_t[2 + 3]  # 1 + t now maps where 2 + t does
+    with pytest.raises(RuntimeError, match="not F-linear at 4"):
+        split_twisted_field(TwistedFieldSpec(tower, 2))
 
 
 def test_nu_matches_phi_on_basis(comm3):

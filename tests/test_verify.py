@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
-import random
+import itertools
 from array import array
 
 import pytest
@@ -30,9 +30,10 @@ from twistfield.engine import (
 )
 from twistfield.engine.census import decode_vector
 from twistfield.engine.spaces import pair_rows
+from twistfield.engine import verify as verify_module
 from twistfield.engine.verify import Verdict
-from twistfield.linalg import added_rank, rref_rows
-from twistfield.splitalbert import SplitAlbertSpec
+from twistfield.linalg import added_rank, identity_rows, rref_rows
+from twistfield.splitalbert import SplitAlbertSpec, TriVector
 
 
 def test_theorem_A_q3_commutative_tensor(alg3):
@@ -111,10 +112,11 @@ def test_split_theorem_31_gf4():
     assert verdict.checked == 3**12
 
 
-def test_split_theorem_31_gf5_sampled():
+def test_split_theorem_31_gf5_exhaustive():
     spec = SplitAlbertSpec(gf.Field.of_order(5), (1, 2, 3))
-    verdict = verify_split_theorem_3_1(spec, rng=random.Random(1), samples=4000)
-    assert verdict.passed and verdict.details["mode"] == "sampled"
+    verdict = verify_split_theorem_3_1(spec)
+    assert verdict.passed and verdict.details["mode"] == "exhaustive"
+    assert verdict.checked == 4**12
 
 
 def test_normal_forms_exhaustive():
@@ -278,3 +280,106 @@ def test_theorem_A_checks_both_fiber_size_and_fiber_members(alg3, inv3):
         verdict = verify_theorem_A(alg3, inventory=dataclasses.replace(inv3, space_of=space_of))
         assert verdict.passed is False
         assert [w["Av_key"] for w in verdict.witnesses] == keys
+
+
+# -- Theorem 3.1 by the quadruple loop before the partition check, kept as the reference --
+
+
+def reference_theorem_3_1(spec):
+    """The old loop over every regular quadruple; also returns its per-quadruple `examine`.
+
+    The kernels are read through the verify module, so a monkeypatched one reaches
+    the reference as it reaches the partition check.
+    """
+    fld = spec.field
+    q = fld.order
+    regs = [(a, b, c) for a in range(1, q) for b in range(1, q) for c in range(1, q)]
+    r = len(regs)
+    index = {v: i for i, v in enumerate(regs)}
+    rep_id = []
+    for v in regs:
+        s = fld.inv(v[0])
+        rep_id.append(index[tuple(fld.mul(s, c) for c in v)])
+    div = [[fld.mul(a, fld.inv(b)) if b else 0 for b in range(q)] for a in range(q)]
+    skey_pool, mkey_pool = {}, {}
+    skey = [[0] * r for _ in range(r)]
+    mkey = [[0] * r for _ in range(r)]
+    rmats = [verify_module.rmat(spec, TriVector("V", v)).rows for v in regs]
+    rinvs = [verify_module.rmat_inv(spec, TriVector("V", v)).rows for v in regs]
+    for i, x in enumerate(regs):
+        for j, y in enumerate(regs):
+            rows, _ = rref_rows(fld, verify_module.pair_rows(spec, x, y))
+            skey[i][j] = skey_pool.setdefault(rows, len(skey_pool))
+            m = verify_module.mat_mul(fld, rinvs[j], rmats[i])
+            mkey[i][j] = mkey_pool.setdefault(m, len(mkey_pool))
+
+    def examine(i, j, k, l):
+        eq = skey[i][j] == skey[k][l]
+        same_scale = (rep_id[i] == rep_id[k] and rep_id[j] == rep_id[l]
+                      and div[regs[k][0]][regs[i][0]] == div[regs[l][0]][regs[j][0]])
+        swap_scale = (rep_id[j] == rep_id[i] and rep_id[l] == rep_id[k]
+                      and div[regs[j][0]][regs[i][0]] == div[regs[l][0]][regs[k][0]])
+        cond = same_scale or swap_scale
+        matrix_eq = mkey[i][k] == mkey[j][l]
+        if eq != cond or eq != matrix_eq:
+            return {"x": regs[i], "y": regs[j], "x2": regs[k], "y2": regs[l],
+                    "span_equal": eq, "proportionality": cond, "matrix_criterion": matrix_eq}
+        return None
+
+    witnesses = []
+    checked = 0
+    for i, j, k, l in itertools.product(range(r), repeat=4):
+        checked += 1
+        w = examine(i, j, k, l)
+        if w is not None:
+            witnesses.append(w)
+            if len(witnesses) > 5:
+                break
+    verdict = Verdict("split-theorem-3.1", not witnesses, checked, witnesses[:5],
+                      {"mode": "exhaustive", "q": q, "d": list(spec.d)})
+    return verdict, lambda w: examine(*(index[w[key]] for key in ("x", "y", "x2", "y2")))
+
+
+def valid_d(fld):
+    for d in itertools.product(range(1, fld.order), repeat=3):
+        try:
+            yield SplitAlbertSpec(fld, d)
+        except ValueError:  # d0 d1 d2 = -1
+            continue
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_split_theorem_31_matches_quadruple_reference(q):
+    fld = gf.Field.of_order(q)
+    specs = list(valid_d(fld))
+    assert len(specs) == {3: 4, 4: 18, 5: 48}[q]
+    for spec in specs if q < 5 else [SplitAlbertSpec(fld, (1, 2, 3))]:
+        got = verify_split_theorem_3_1(spec)
+        want, _ = reference_theorem_3_1(spec)
+        assert same_verdict(got, want), spec.d
+        assert got.passed and got.checked == (q - 1) ** 12
+
+
+@pytest.mark.parametrize("kernel", ["rmat_inv", "pair_rows", "mat_mul"])
+def test_split_theorem_31_mutations_fail_with_replayable_witnesses(monkeypatch, kernel):
+    # rmat_inv: R^{-1} of one vector replaced by another's (the matrix criterion breaks);
+    # pair_rows: one pair (x, y) gets another pair's rows (span and prediction split);
+    # mat_mul: every R_{x'}^{-1} R_x collapses to I (M grows past S)
+    spec = SplitAlbertSpec(gf.Field.of_order(3), (1, 1, 1))
+    if kernel == "rmat_inv":
+        real = verify_module.rmat_inv
+        monkeypatch.setattr(verify_module, "rmat_inv", lambda sp, v: real(
+            sp, TriVector("V", (1, 1, 1)) if v.coords == (1, 2, 2) else v))
+    elif kernel == "pair_rows":
+        real = verify_module.pair_rows
+        monkeypatch.setattr(verify_module, "pair_rows", lambda sp, x, y: real(
+            sp, *(((1, 1, 1), (1, 1, 2)) if (x, y) == ((1, 2, 2), (2, 1, 1)) else (x, y))))
+    else:
+        monkeypatch.setattr(verify_module, "mat_mul", lambda fld, a, b: identity_rows(3))
+    verdict = verify_split_theorem_3_1(spec)
+    reference, examine = reference_theorem_3_1(spec)
+    assert verdict.passed is False and reference.passed is False
+    assert verdict.checked == 2**12
+    assert 0 < len(verdict.witnesses) <= 5
+    for w in verdict.witnesses:
+        assert examine(w) == w
