@@ -271,6 +271,14 @@ def cmd_split(args) -> int:
 
 def cmd_verify(args) -> int:
     tower = resolve_tower(args.q)
+    ignored = []
+    if args.theorem in ("3.1", "7.1", "7.2-analogue"):
+        ignored += [flag for flag, value in (("--c", args.c), ("--norm-target", args.norm_target))
+                    if value is not None]
+    if args.theorem in ("A", "B", "7.1") and args.d is not None:
+        ignored.append("--d")
+    if ignored:
+        print(f"note: --theorem {args.theorem} ignores {', '.join(ignored)}", file=sys.stderr)
     if args.theorem == "A":
         c = resolve_c(tower, args)
         alg = to_structure_constants(TwistedFieldSpec(tower, c))

@@ -8,6 +8,15 @@ characteristic polynomial for G0^{-1} G1; those get the extra tag I* with the
 companion-matrix representative (I, [[0, -det], [1, tr]]).  A switched pair
 never needs the analogue: a singular 2x2 matrix always has eigenvalues
 {0, trace} in the field.
+
+The tag is invariant under (G0, G1) -> (P G0, P G1), P in GL2: det(P G) =
+det P det G keeps which matrix is invertible, (P G0)^{-1} (P G1) = G0^{-1} G1
+keeps the similarity class that picks I, II, I* (and likewise III, IV), and
+for two singular matrices the tag reads only whether the pencil s G0 + t G1
+is regular (V), whether the rows of [G0 | G1] span at most a line (VI), or
+else whether the columns of [G0 ; G1] do (VII), none of which P changes.
+`verify_normal_forms` classifies one pair per left-GL2 orbit on that ground,
+and checks the invariance on generators of GL2.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ matrix-pair normal forms, and the finite-field analogue of the d = 1 obstruction
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
@@ -11,10 +12,10 @@ from operator import itemgetter
 
 from ..algebra3 import Algebra3, IsotopyClass, TwistedFieldSpec, isotopy_class, to_structure_constants
 from ..gf import Field
-from ..linalg import added_rank, kernel_rows, mat_mul, rref_rows
+from ..linalg import kernel_rows, mat_mul, rref_rows
 from ..splitalbert import SplitAlbertSpec, TriVector, rmat, rmat_inv
 from .census import AvInventory, _meet, build_inventory, decode_vector
-from .normalform import det2, pair_normal_form, template_matches
+from .normalform import mul2, pair_normal_form, template_matches
 from .spaces import NONDEGENERATE, PairVector, intersection_dim, pair_rows, plane_representatives
 
 
@@ -236,30 +237,69 @@ def _classes(keys: list[int], count: int) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# matrix-pair normal forms (exhaustive)
+# matrix-pair normal forms (exhaustive, on left-GL2 orbits)
 # ---------------------------------------------------------------------------
 
 
+def _row_spaces(q: int):
+    """(rank, rows) for each subspace of F^4: its RREF rows, zero-padded to two.
+
+    Enumerated pivot pattern by pattern, so each subspace comes once:
+    1 + (q^4-1)/(q-1) + (q^2+1)(q^2+q+1) of them.
+    """
+    for rank in range(3):
+        for pivots in itertools.combinations(range(4), rank):
+            free = [(i, j) for i, p in enumerate(pivots)
+                    for j in range(p + 1, 4) if j not in pivots]
+            for values in itertools.product(range(q), repeat=len(free)):
+                rows = [[0] * 4, [0] * 4]
+                for i, p in enumerate(pivots):
+                    rows[i][p] = 1
+                for (i, j), a in zip(free, values):
+                    rows[i][j] = a
+                yield rank, rows
+
+
 def verify_normal_forms(fld: Field) -> Verdict:
-    """Every pair of 2x2 matrices lands in a tag with verifying (P, Q)."""
+    """Every pair of 2x2 matrices lands in a tag with verifying (P, Q).
+
+    The tag is invariant under (G0, G1) -> (P G0, P G1), P in GL2 (see
+    `normalform`), so the q^8 pairs are decided by one pair per row space of
+    the 2x4 matrix [G0 | G1]: its RREF, weighted by its orbit size, |GL2| =
+    (q^2-1)(q^2-q) at rank 2, q^2-1 at rank 1 and 1 at rank 0.  The run
+    certifies both steps, raising RuntimeError otherwise: the weights sum to
+    q^8, and each representative keeps its tag under the generators diag(w, 1),
+    [[1,1],[0,1]] and [[0,1],[1,0]] of GL2 (w generating F^x).  `pair_normal_form`
+    checks its (P, Q) and the template is checked on every representative;
+    witnesses are representatives whose template fails.
+    """
     t0 = time.perf_counter()
-    mats = [((a, b), (c, d))
-            for a in range(fld.order) for b in range(fld.order)
-            for c in range(fld.order) for d in range(fld.order)]
+    q = fld.order
+    weight = (1, q * q - 1, (q * q - 1) * (q * q - q))
+    omega = next(w for w in range(1, q) if len({fld.pow(w, e) for e in range(q - 1)}) == q - 1)
+    gens = (((omega, 0), (0, 1)), ((1, 1), (0, 1)), ((0, 1), (1, 0)))
     tag_counts: dict[str, int] = {}
     witnesses = []
-    for g0 in mats:
-        for g1 in mats:
-            form = pair_normal_form(fld, g0, g1)
-            tag_counts[form.tag] = tag_counts.get(form.tag, 0) + 1
-            if not template_matches(fld, form):
-                witnesses.append({"g0": g0, "g1": g1, "tag": form.tag})
+    total = 0
+    for rank, (r0, r1) in _row_spaces(q):
+        g0 = ((r0[0], r0[1]), (r1[0], r1[1]))
+        g1 = ((r0[2], r0[3]), (r1[2], r1[3]))
+        form = pair_normal_form(fld, g0, g1)
+        for p in gens:
+            if pair_normal_form(fld, mul2(fld, p, g0), mul2(fld, p, g1)).tag != form.tag:
+                raise RuntimeError(f"tag {form.tag} of {(g0, g1)} changes under P = {p}")
+        tag_counts[form.tag] = tag_counts.get(form.tag, 0) + weight[rank]
+        total += weight[rank]
+        if not template_matches(fld, form):
+            witnesses.append({"g0": g0, "g1": g1, "tag": form.tag})
+    if total != q**8:
+        raise RuntimeError(f"orbit weights sum to {total}, not q^8 = {q**8}")
     return Verdict(
         name="pair-normal-form",
         passed=not witnesses,
-        checked=len(mats) ** 2,
+        checked=total,
         witnesses=witnesses[:5],
-        details={"q": fld.order, "tag_counts": dict(sorted(tag_counts.items()))},
+        details={"q": q, "tag_counts": dict(sorted(tag_counts.items()))},
         runtime_ms=(time.perf_counter() - t0) * 1000,
     )
 
@@ -269,20 +309,42 @@ def verify_normal_forms(fld: Field) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _admissible(fld: Field, x, y, x2, y2) -> bool:
-    """Frame-change-stable span hypotheses, probed over F itself.
+def _cross(fld: Field, a, b) -> tuple[int, int, int]:
+    mul, sub = fld.mul_t, fld.sub_t
+    return (sub[mul[a[1]][b[2]]][mul[a[2]][b[1]]],
+            sub[mul[a[2]][b[0]]][mul[a[0]][b[2]]],
+            sub[mul[a[0]][b[1]]][mul[a[1]][b[0]]])
 
-    The kernel of the 3x4 column matrix [x y x' y'] must be one line whose
-    generator, read as a 2x2 coefficient pattern, is invertible: rank-one
-    patterns are exactly the degenerations some GL2 x GL2 frame change exposes,
-    and kernel dimension >= 2 happens only when <x,y> = <x',y'>.
+
+def _dot_table(fld: Field, f) -> list[int]:
+    """f . v for every v in F^3, indexed by v0 + q v1 + q^2 v2."""
+    mul, add = fld.mul_t, fld.add_t
+    c0, c1, c2 = ([mul[fi][a] for a in range(fld.order)] for fi in f)
+    return [add[add[a][b]][c] for c in c2 for b in c1 for a in c0]
+
+
+def _map_table(fld: Field, rows) -> list[int]:
+    """The index of M v for every v in F^3, M the 3x3 matrix with these rows."""
+    q = fld.order
+    t0, t1, t2 = (_dot_table(fld, r) for r in rows)
+    return [a + q * b + q * q * c for a, b, c in zip(t0, t1, t2)]
+
+
+def _projective_sum_table(fld: Field) -> list[list[int]]:
+    """table[a][b] = the index of a + b in F^3, scaled to lead with 1 (0 stays 0).
+
+    Three vectors of F^3 span a line iff their scaled indices, 0 dropped,
+    are one and the same.
     """
-    rows = [(x[c], y[c], x2[c], y2[c]) for c in range(3)]
-    kern = kernel_rows(fld, rows, 4)
-    if len(kern) != 1:
-        return False
-    w = kern[0]
-    return det2(fld, ((w[0], w[1]), (w[2], w[3]))) != 0
+    q = fld.order
+    add = fld.add_t
+    vecs = [(i % q, i // q % q, i // (q * q)) for i in range(q**3)]
+    scaled = [0]
+    for v in vecs[1:]:
+        s = fld.inv(next(c for c in v if c))
+        scaled.append(sum(fld.mul(s, c) * q**j for j, c in enumerate(v)))
+    return [[scaled[add[a0][b0] + q * add[a1][b1] + q * q * add[a2][b2]]
+             for b0, b1, b2 in vecs] for a0, a1, a2 in vecs]
 
 
 def search_theorem_7_2_analogue(spec: SplitAlbertSpec) -> Verdict:
@@ -291,37 +353,72 @@ def search_theorem_7_2_analogue(spec: SplitAlbertSpec) -> Verdict:
     Heuristic evidence only: the d = 1 obstruction is a statement over an
     algebraically closed field, and this sweep stays over F.  Any hit with
     d != 1 is a failure; hits at d = 1 are recorded as information.
+
+    The base (x, y) runs over one pair per plane, (x', y') over every pair of
+    rank 2 (x cross y != 0).  A quadruple is admissible when the kernel of the
+    3x4 column matrix [x y x' y'] is one line whose generator, read as a 2x2
+    pattern, is invertible (rank-one patterns are the degenerations a GL2 x GL2
+    frame change exposes).  With n = x cross y and n.m = 1, every vector is
+    a x + b y + p m with p = n.v, and the kernel is spanned by
+    (-(p''a' - p'a''), -(p''b' - p'b''), p'', -p'), so the quadruple is
+    admissible iff (p', p'') != 0 and p'p''(a' - b'') - p'^2 a'' + p''^2 b' != 0.
+    dim(U(x,y) meet U(x',y')) = 2 iff the three rows of U(x',y') project to a
+    rank-one set under the annihilator N = [N_L | N_R] of U(x,y); both halves
+    of N are tabulated over F^3 once per base, and each pair's `pair_rows` are
+    read once, as indices.  U(x,y) has dimension 3, as phi(a, .) has rank at
+    least 2 for a != 0; a base of another dimension raises RuntimeError.
     """
     t0 = time.perf_counter()
     fld = spec.field
     q = fld.order
-    pairs = []
-    for ix in range(q**3):
-        x = (ix % q, ix // q % q, ix // (q * q))
-        for iy in range(q**3):
-            y = (iy % q, iy // q % q, iy // (q * q))
-            stack, _ = rref_rows(fld, (x, y))
-            if len(stack) == 2:
-                pairs.append((x, y))
-    urows = {}
-    for x, y in pairs:
-        rows, pivots = rref_rows(fld, pair_rows(spec, x, y))
-        urows[(x, y)] = (rows, pivots)
-    reps = [(v.x, v.y) for v in plane_representatives(fld)]
+    mul, add, sub = fld.mul_t, fld.add_t, fld.sub_t
+    vecs = [(i % q, i // q % q, i // (q * q)) for i in range(q**3)]
+    # (x', y') of rank 2 grouped by x', each y' with its rows (left, right) as F^3 indices
+    groups = []
+    for x2 in vecs:
+        group = []
+        for iy, y2 in enumerate(vecs):
+            if _cross(fld, x2, y2) != (0, 0, 0):
+                flat = [r[k] + q * r[k + 1] + q * q * r[k + 2]
+                        for r in pair_rows(spec, x2, y2) for k in (0, 3)]
+                group.append((iy, *flat))
+        groups.append(group)
+    pairs = sum(map(len, groups))
+    rank_one = _projective_sum_table(fld)
     hits = []
     admissible = 0
     checked = 0
-    for x, y in reps:
-        base_rows, base_pivots = urows[(x, y)]
-        for x2, y2 in pairs:
-            checked += 1
-            if not _admissible(fld, x, y, x2, y2):
-                continue
-            admissible += 1
-            other = urows[(x2, y2)][0]
-            d = 3 - added_rank(fld, base_rows, base_pivots, other)
-            if d == 2:
-                hits.append({"x": list(x), "y": list(y), "x2": list(x2), "y2": list(y2)})
+    for v in plane_representatives(fld):
+        x, y = v.x, v.y
+        n = _cross(fld, x, y)
+        j = next(j for j, c in enumerate(n) if c)
+        m = tuple(fld.inv(n[j]) if k == j else 0 for k in range(3))
+        # (x, y, m) has determinant n.m = 1; the rows of its inverse are these
+        alpha, beta, p = (_dot_table(fld, f) for f in (_cross(fld, y, m), _cross(fld, m, x), n))
+        ann = kernel_rows(fld, pair_rows(spec, x, y), 6)
+        if len(ann) != 3:
+            raise RuntimeError(f"U{(x, y)} has dimension {6 - len(ann)}, not 3")
+        left = _map_table(fld, [r[:3] for r in ann])
+        right = _map_table(fld, [r[3:] for r in ann])
+        checked += pairs
+        for ix, group in enumerate(groups):
+            p1, a1, b1 = p[ix], alpha[ix], beta[ix]
+            by_p1, by_sq1, by_b1 = mul[p1], mul[mul[p1][p1]], mul[b1]
+            for iy, l0, r0, l1, r1, l2, r2 in group:
+                p2 = p[iy]
+                if not (p1 or p2):
+                    continue
+                det = sub[add[mul[by_p1[p2]][sub[a1][beta[iy]]]][by_b1[mul[p2][p2]]]][
+                    by_sq1[alpha[iy]]]
+                if not det:
+                    continue
+                admissible += 1
+                line = {rank_one[left[l0]][right[r0]], rank_one[left[l1]][right[r1]],
+                        rank_one[left[l2]][right[r2]]}
+                line.discard(0)
+                if len(line) == 1:
+                    hits.append({"x": list(x), "y": list(y),
+                                 "x2": list(vecs[ix]), "y2": list(vecs[iy])})
     d_is_one = spec.d_product == 1
     passed = d_is_one or not hits
     return Verdict(

@@ -184,6 +184,33 @@ def test_verify_72_analogue(capsys):
     assert payload["report"]["details"]["two_dim_hits"] > 0  # d = 1 here
 
 
+@pytest.mark.parametrize("theorem, argv, ignored", [
+    ("3.1", ["--c", "[2,0,0]"], "--c"),
+    ("7.2-analogue", ["--norm-target", "-1", "--d", "1,1,1"], "--norm-target"),
+    ("7.1", ["--norm-target", "-1", "--d", "1,1,1"], "--norm-target, --d"),
+    ("A", ["--c", "[2,0,0]", "--d", "1,1,1"], "--d"),
+    ("B", ["--c", "[2,0,0]", "--d", "1,1,1"], "--d"),
+])
+def test_verify_notes_ignored_options_on_stderr(capsys, theorem, argv, ignored):
+    code, out, err = run_cli(capsys, "verify", "--theorem", theorem, "--q", "3", *argv)
+    assert code == 0
+    assert err == f"note: --theorem {theorem} ignores {ignored}\n"
+    # the options that apply, alone: same report, no note
+    applies = [a for flag, value in zip(argv[::2], argv[1::2]) if flag not in ignored.split(", ")
+               for a in (flag, value)]
+    code, plain, err = run_cli(capsys, "verify", "--theorem", theorem, "--q", "3", *applies)
+    assert code == 0 and err == ""
+    assert strip_runtimes(json.loads(out)) == strip_runtimes(json.loads(plain))
+
+
+def test_verify_71_at_q9(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "7.1", "--q", "9")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["passed"] is True and report["checked"] == 9**8
+    assert sum(report["details"]["tag_counts"].values()) == 9**8
+
+
 def test_malformed_inputs(capsys):
     code, _, err = run_cli(capsys, "census", "--q", "3", "--c", "[2,0]",
                            "--v", "[1,0,0],[0,1,0]")

@@ -32,7 +32,8 @@ from twistfield.engine.census import decode_vector
 from twistfield.engine.spaces import pair_rows
 from twistfield.engine import verify as verify_module
 from twistfield.engine.verify import Verdict
-from twistfield.linalg import added_rank, identity_rows, rref_rows
+from twistfield.engine.normalform import det2, template_matches
+from twistfield.linalg import added_rank, identity_rows, kernel_rows, rref_rows
 from twistfield.splitalbert import SplitAlbertSpec, TriVector
 
 
@@ -383,3 +384,143 @@ def test_split_theorem_31_mutations_fail_with_replayable_witnesses(monkeypatch, 
     assert 0 < len(verdict.witnesses) <= 5
     for w in verdict.witnesses:
         assert examine(w) == w
+
+
+# -- Theorem 7.1 by the loop over all q^8 pairs, and the 7.2 sweep by one kernel and one
+# -- rank test per quadruple, before the orbit and projection-table sweeps; kept as references
+
+
+def reference_normal_forms(fld):
+    """Every one of the q^8 pairs through `pair_normal_form`, read through the verify module."""
+    q = fld.order
+    mats = [((a, b), (c, d))
+            for a in range(q) for b in range(q) for c in range(q) for d in range(q)]
+    tag_counts = {}
+    witnesses = []
+    for g0 in mats:
+        for g1 in mats:
+            form = verify_module.pair_normal_form(fld, g0, g1)
+            tag_counts[form.tag] = tag_counts.get(form.tag, 0) + 1
+            if not template_matches(fld, form):
+                witnesses.append({"g0": g0, "g1": g1, "tag": form.tag})
+    return Verdict("pair-normal-form", not witnesses, len(mats) ** 2, witnesses[:5],
+                   {"q": q, "tag_counts": dict(sorted(tag_counts.items()))})
+
+
+def reference_admissible(fld, x, y, x2, y2):
+    """One line as the kernel of [x y x' y'], with an invertible 2x2 pattern."""
+    kern = kernel_rows(fld, [(x[c], y[c], x2[c], y2[c]) for c in range(3)], 4)
+    if len(kern) != 1:
+        return False
+    w = kern[0]
+    return det2(fld, ((w[0], w[1]), (w[2], w[3]))) != 0
+
+
+def reference_theorem_7_2(spec):
+    """The sweep with one kernel and one added_rank per quadruple; `pair_rows` read
+    through the verify module, so a monkeypatched one reaches both sweeps."""
+    fld = spec.field
+    q = fld.order
+    vecs = [(i % q, i // q % q, i // (q * q)) for i in range(q**3)]
+    pairs = [(x, y) for x in vecs for y in vecs if len(rref_rows(fld, (x, y))[0]) == 2]
+    urows = {(x, y): rref_rows(fld, verify_module.pair_rows(spec, x, y)) for x, y in pairs}
+    hits = []
+    admissible = checked = 0
+    for v in plane_representatives(fld):
+        x, y = v.x, v.y
+        base_rows, base_pivots = urows[(x, y)]
+        for x2, y2 in pairs:
+            checked += 1
+            if not reference_admissible(fld, x, y, x2, y2):
+                continue
+            admissible += 1
+            if added_rank(fld, base_rows, base_pivots, urows[(x2, y2)][0]) == 1:
+                hits.append({"x": list(x), "y": list(y), "x2": list(x2), "y2": list(y2)})
+    return Verdict("two-dim-search", spec.d_product == 1 or not hits, checked, hits[:5], {
+        "q": q, "d": list(spec.d), "d_product": spec.d_product,
+        "admissible_quadruples": admissible, "two_dim_hits": len(hits),
+        "note": "finite-field analogue; heuristic evidence, not a theorem check"})
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_normal_forms_match_q8_reference(q):
+    fld = gf.Field.of_order(q)
+    verdict = verify_normal_forms(fld)
+    assert same_verdict(verdict, reference_normal_forms(fld))
+    assert verdict.passed and verdict.checked == q**8
+
+
+@pytest.mark.parametrize("q", [2, *gf.SUPPORTED_Q])
+def test_normal_form_tag_counts_closed_forms(q):
+    # orbit counts of the Kronecker classes, each a multiple of G = |GL2(F)|
+    g = (q * q - 1) * (q * q - q)
+    want = {
+        "I": g * (q + q * q * (q * q - 1) // 2),
+        "II": g * q * (q * q - 1),
+        "I*": g * (q * q - q) ** 2 // 2,
+        "III": g * (q**4 - g - q * q + 1),
+        "IV": g * (q * q - 1),
+        "V": g * q * (q + 1),
+        "VII": g * (q + 1),
+    }
+    want["VI"] = q**8 - sum(want.values())
+    verdict = verify_normal_forms(gf.Field.of_order(q))
+    assert verdict.passed and verdict.checked == q**8
+    assert verdict.details["tag_counts"] == dict(sorted(want.items()))
+
+
+def test_normal_forms_non_invariant_tag_trips_the_generator_check(monkeypatch):
+    # a tag that also reads G0[0][0], which row swaps change
+    real = verify_module.pair_normal_form
+
+    def broken(fld, g0, g1):
+        form = real(fld, g0, g1)
+        return dataclasses.replace(form, tag=form.tag + "'" * (g0[0][0] == 0))
+
+    monkeypatch.setattr(verify_module, "pair_normal_form", broken)
+    with pytest.raises(RuntimeError, match="changes under"):
+        verify_normal_forms(gf.Field.of_order(3))
+
+
+def test_normal_forms_dropped_orbit_trips_the_weight_sum(monkeypatch):
+    real = verify_module._row_spaces
+    monkeypatch.setattr(verify_module, "_row_spaces", lambda q: itertools.islice(real(q), 1, None))
+    with pytest.raises(RuntimeError, match="sum to"):
+        verify_normal_forms(gf.Field.of_order(3))
+
+
+def test_row_spaces_are_the_subspaces_of_f4_once_each():
+    q = 3
+    spaces = list(verify_module._row_spaces(q))
+    assert len(spaces) == 1 + (q**4 - 1) // (q - 1) + (q * q + 1) * (q * q + q + 1)
+    fld = gf.Field.of_order(q)
+    keys = {rref_rows(fld, rows) for _, rows in spaces}
+    assert len(keys) == len(spaces)
+    assert all(len(rref_rows(fld, rows)[0]) == rank for rank, rows in spaces)
+
+
+@pytest.mark.parametrize("q, d", [
+    *((3, spec.d) for spec in valid_d(gf.Field.of_order(3))),
+    (4, (2, 1, 1)), (4, (1, 2, 1)), (4, (2, 3, 2)),
+    (5, (1, 1, 1)),
+])
+def test_two_dim_search_matches_rank_reference(q, d):
+    spec = SplitAlbertSpec(gf.Field.of_order(q), d)
+    verdict = search_theorem_7_2_analogue(spec)
+    assert same_verdict(verdict, reference_theorem_7_2(spec))
+    assert verdict.passed
+    assert (verdict.details["two_dim_hits"] > 0) == (spec.d_product == 1)
+
+
+def test_two_dim_search_follows_a_changed_pair_rows(monkeypatch):
+    # the first hit's (x', y') gets the rows of its base (x, y): U(x, y) meets it in 3 dims
+    spec = SplitAlbertSpec(gf.Field.of_order(3), (1, 1, 1))
+    before = search_theorem_7_2_analogue(spec)
+    hit = before.witnesses[0]
+    base, moved = (tuple(hit["x"]), tuple(hit["y"])), (tuple(hit["x2"]), tuple(hit["y2"]))
+    real = verify_module.pair_rows
+    monkeypatch.setattr(verify_module, "pair_rows", lambda sp, x, y: real(
+        sp, *(base if (x, y) == moved else (x, y))))
+    verdict = search_theorem_7_2_analogue(spec)
+    assert same_verdict(verdict, reference_theorem_7_2(spec))
+    assert verdict.details != before.details
