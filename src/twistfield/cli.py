@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"base field order ({','.join(map(str, SUPPORTED_Q))})")
         p.add_argument("--format", choices=("json", "csv", "table"), default="json")
         p.add_argument("--workers", type=int, default=1,
-                       help="processes for the census --scan-all pool (>= 1); "
+                       help="processes for the exhaustive census --scan-all sweep, which "
+                            "runs only when the orbit representative fails a check (>= 1); "
                             "every other command runs in one process")
         if c_flags:
             group = p.add_mutually_exclusive_group()
@@ -312,10 +313,8 @@ def cmd_census(args) -> int:
     tower = resolve_tower(args.q)
     c = resolve_c(tower, args)
     spec = TwistedFieldSpec(tower, c)
-    alg = to_structure_constants(spec)
-    cls = isotopy_class(spec)
     if args.scan_all:
-        report = engine.scan_all_nondegenerate(alg, algebra_class=cls, workers=args.workers)
+        report = engine.scan_orbit(spec, workers=args.workers)
         payload = {
             "command": "census",
             "header": header_for(tower, c),
@@ -328,7 +327,8 @@ def cmd_census(args) -> int:
     v = parse_pair_vector(tower, args.v)
     if engine.classify(tower.base, v) == engine.ZERO:
         raise UsageError("census base vector must be nonzero")
-    report = engine.per_vector_profile(alg, v, algebra_class=cls)
+    alg = to_structure_constants(spec)
+    report = engine.per_vector_profile(alg, v, algebra_class=isotopy_class(spec))
     payload = {
         "command": "census",
         "header": header_for(tower, c),
@@ -372,6 +372,9 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise UsageError(f"--workers must be >= 1, got {args.workers}")
+        if args.workers != 1 and not (args.command == "census" and args.scan_all):
+            name = "census --v" if args.command == "census" else args.command
+            print(f"note: {name} ignores --workers", file=sys.stderr)
         return handlers[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

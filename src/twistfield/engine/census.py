@@ -22,6 +22,24 @@ The run checks what the counting rests on, raising RuntimeError (never a
 mismatch) when it fails: every row a != 0 of the multiplication table is a
 permutation (built with the inventory), every multiplicity is 1, q+1 or
 q^2+q+1, and every space met is met on its whole fiber with a single d.
+
+`census --scan-all` checks one v and covers all (q^3-1)(q^3-q) nondegenerate
+ones by symmetry (`scan_orbit`).  For beta in K^x, mu(beta a, beta x) =
+beta beta^sigma mu(a, x), so with B, G the F-matrices of multiplication by
+beta and gamma = beta beta^sigma, A(Bv) = G(Av); the commutative isotope that
+`plane_algebra` may return, x o y = (T x) y with T in K, inherits this.  A
+frame change P in GL2(F), (x, y) -> (p x + r y, s x + u y), gives A(Pv) = P(Av)
+by bilinearity.  Both act on v' too, preserving every dim(Av meet Av'), every
+fiber and kind, the lines of Av and the base plane, and the span conditions;
+K^x/F^x is transitive on the q^2+q+1 planes of F^3 (Singer, Trans. AMS 43,
+1938) and GL2(F) on the ordered bases of each, so the nondegenerate v form
+one orbit.  The run checks the K^x half (`orbit_certificate`: the identity
+on the basis pairs, and a walk of <e_0, e_1> through every plane); the GL2
+half is bilinearity.  The span conditions are stated for p x' + r y' at every
+point [p:r] of P^1(F), not for x' and y' alone: x -> x + y mixes the two
+coordinates, so the narrower test would hold at v without holding on its
+orbit.  A passing tally also shows that each nondegenerate fiber is F^x v',
+so a space's least-index vector stands for all of its vectors.
 """
 
 from __future__ import annotations
@@ -35,9 +53,17 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from operator import itemgetter
 
-from ..algebra3 import Algebra3, IsotopyClass, commutative_isotope, left_division_tables
-from ..gf import Field
-from ..linalg import Subspace, rref_rows
+from ..algebra3 import (
+    Algebra3,
+    IsotopyClass,
+    TwistedFieldSpec,
+    commutative_isotope,
+    isotopy_class,
+    left_division_tables,
+    to_structure_constants,
+)
+from ..gf import Field, FieldTower, format_triple
+from ..linalg import Subspace, mat_vec, rref_rows
 from .spaces import (
     DEGENERATE,
     NONDEGENERATE,
@@ -45,6 +71,7 @@ from .spaces import (
     PairVector,
     classify,
     pair_rows,
+    plane_representatives,
 )
 
 CHUNK = 512
@@ -163,6 +190,9 @@ def build_inventory(alg: Algebra3, workers: int = 1) -> AvInventory:
     first = dict(zip(reversed(space_of), range(len(space_of) - 1, -1, -1)))  # least index
     fiber = Counter(space_of)
     unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    # v' is degenerate iff x' = 0 or y' = k x', that is T = k I with key (k, kq, kq^2)
+    degenerate = {None} | {(k, k * q, k * q * q) for k in range(q)}
+    planes: dict = {}  # normalized x' x y' -> RREF of <x', y'>, one rref_rows per plane
     spaces = []
     for pos, key in enumerate(ids):
         if key is None:  # Av' = 0 + A
@@ -170,10 +200,14 @@ def build_inventory(alg: Algebra3, workers: int = 1) -> AvInventory:
         else:
             rows, pivots = tuple(e + vecs[t] for e, t in zip(unit, key)), (0, 1, 2)
         rep = decode_vector(q, first[pos])
-        plane, _ = rref_rows(fld, (rep[:3], rep[3:]))
-        kind = NONDEGENERATE if len(plane) == 2 else DEGENERATE
-        spaces.append(SpaceRec(rows, pivots, kind, fiber[pos], rep, first[pos],
-                               plane if kind == NONDEGENERATE else None))
+        kind, plane = DEGENERATE, None
+        if key not in degenerate:
+            kind = NONDEGENERATE
+            normal = _unit_row(fld, _cross(fld, rep[:3], rep[3:]))
+            plane = planes.get(normal)
+            if plane is None:
+                plane = planes[normal] = rref_rows(fld, (rep[:3], rep[3:]))[0]
+        spaces.append(SpaceRec(rows, pivots, kind, fiber[pos], rep, first[pos], plane))
     totals = {kind: (sum(r.fiber for r in spaces if r.kind == kind),
                      sum(r.kind == kind for r in spaces)) for kind in (NONDEGENERATE, DEGENERATE)}
     return AvInventory(alg, spaces, space_of, mul, ldiv, totals)
@@ -333,8 +367,26 @@ def _points(q: int) -> tuple[int, ...]:
 
 def _unit_row(fld: Field, row: tuple) -> tuple:
     """`row` scaled so that its first nonzero entry is 1: the RREF basis of its line."""
-    k = fld.inv(next(c for c in row if c))
-    return row if k == 1 else tuple(fld.mul(k, c) for c in row)
+    k = fld.inv_t[next(c for c in row if c)]
+    if k == 1:
+        return row
+    scale = fld.mul_t[k]
+    return tuple(scale[c] for c in row)
+
+
+def _cross(fld: Field, a: tuple, b: tuple) -> tuple:
+    """a x b in F^3: nonzero iff a, b are independent, and then normal to <a, b>."""
+    mul, sub = fld.mul_t, fld.sub_t
+    return (sub[mul[a[1]][b[2]]][mul[a[2]][b[1]]],
+            sub[mul[a[2]][b[0]]][mul[a[0]][b[2]]],
+            sub[mul[a[0]][b[1]]][mul[a[1]][b[0]]])
+
+
+def _dot_table(fld: Field, f) -> list[int]:
+    """f . v for every v in F^3, indexed by v0 + q v1 + q^2 v2."""
+    mul, add = fld.mul_t, fld.add_t
+    c0, c1, c2 = ([mul[fi][a] for a in range(fld.order)] for fi in f)
+    return [add[add[a][b]][c] for c in c2 for b in c1 for a in c0]
 
 
 @dataclass
@@ -547,18 +599,43 @@ def global_counts(alg: Algebra3, *, inventory: AvInventory | None = None) -> Cen
 
 
 def span_frame(fld: Field, v: PairVector) -> tuple:
-    """The RREF of <x,y> and the sets F*x and F*y: what `hit_span_conditions` compares."""
+    """What `hit_span_conditions` compares each hit of a nondegenerate v = (x, y) with.
+
+    The RREF of <x,y>; the add table of F; phi, the values on F^3 (by index) of
+    the functional w -> (x cross y).w, whose kernel is <x,y>; and `point`, where
+    point[a][b] holds the point [p:r] = [b : -a] of P^1(F) as the multiplication
+    rows of p and r, with its set F^x (p x + r y).
+    """
+    q = fld.order
+    add, mul = fld.add_t, fld.mul_t
     plane, _ = rref_rows(fld, (v.x, v.y))
-    fx, fy = ({tuple(fld.mul(k, c) for c in w) for k in range(fld.order)} for w in (v.x, v.y))
-    return plane, fx, fy
+    phi = _dot_table(fld, _cross(fld, v.x, v.y))
+    lines = {}
+    for p, r in [(1, r) for r in range(q)] + [(0, 1)]:
+        w = tuple(add[mul[p][a]][mul[r][b]] for a, b in zip(v.x, v.y))
+        lines[p, r] = (mul[p], mul[r], {tuple(mul[k][c] for c in w) for k in range(1, q)})
+    point = [[lines[(1, fld.div(fld.neg(a), b)) if b else (0, 1)] for b in range(q)]
+             for a in range(q)]
+    return plane, add, phi, point
 
 
 def hit_span_conditions(frame: tuple, rec: SpaceRec) -> bool:
     """A hit with dim(Av meet Av') in {1, 2}, v nondegenerate, forces v' nondegenerate,
-    <x',y'> != <x,y>, x' not in F*x and y' not in F*y (`frame` = span_frame(fld, v))."""
-    plane, fx, fy = frame
-    return (rec.kind == NONDEGENERATE and rec.plane != plane
-            and rec.rep[:3] not in fx and rec.rep[3:] not in fy)
+    <x',y'> != <x,y>, and p x' + r y' not in F^x (p x + r y) for every point [p:r]
+    of P^1(F) (`frame` = span_frame(fld, v)).
+
+    The last test ranges over every combination of the coordinates, so the
+    conditions hold for (v, v') iff they hold for (Pv, Pv'), P in GL2(F).  Only
+    one point can fail it: once the planes differ, p x' + r y' lies in <x,y>
+    only for [p:r] = [phi(y') : -phi(x')].
+    """
+    plane, add, phi, point = frame
+    if rec.kind != NONDEGENERATE or rec.plane == plane:
+        return False
+    iy, ix = divmod(rec.first_index, len(phi))
+    mp, mr, members = point[phi[ix]][phi[iy]]
+    x0, x1, x2, y0, y1, y2 = rec.rep
+    return (add[mp[x0]][mr[y0]], add[mp[x1]][mr[y1]], add[mp[x2]][mr[y2]]) not in members
 
 
 def _scan_vectors(alg: Algebra3, inventory: AvInventory, cls: IsotopyClass,
@@ -600,25 +677,12 @@ def _scan_vectors(alg: Algebra3, inventory: AvInventory, cls: IsotopyClass,
     return checked, mismatches
 
 
-def scan_all_nondegenerate(alg: Algebra3, *, algebra_class: IsotopyClass,
-                           with_lines: bool = True, workers: int = 1) -> CensusReport:
-    """Check the per-vector (and optionally per-line) profile for every nondegenerate v.
-
-    The v range is cut into fixed `index_chunks`, so `workers` never changes the report.
-    """
-    t0 = time.perf_counter()
-    fld = alg.field
-    q = fld.order
-    inventory = build_inventory(alg)
-    plane_alg = plane_algebra(alg) if with_lines else None
-    results = parallel_map(_scan_vectors, index_chunks(q**6), workers,
-                           (alg, inventory, algebra_class, plane_alg))
-    checked = sum(r[0] for r in results)
-    mismatches = [m for r in results for m in r[1]]
-    expected_v, expected_s = predicted_profile(q, algebra_class, NONDEGENERATE)
+def _scan_report(q: int, cls: IsotopyClass, with_lines: bool, mode: dict, checked: int,
+                 mismatches: list, t0: float) -> CensusReport:
+    expected_v, expected_s = predicted_profile(q, cls, NONDEGENERATE)
     return CensusReport(
         parameters={"q": q, "granularity": "all-nondegenerate",
-                    "algebra_class": algebra_class.value, "with_lines": with_lines},
+                    "algebra_class": cls.value, "with_lines": with_lines, **mode},
         observed={"vectors_checked": checked, "mismatches": len(mismatches)},
         predicted={"vectors_checked": (q**3 - 1) * (q**3 - q), "mismatches": 0,
                    "per_vector": {"vectors": expected_v, "spaces": expected_s}},
@@ -626,3 +690,116 @@ def scan_all_nondegenerate(alg: Algebra3, *, algebra_class: IsotopyClass,
         witnesses=mismatches[:5],
         runtime_ms=(time.perf_counter() - t0) * 1000,
     )
+
+
+def scan_all_nondegenerate(alg: Algebra3, *, algebra_class: IsotopyClass,
+                           with_lines: bool = True, workers: int = 1) -> CensusReport:
+    """Check the per-vector (and optionally per-line) profile for every nondegenerate v.
+
+    The v range is cut into fixed `index_chunks`, so `workers` never changes the report.
+    """
+    t0 = time.perf_counter()
+    q = alg.field.order
+    inventory = build_inventory(alg)
+    plane_alg = plane_algebra(alg) if with_lines else None
+    results = parallel_map(_scan_vectors, index_chunks(q**6), workers,
+                           (alg, inventory, algebra_class, plane_alg))
+    checked = sum(r[0] for r in results)
+    mismatches = [m for r in results for m in r[1]]
+    return _scan_report(q, algebra_class, with_lines, {"mode": "exhaustive"}, checked,
+                        mismatches, t0)
+
+
+# ---------------------------------------------------------------------------
+# one representative under a checked symmetry
+# ---------------------------------------------------------------------------
+
+
+def singer_element(tower: FieldTower) -> int:
+    """The least beta in K whose class generates K^x/F^x: beta^k is in F first at k = q^2+q+1."""
+    K, q = tower.ext, tower.q
+    for beta in range(q, K.order):
+        power, k = beta, 1
+        while power >= q:  # F sits at the indices below q
+            power, k = K.mul(power, beta), k + 1
+        if k == q * q + q + 1:
+            return beta
+    raise RuntimeError("no element of K generates K^x/F^x; broken tower")
+
+
+def orbit_certificate(tower: FieldTower, algs: list, beta: int, gamma: int) -> dict:
+    """Check the K^x half of the symmetry (module docstring) for beta and gamma = beta beta^sigma.
+
+    B and G are the F-matrices of multiplication in K by beta and gamma on
+    (1, t, t^2).  (a) (B e_i)(B e_j) = G (e_i e_j) in each algebra of `algs`, on
+    the 9 basis pairs; by bilinearity then A(Bv) = G(Av) for every v, and so for
+    every power of B.  (b) The walk of <e_0, e_1> under B first returns after
+    q^2+q+1 steps, so it visits every plane of F^3 (and B is invertible).
+    Raises RuntimeError when either fails; returns the report's "orbit" block.
+    """
+    K, fld, q = tower.ext, tower.base, tower.q
+    basis = (1, q, q * q)
+    b_cols, g_cols = ([K.coeffs(K.mul(k, t)) for t in basis] for k in (beta, gamma))
+    b_rows, g_rows = tuple(zip(*b_cols)), tuple(zip(*g_cols))
+    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    pairs = 0
+    for alg in algs:
+        for i in range(3):
+            for j in range(3):
+                if alg.mulvec(b_cols[i], b_cols[j]) != mat_vec(fld, g_rows,
+                                                              alg.mulvec(unit[i], unit[j])):
+                    raise RuntimeError(f"(B e_{i})(B e_{j}) != G (e_{i} e_{j}) for beta = "
+                                       f"{format_triple(tower, beta)}: not an autotopism")
+                pairs += 1
+    size = q * q + q + 1
+    start, _ = rref_rows(fld, unit[:2])
+    plane, steps = start, 0
+    while steps < size:
+        plane, _ = rref_rows(fld, [mat_vec(fld, b_rows, r) for r in plane])
+        steps += 1
+        if plane == start:
+            break
+    if plane != start or steps != size:
+        walk = f"back after {steps} steps" if plane == start else f"not back after {steps} steps"
+        raise RuntimeError(f"<e_0, e_1> is {walk} of beta = {format_triple(tower, beta)}, "
+                           f"not after {size}: the planes are not one orbit")
+    return {"generator": format_triple(tower, beta), "autotopism_pairs_checked": pairs,
+            "plane_orbit": steps}
+
+
+def scan_orbit(spec: TwistedFieldSpec, *, with_lines: bool = True,
+               workers: int = 1) -> CensusReport:
+    """`scan_all_nondegenerate`'s verdict from the one representative v = (e_0, e_1).
+
+    K^x x GL2(F) acts on A^2 by v -> Bv, with A(Bv) = G(Av), and v -> Pv, with
+    A(Pv) = P(Av).  It is transitive on the nondegenerate v, and every check of
+    the scan (tally, complement, span, lines) is invariant under it; the span
+    check is, because it tests p x' + r y' at every point [p:r] of P^1(F)
+    (module docstring).  So one v decides them all, once `orbit_certificate`
+    has checked the K^x half for beta = `singer_element` and gamma =
+    beta beta^sigma: the identity on the basis pairs, and a walk of <e_0, e_1>
+    through all q^2+q+1 planes.  The GL2 half is bilinearity.
+    `vectors_checked` is then plane_orbit (q^2-1)(q^2-q).  When the
+    representative fails any check, this returns the exhaustive report instead
+    (`workers` processes), with its mismatches and witnesses.
+    """
+    t0 = time.perf_counter()
+    tower = spec.tower
+    q = tower.q
+    alg = to_structure_constants(spec)
+    cls = isotopy_class(spec)
+    plane_alg = plane_algebra(alg)
+    beta = singer_element(tower)
+    gamma = tower.ext.mul(beta, tower.frob_t[beta])
+    orbit = orbit_certificate(tower, [alg] if plane_alg is alg else [alg, plane_alg],
+                              beta, gamma)
+    v = plane_representatives(tower.base)[0]  # (e_0, e_1), where the walk starts
+    idx = sum(c * q**i for i, c in enumerate(v.flat))
+    _, mismatches = _scan_vectors(alg, build_inventory(alg), cls,
+                                  plane_alg if with_lines else None, idx, idx + 1)
+    if mismatches:
+        return scan_all_nondegenerate(alg, algebra_class=cls, with_lines=with_lines,
+                                      workers=workers)
+    return _scan_report(q, cls, with_lines,
+                        {"mode": "orbit", "orbit": {**orbit, "vectors_profiled": 1}},
+                        orbit["plane_orbit"] * (q * q - 1) * (q * q - q), [], t0)

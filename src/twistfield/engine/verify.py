@@ -14,7 +14,7 @@ from ..algebra3 import Algebra3, IsotopyClass, TwistedFieldSpec, isotopy_class, 
 from ..gf import Field
 from ..linalg import kernel_rows, mat_mul, rref_rows
 from ..splitalbert import SplitAlbertSpec, TriVector, rmat, rmat_inv
-from .census import AvInventory, _meet, build_inventory, decode_vector
+from .census import AvInventory, _cross, _dot_table, _meet, build_inventory, decode_vector
 from .normalform import mul2, pair_normal_form, template_matches
 from .spaces import NONDEGENERATE, PairVector, intersection_dim, pair_rows, plane_representatives
 
@@ -307,20 +307,6 @@ def verify_normal_forms(fld: Field) -> Verdict:
 # ---------------------------------------------------------------------------
 # finite-field analogue of the two-dim => d = 1 obstruction
 # ---------------------------------------------------------------------------
-
-
-def _cross(fld: Field, a, b) -> tuple[int, int, int]:
-    mul, sub = fld.mul_t, fld.sub_t
-    return (sub[mul[a[1]][b[2]]][mul[a[2]][b[1]]],
-            sub[mul[a[2]][b[0]]][mul[a[0]][b[2]]],
-            sub[mul[a[0]][b[1]]][mul[a[1]][b[0]]])
-
-
-def _dot_table(fld: Field, f) -> list[int]:
-    """f . v for every v in F^3, indexed by v0 + q v1 + q^2 v2."""
-    mul, add = fld.mul_t, fld.add_t
-    c0, c1, c2 = ([mul[fi][a] for a in range(fld.order)] for fi in f)
-    return [add[add[a][b]][c] for c in c2 for b in c1 for a in c0]
 
 
 def _map_table(fld: Field, rows) -> list[int]:

@@ -16,6 +16,7 @@ from twistfield.algebra3 import (
     left_division_tables,
     pick_c_by_norm,
     to_structure_constants,
+    valid_c_values,
 )
 from twistfield.engine import DEGENERATE, NONDEGENERATE, PairVector, census, classify
 from twistfield.engine.census import (
@@ -28,6 +29,7 @@ from twistfield.engine.census import (
     plane_algebra,
     predicted_line_profile,
     scan_all_nondegenerate,
+    scan_orbit,
 )
 from twistfield.engine.spaces import pair_rows
 from twistfield.gf import parse_triple
@@ -370,3 +372,102 @@ def test_scan_witnesses_name_tally_and_complement(alg3, monkeypatch):
     monkeypatch.setattr(census, "hit_span_conditions", lambda frame, rec: False)
     rep = scan_all_nondegenerate(alg3, algebra_class=cls, with_lines=False)
     assert all(w["failed"] == ["tally", "complement", "span"] for w in rep.witnesses)
+
+
+# -- orbit mode: one representative under the checked K^x x GL2 symmetry -----------------
+
+
+def without_mode(report):
+    """The report's JSON without its timing and the fields that name the mode."""
+    payload = report.to_json_dict()
+    payload.pop("runtime_ms")
+    payload["parameters"] = {k: v for k, v in payload["parameters"].items()
+                             if k not in ("mode", "orbit")}
+    return payload
+
+
+def assert_orbit_matches_exhaustive(spec, workers=1):
+    orbit = scan_orbit(spec)
+    q = spec.q
+    assert orbit.parameters["mode"] == "orbit"
+    assert orbit.parameters["orbit"]["plane_orbit"] == q * q + q + 1
+    assert orbit.parameters["orbit"]["vectors_profiled"] == 1
+    exhaustive = scan_all_nondegenerate(to_structure_constants(spec),
+                                        algebra_class=isotopy_class(spec), workers=workers)
+    assert exhaustive.parameters["mode"] == "exhaustive"
+    assert without_mode(orbit) == without_mode(exhaustive), spec.c
+    assert orbit.match is True
+
+
+@pytest.mark.parametrize("which", ["tower3", "tower3_alt"])
+def test_orbit_scan_matches_exhaustive_for_every_c_q3(which, request):
+    tower = request.getfixturevalue(which)
+    for c in valid_c_values(tower):
+        assert_orbit_matches_exhaustive(TwistedFieldSpec(tower, c))
+
+
+def test_orbit_scan_matches_exhaustive_q4(tower4):
+    cs = valid_c_values(tower4)
+    for c in (cs[0], cs[-1]):
+        assert_orbit_matches_exhaustive(TwistedFieldSpec(tower4, c), workers=2)
+
+
+def test_beta_of_short_orbit_trips_the_plane_walk(tower3, alg3):
+    for beta in (1, 2):  # F^x fixes every plane
+        gamma = tower3.ext.mul(beta, tower3.frob_t[beta])
+        with pytest.raises(RuntimeError, match="not one orbit"):
+            census.orbit_certificate(tower3, [alg3], beta, gamma)
+
+
+@pytest.mark.parametrize("c", ["[2,0,0]", "[0,1,0]"])
+def test_gamma_other_than_beta_beta_sigma_trips_the_autotopism_check(tower3, c):
+    spec, alg = twisted(tower3, c)
+    algs = [alg, plane_algebra(alg)]
+    beta = census.singer_element(tower3)
+    K = tower3.ext
+    cert = census.orbit_certificate(tower3, algs, beta, K.mul(beta, tower3.frob_t[beta]))
+    assert cert["autotopism_pairs_checked"] == 18 and cert["plane_orbit"] == 13
+    with pytest.raises(RuntimeError, match="not an autotopism"):
+        census.orbit_certificate(tower3, algs, beta, K.mul(beta, beta))
+
+
+def test_broken_generator_fails_scan_orbit(comm3, monkeypatch):
+    monkeypatch.setattr(census, "singer_element", lambda tower: 1)
+    with pytest.raises(RuntimeError, match="not one orbit"):
+        scan_orbit(comm3)
+
+
+@pytest.mark.parametrize("wrong", ["lines", "tally"])
+def test_failing_representative_gives_the_exhaustive_report(comm3, alg3, monkeypatch, wrong):
+    cls = IsotopyClass.COMMUTATIVE_ISOTOPIC
+    if wrong == "lines":
+        monkeypatch.setattr(census, "predicted_line_profile",
+                            lambda q, c: {"in_base_plane": {}, "outside_base_plane": {}})
+    else:
+        real = census.predicted_profile
+        monkeypatch.setattr(census, "predicted_profile",
+                            lambda q, c, k: ({**real(q, c, k)[0], "dim3": 0}, real(q, c, k)[1]))
+    with_lines = wrong == "lines"
+    rep = scan_orbit(comm3, with_lines=with_lines)
+    assert rep.parameters["mode"] == "exhaustive" and rep.match is False
+    assert rep.observed == {"vectors_checked": 624, "mismatches": 624}
+    assert len(rep.witnesses) == 5
+    ref = scan_all_nondegenerate(alg3, algebra_class=cls, with_lines=with_lines)
+    assert {**rep.to_json_dict(), "runtime_ms": 0} == {**ref.to_json_dict(), "runtime_ms": 0}
+
+
+def test_span_check_covers_mixed_coordinates(alg3):
+    # v' with x' outside F x and y' outside F y, but x' + y' = x + y for v = V0
+    fld = alg3.field
+    frame = census.span_frame(fld, V0)
+
+    def hit(rep):
+        return census.SpaceRec(rows=(), pivots=(), kind=NONDEGENERATE, fiber=2, rep=rep,
+                               first_index=sum(c * 3**i for i, c in enumerate(rep)),
+                               plane=rref_rows(fld, (rep[:3], rep[3:]))[0])
+
+    mixed = (1, 0, 1) + (0, 1, 2)
+    assert all(mixed[:3] != tuple(fld.mul(k, c) for c in V0.x) for k in range(3))
+    assert all(mixed[3:] != tuple(fld.mul(k, c) for c in V0.y) for k in range(3))
+    assert not census.hit_span_conditions(frame, hit(mixed))
+    assert census.hit_span_conditions(frame, hit((1, 0, 1) + (1, 1, 1)))

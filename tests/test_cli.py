@@ -5,6 +5,7 @@ import json
 import pytest
 
 from twistfield import cli, gf, splitalbert
+from twistfield.engine import census
 from twistfield.engine.verify import Verdict
 
 
@@ -337,6 +338,47 @@ def test_scan_all_commutative_isotope_other_than_minus_one(capsys):
     report = json.loads(out)["report"]
     assert report["observed"] == {"vectors_checked": 624, "mismatches": 0}
     assert report["match"] is True
+
+
+@pytest.mark.parametrize("q, target", [(7, "-1"), (7, "2"), (9, "u")])
+def test_scan_all_in_orbit_mode_at_q7_and_q9(capsys, q, target):
+    code, out, _ = run_cli(capsys, "census", "--scan-all", "--q", str(q), "--norm-target", target)
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["match"] is True
+    assert report["observed"] == {"vectors_checked": (q**3 - 1) * (q**3 - q), "mismatches": 0}
+    assert report["parameters"]["mode"] == "orbit"
+    assert report["parameters"]["orbit"]["plane_orbit"] == q * q + q + 1
+
+
+def test_corrupted_orbit_certificate_is_internal(capsys, monkeypatch):
+    monkeypatch.setattr(census, "singer_element", lambda tower: 1)  # beta = 1 fixes every plane
+    code, out, err = run_cli(capsys, "census", "--scan-all", "--q", "3", "--norm-target", "-1")
+    assert code == cli.EXIT_INTERNAL == 3
+    assert "not one orbit" in json.loads(out)["error"]
+    assert "Traceback" in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["field-info", "--q", "3"], "field-info"),
+    (["build", "--q", "3", "--c", "[2,0,0]"], "build"),
+    (["split", "--q", "3", "--c", "[2,0,0]"], "split"),
+    (["verify", "--theorem", "7.1", "--q", "3"], "verify"),
+    (["census", "--q", "3", "--c", "[2,0,0]", "--v", "[1,0,0],[0,1,0]"], "census --v"),
+    (["line-census", "--q", "3", "--c", "[2,0,0]", "--v", "[1,0,0],[0,1,0]"], "line-census"),
+])
+def test_commands_without_a_pool_note_ignored_workers(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv, "--workers", "2")
+    assert err == f"note: {name} ignores --workers\n"
+    plain_code, plain, plain_err = run_cli(capsys, *argv)
+    assert code == plain_code == 0 and plain_err == ""
+    assert strip_runtimes(json.loads(out)) == strip_runtimes(json.loads(plain))
+
+
+def test_scan_all_takes_workers_without_a_note(capsys):
+    code, _, err = run_cli(capsys, "census", "--scan-all", "--q", "3", "--norm-target", "-1",
+                           "--workers", "2")
+    assert code == 0 and err == ""
 
 
 def test_reports_reconstruct_from_json(capsys):
