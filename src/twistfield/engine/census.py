@@ -71,7 +71,6 @@ from .spaces import (
     PairVector,
     classify,
     pair_rows,
-    plane_representatives,
 )
 
 CHUNK = 512
@@ -599,24 +598,10 @@ def global_counts(alg: Algebra3, *, inventory: AvInventory | None = None) -> Cen
 
 
 def span_frame(fld: Field, v: PairVector) -> tuple:
-    """What `hit_span_conditions` compares each hit of a nondegenerate v = (x, y) with.
-
-    The RREF of <x,y>; the add table of F; phi, the values on F^3 (by index) of
-    the functional w -> (x cross y).w, whose kernel is <x,y>; and `point`, where
-    point[a][b] holds the point [p:r] = [b : -a] of P^1(F) as the multiplication
-    rows of p and r, with its set F^x (p x + r y).
-    """
-    q = fld.order
-    add, mul = fld.add_t, fld.mul_t
+    """What `hit_span_conditions` compares each hit of a nondegenerate v = (x, y) with:
+    the RREF of <x,y>, F, v, and n = x cross y, the normal of <x,y>."""
     plane, _ = rref_rows(fld, (v.x, v.y))
-    phi = _dot_table(fld, _cross(fld, v.x, v.y))
-    lines = {}
-    for p, r in [(1, r) for r in range(q)] + [(0, 1)]:
-        w = tuple(add[mul[p][a]][mul[r][b]] for a, b in zip(v.x, v.y))
-        lines[p, r] = (mul[p], mul[r], {tuple(mul[k][c] for c in w) for k in range(1, q)})
-    point = [[lines[(1, fld.div(fld.neg(a), b)) if b else (0, 1)] for b in range(q)]
-             for a in range(q)]
-    return plane, add, phi, point
+    return plane, fld, v, _cross(fld, v.x, v.y)
 
 
 def hit_span_conditions(frame: tuple, rec: SpaceRec) -> bool:
@@ -627,15 +612,18 @@ def hit_span_conditions(frame: tuple, rec: SpaceRec) -> bool:
     The last test ranges over every combination of the coordinates, so the
     conditions hold for (v, v') iff they hold for (Pv, Pv'), P in GL2(F).  Only
     one point can fail it: once the planes differ, p x' + r y' lies in <x,y>
-    only for [p:r] = [phi(y') : -phi(x')].
+    only for [p:r] = [a : -b], a = n.y', b = n.x'.  There w = a x - b y and
+    w' = a x' - b y' are both nonzero, and w' is in F^x w iff w cross w' = 0.
     """
-    plane, add, phi, point = frame
+    plane, fld, v, n = frame
     if rec.kind != NONDEGENERATE or rec.plane == plane:
         return False
-    iy, ix = divmod(rec.first_index, len(phi))
-    mp, mr, members = point[phi[ix]][phi[iy]]
-    x0, x1, x2, y0, y1, y2 = rec.rep
-    return (add[mp[x0]][mr[y0]], add[mp[x1]][mr[y1]], add[mp[x2]][mr[y2]]) not in members
+    add, sub, mul = fld.add_t, fld.sub_t, fld.mul_t
+    x1, y1 = rec.rep[:3], rec.rep[3:]
+    b, a = (add[add[mul[n[0]][c[0]]][mul[n[1]][c[1]]]][mul[n[2]][c[2]]] for c in (x1, y1))
+    w, w1 = (tuple(sub[mul[a][s]][mul[b][t]] for s, t in zip(x, y))
+             for x, y in ((v.x, v.y), (x1, y1)))
+    return any(_cross(fld, w, w1))
 
 
 def _scan_vectors(alg: Algebra3, inventory: AvInventory, cls: IsotopyClass,
@@ -767,9 +755,9 @@ def orbit_certificate(tower: FieldTower, algs: list, beta: int, gamma: int) -> d
             "plane_orbit": steps}
 
 
-def scan_orbit(spec: TwistedFieldSpec, *, with_lines: bool = True,
-               workers: int = 1) -> CensusReport:
-    """`scan_all_nondegenerate`'s verdict from the one representative v = (e_0, e_1).
+def scan_orbit(spec: TwistedFieldSpec, *, workers: int = 1) -> CensusReport:
+    """`scan_all_nondegenerate`'s verdict, lines included, from the one representative
+    v = (e_0, e_1).
 
     K^x x GL2(F) acts on A^2 by v -> Bv, with A(Bv) = G(Av), and v -> Pv, with
     A(Pv) = P(Av).  It is transitive on the nondegenerate v, and every check of
@@ -793,13 +781,11 @@ def scan_orbit(spec: TwistedFieldSpec, *, with_lines: bool = True,
     gamma = tower.ext.mul(beta, tower.frob_t[beta])
     orbit = orbit_certificate(tower, [alg] if plane_alg is alg else [alg, plane_alg],
                               beta, gamma)
-    v = plane_representatives(tower.base)[0]  # (e_0, e_1), where the walk starts
-    idx = sum(c * q**i for i, c in enumerate(v.flat))
-    _, mismatches = _scan_vectors(alg, build_inventory(alg), cls,
-                                  plane_alg if with_lines else None, idx, idx + 1)
+    idx = 1 + q**4  # v = (e_0, e_1), the start of the certificate's walk
+    checked, mismatches = _scan_vectors(alg, build_inventory(alg), cls, plane_alg, idx, idx + 1)
+    if checked != 1:
+        raise RuntimeError(f"the representative {decode_vector(q, idx)} was not profiled")
     if mismatches:
-        return scan_all_nondegenerate(alg, algebra_class=cls, with_lines=with_lines,
-                                      workers=workers)
-    return _scan_report(q, cls, with_lines,
-                        {"mode": "orbit", "orbit": {**orbit, "vectors_profiled": 1}},
+        return scan_all_nondegenerate(alg, algebra_class=cls, workers=workers)
+    return _scan_report(q, cls, True, {"mode": "orbit", "orbit": {**orbit, "vectors_profiled": 1}},
                         orbit["plane_orbit"] * (q * q - 1) * (q * q - q), [], t0)

@@ -447,12 +447,12 @@ def test_failing_representative_gives_the_exhaustive_report(comm3, alg3, monkeyp
         real = census.predicted_profile
         monkeypatch.setattr(census, "predicted_profile",
                             lambda q, c, k: ({**real(q, c, k)[0], "dim3": 0}, real(q, c, k)[1]))
-    with_lines = wrong == "lines"
-    rep = scan_orbit(comm3, with_lines=with_lines)
+    rep = scan_orbit(comm3)
     assert rep.parameters["mode"] == "exhaustive" and rep.match is False
     assert rep.observed == {"vectors_checked": 624, "mismatches": 624}
     assert len(rep.witnesses) == 5
-    ref = scan_all_nondegenerate(alg3, algebra_class=cls, with_lines=with_lines)
+    assert all(w["failed"] == [wrong] for w in rep.witnesses)
+    ref = scan_all_nondegenerate(alg3, algebra_class=cls)
     assert {**rep.to_json_dict(), "runtime_ms": 0} == {**ref.to_json_dict(), "runtime_ms": 0}
 
 
