@@ -12,7 +12,7 @@ import enum
 from array import array
 from dataclasses import dataclass, field as dc_field
 
-from .gf import Field, FieldTower, format_triple
+from .gf import Field, FieldTower
 from .linalg import MatF, identity_rows, kernel_rows
 
 Vec3 = tuple[int, int, int]
@@ -57,17 +57,6 @@ class TwistedFieldSpec:
 
     def norm_c(self) -> int:
         return self.tower.norm(self.c)
-
-    def to_json(self) -> dict:
-        from .gf import format_elem
-
-        return {
-            "q": self.q,
-            "f_coeffs": [format_elem(self.tower.base, a) for a in self.tower.f],
-            "c": format_triple(self.tower, self.c),
-            "norm_c": format_elem(self.tower.base, self.norm_c()),
-            "class": isotopy_class(self).value,
-        }
 
 
 def mu(spec: TwistedFieldSpec, x: int, y: int) -> int:

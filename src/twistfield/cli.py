@@ -183,8 +183,6 @@ def header_for(tower: FieldTower, c: int | None = None, d=None) -> dict:
 def render(payload: dict, fmt: str, csv_rows=None) -> str:
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True)
-    if csv_rows is None:
-        raise UsageError(f"format {fmt!r} is only available for census reports")
     if fmt == "csv":
         out = io.StringIO()
         writer = csv.DictWriter(out, fieldnames=list(csv_rows[0].keys()))
@@ -372,6 +370,8 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise UsageError(f"--workers must be >= 1, got {args.workers}")
+        if args.format != "json" and (args.command != "census" or args.scan_all):
+            raise UsageError(f"--format {args.format} is only available for census --v")
         if args.workers != 1 and not (args.command == "census" and args.scan_all):
             name = "census --v" if args.command == "census" else args.command
             print(f"note: {name} ignores --workers", file=sys.stderr)

@@ -69,8 +69,8 @@ from .spaces import (
     NONDEGENERATE,
     ZERO,
     PairVector,
+    av_subspace,
     classify,
-    pair_rows,
 )
 
 CHUNK = 512
@@ -86,7 +86,6 @@ class SpaceRec:
     fiber: int
     rep: tuple
     first_index: int
-    plane: tuple | None = None  # RREF of <x', y'> for nondegenerate spaces
 
 
 @dataclass
@@ -165,8 +164,7 @@ def build_inventory(alg: Algebra3, workers: int = 1) -> AvInventory:
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    fld = alg.field
-    q = fld.order
+    q = alg.field.order
     n = q**3
     mul, ldiv = left_division_tables(alg)
     vecs = [decode_vector(q, i)[:3] for i in range(n)]
@@ -191,22 +189,15 @@ def build_inventory(alg: Algebra3, workers: int = 1) -> AvInventory:
     unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     # v' is degenerate iff x' = 0 or y' = k x', that is T = k I with key (k, kq, kq^2)
     degenerate = {None} | {(k, k * q, k * q * q) for k in range(q)}
-    planes: dict = {}  # normalized x' x y' -> RREF of <x', y'>, one rref_rows per plane
     spaces = []
     for pos, key in enumerate(ids):
         if key is None:  # Av' = 0 + A
             rows, pivots = tuple((0, 0, 0) + e for e in unit), (3, 4, 5)
         else:
             rows, pivots = tuple(e + vecs[t] for e, t in zip(unit, key)), (0, 1, 2)
-        rep = decode_vector(q, first[pos])
-        kind, plane = DEGENERATE, None
-        if key not in degenerate:
-            kind = NONDEGENERATE
-            normal = _unit_row(fld, _cross(fld, rep[:3], rep[3:]))
-            plane = planes.get(normal)
-            if plane is None:
-                plane = planes[normal] = rref_rows(fld, (rep[:3], rep[3:]))[0]
-        spaces.append(SpaceRec(rows, pivots, kind, fiber[pos], rep, first[pos], plane))
+        kind = DEGENERATE if key in degenerate else NONDEGENERATE
+        spaces.append(SpaceRec(rows, pivots, kind, fiber[pos], decode_vector(q, first[pos]),
+                               first[pos]))
     totals = {kind: (sum(r.fiber for r in spaces if r.kind == kind),
                      sum(r.kind == kind for r in spaces)) for kind in (NONDEGENERATE, DEGENERATE)}
     return AvInventory(alg, spaces, space_of, mul, ldiv, totals)
@@ -493,10 +484,9 @@ def per_vector_profile(alg: Algebra3, v: PairVector, *, inventory: AvInventory |
     if pred_v is not None:
         predicted = {"vectors": {**pred_v, "zero_vector": 1}, "spaces": pred_s}
         match = predicted["vectors"] == vectors and pred_s == meet.spaces
-    base_rows, _ = rref_rows(fld, pair_rows(alg, v.x, v.y))
     return CensusReport(
         parameters={"q": fld.order, "v": v.to_json(), "v_kind": kind,
-                    "Av": Subspace(fld, 6, base_rows).to_json(),
+                    "Av": av_subspace(alg, v).to_json(),
                     "algebra_class": algebra_class.value if algebra_class else None},
         observed={"vectors": vectors, "spaces": meet.spaces},
         predicted=predicted,
@@ -555,11 +545,10 @@ def line_profile(alg: Algebra3, v: PairVector, *, inventory: AvInventory | None 
     grouped = _group_lines(lines)
     detail = [{"line": Subspace(fld, 6, line).to_json(), "vectors": n, "in_base_plane": in_plane}
               for line, (n, in_plane) in sorted(lines.items())]
-    base_rows, _ = rref_rows(fld, pair_rows(alg, v.x, v.y))
     predicted = predicted_line_profile(q, algebra_class)
     return CensusReport(
         parameters={"q": q, "v": v.to_json(), "v_kind": NONDEGENERATE,
-                    "Av": Subspace(fld, 6, base_rows).to_json(),
+                    "Av": av_subspace(alg, v).to_json(),
                     "algebra_class": algebra_class.value if algebra_class else None,
                     "granularity": "lines"},
         observed=grouped,
@@ -599,9 +588,8 @@ def global_counts(alg: Algebra3, *, inventory: AvInventory | None = None) -> Cen
 
 def span_frame(fld: Field, v: PairVector) -> tuple:
     """What `hit_span_conditions` compares each hit of a nondegenerate v = (x, y) with:
-    the RREF of <x,y>, F, v, and n = x cross y, the normal of <x,y>."""
-    plane, _ = rref_rows(fld, (v.x, v.y))
-    return plane, fld, v, _cross(fld, v.x, v.y)
+    F, v, and n = x cross y, the normal of <x,y>."""
+    return fld, v, _cross(fld, v.x, v.y)
 
 
 def hit_span_conditions(frame: tuple, rec: SpaceRec) -> bool:
@@ -610,14 +598,14 @@ def hit_span_conditions(frame: tuple, rec: SpaceRec) -> bool:
     of P^1(F) (`frame` = span_frame(fld, v)).
 
     The last test ranges over every combination of the coordinates, so the
-    conditions hold for (v, v') iff they hold for (Pv, Pv'), P in GL2(F).  Only
-    one point can fail it: once the planes differ, p x' + r y' lies in <x,y>
-    only for [p:r] = [a : -b], a = n.y', b = n.x'.  There w = a x - b y and
-    w' = a x' - b y' are both nonzero, and w' is in F^x w iff w cross w' = 0.
+    conditions hold for (v, v') iff they hold for (Pv, Pv'), P in GL2(F).  With
+    a = n.y' and b = n.x', once the planes differ p x' + r y' lies in <x,y> only
+    for [p:r] = [a : -b], where w = a x - b y and w' = a x' - b y' are both
+    nonzero, and w' is in F^x w iff w cross w' = 0.  So all three conditions are
+    w cross w' != 0: a degenerate v' gives w' = 0 (x' = 0, or y' = k x' and so
+    a = k b), and <x',y'> = <x,y> gives a = b = 0 and so w = 0.
     """
-    plane, fld, v, n = frame
-    if rec.kind != NONDEGENERATE or rec.plane == plane:
-        return False
+    fld, v, n = frame
     add, sub, mul = fld.add_t, fld.sub_t, fld.mul_t
     x1, y1 = rec.rep[:3], rec.rep[3:]
     b, a = (add[add[mul[n[0]][c[0]]][mul[n[1]][c[1]]]][mul[n[2]][c[2]]] for c in (x1, y1))
@@ -627,8 +615,8 @@ def hit_span_conditions(frame: tuple, rec: SpaceRec) -> bool:
 
 
 def _scan_vectors(alg: Algebra3, inventory: AvInventory, cls: IsotopyClass,
-                  plane_alg: Algebra3 | None, start: int, end: int) -> tuple:
-    """Check every nondegenerate v in [start, end); lines too unless `plane_alg` is None.
+                  plane_alg: Algebra3, start: int, end: int) -> tuple:
+    """Check every nondegenerate v in [start, end), lines included.
 
     Each mismatch names the checks it failed (tally, complement, span, lines)
     and carries the observed tallies and line profile.
@@ -644,10 +632,11 @@ def _scan_vectors(alg: Algebra3, inventory: AvInventory, cls: IsotopyClass,
         coords = decode_vector(q, idx)
         v = PairVector(coords[:3], coords[3:])
         frame = span_frame(fld, v)
-        if len(frame[0]) != 2:
+        if not any(frame[2]):  # x cross y = 0: v is degenerate
             continue
         meet = _meet(inventory, v)
-        observed = {"vectors": meet.vectors, "spaces": meet.spaces}
+        observed = {"vectors": meet.vectors, "spaces": meet.spaces,
+                    "lines": _group_lines(_lines(plane_alg, v, meet))}
         failed = []
         if meet.vectors != pred_v or meet.spaces != pred_s:
             failed.append("tally")
@@ -655,22 +644,20 @@ def _scan_vectors(alg: Algebra3, inventory: AvInventory, cls: IsotopyClass,
             failed.append("complement")
         if not all(hit_span_conditions(frame, rec) for _, rec in meet.hits):
             failed.append("span")
-        if plane_alg is not None:
-            observed["lines"] = _group_lines(_lines(plane_alg, v, meet))
-            if observed["lines"] != pred_lines:
-                failed.append("lines")
+        if observed["lines"] != pred_lines:
+            failed.append("lines")
         checked += 1
         if failed:
             mismatches.append({"v": v.to_json(), "failed": failed, "observed": observed})
     return checked, mismatches
 
 
-def _scan_report(q: int, cls: IsotopyClass, with_lines: bool, mode: dict, checked: int,
-                 mismatches: list, t0: float) -> CensusReport:
+def _scan_report(q: int, cls: IsotopyClass, mode: dict, checked: int, mismatches: list,
+                 t0: float) -> CensusReport:
     expected_v, expected_s = predicted_profile(q, cls, NONDEGENERATE)
     return CensusReport(
         parameters={"q": q, "granularity": "all-nondegenerate",
-                    "algebra_class": cls.value, "with_lines": with_lines, **mode},
+                    "algebra_class": cls.value, "with_lines": True, **mode},
         observed={"vectors_checked": checked, "mismatches": len(mismatches)},
         predicted={"vectors_checked": (q**3 - 1) * (q**3 - q), "mismatches": 0,
                    "per_vector": {"vectors": expected_v, "spaces": expected_s}},
@@ -681,21 +668,19 @@ def _scan_report(q: int, cls: IsotopyClass, with_lines: bool, mode: dict, checke
 
 
 def scan_all_nondegenerate(alg: Algebra3, *, algebra_class: IsotopyClass,
-                           with_lines: bool = True, workers: int = 1) -> CensusReport:
-    """Check the per-vector (and optionally per-line) profile for every nondegenerate v.
+                           workers: int = 1) -> CensusReport:
+    """Check the per-vector and per-line profiles for every nondegenerate v.
 
     The v range is cut into fixed `index_chunks`, so `workers` never changes the report.
     """
     t0 = time.perf_counter()
     q = alg.field.order
     inventory = build_inventory(alg)
-    plane_alg = plane_algebra(alg) if with_lines else None
     results = parallel_map(_scan_vectors, index_chunks(q**6), workers,
-                           (alg, inventory, algebra_class, plane_alg))
+                           (alg, inventory, algebra_class, plane_algebra(alg)))
     checked = sum(r[0] for r in results)
     mismatches = [m for r in results for m in r[1]]
-    return _scan_report(q, algebra_class, with_lines, {"mode": "exhaustive"}, checked,
-                        mismatches, t0)
+    return _scan_report(q, algebra_class, {"mode": "exhaustive"}, checked, mismatches, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -787,5 +772,5 @@ def scan_orbit(spec: TwistedFieldSpec, *, workers: int = 1) -> CensusReport:
         raise RuntimeError(f"the representative {decode_vector(q, idx)} was not profiled")
     if mismatches:
         return scan_all_nondegenerate(alg, algebra_class=cls, workers=workers)
-    return _scan_report(q, cls, True, {"mode": "orbit", "orbit": {**orbit, "vectors_profiled": 1}},
+    return _scan_report(q, cls, {"mode": "orbit", "orbit": {**orbit, "vectors_profiled": 1}},
                         orbit["plane_orbit"] * (q * q - 1) * (q * q - q), [], t0)

@@ -61,15 +61,6 @@ class PairNormalForm:
     p_mat: Mat2 = ID2
     q_mat: Mat2 = ID2
 
-    def to_json(self) -> dict:
-        return {
-            "tag": self.tag,
-            "params": list(self.params),
-            "rep": [[list(r) for r in m] for m in self.rep],
-            "P": [list(r) for r in self.p_mat],
-            "Q": [list(r) for r in self.q_mat],
-        }
-
 
 def _eigen_split(fld: Field, m: Mat2):
     """Roots in F of X^2 - tr X + det, or None."""

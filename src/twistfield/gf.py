@@ -96,8 +96,8 @@ class FieldSpec:
     """Descriptor of GF(p^m) as F_p[t]/(modulus), serializable and hashable.
 
     `modulus` is little-endian over GF(p) with length m+1 and leading
-    coefficient 1.  Irreducibility is checked by root exclusion for m <= 3 and
-    by trial division for 4 <= m <= 6.
+    coefficient 1.  Every supported base field has m <= 3, where a polynomial
+    is irreducible iff it has no root, so that is the check; m > 3 is refused.
     """
 
     p: int
@@ -117,15 +117,8 @@ class FieldSpec:
             for a in range(self.p):
                 if _int_poly_eval(self.modulus, a, self.p) == 0:
                     raise ValueError(f"modulus has root {a} in GF({self.p})")
-        elif 4 <= self.m <= 6:
-            if not _int_poly_irreducible(self.modulus, self.p):
-                raise ValueError("modulus is reducible")
-        elif self.m > 6:
-            raise ValueError("degrees above 6 are out of scope")
-
-    @property
-    def order(self) -> int:
-        return self.p**self.m
+        elif self.m > 3:
+            raise ValueError("degrees above 3 are out of scope")
 
     def to_json(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus_coeffs": list(self.modulus)}
@@ -136,33 +129,6 @@ def _int_poly_eval(coeffs: tuple[int, ...], x: int, p: int) -> int:
     for c in reversed(coeffs):
         acc = (acc * x + c) % p
     return acc
-
-
-def _int_poly_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2 over GF(p)."""
-    deg = len(coeffs) - 1
-    for d in range(1, deg // 2 + 1):
-        for idx in range(p**d):
-            div = _digits(idx, p, d) + [1]
-            if _int_poly_mod(list(coeffs), div, p) == []:
-                return False
-    return True
-
-
-def _int_poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    a = a[:]
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1] * pow(b[-1], -1, p) % p
-        off = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[off + i] = (a[off + i] - c * bc) % p
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
 
 
 def _digits(idx: int, base: int, width: int) -> list[int]:
@@ -185,10 +151,8 @@ def default_field_spec(q: int) -> FieldSpec:
         return FieldSpec(p, 1, (0, 1))
     for idx in range(p**m):
         coeffs = tuple(_digits(idx, p, m)) + (1,)
-        try:
-            return FieldSpec(p, m, coeffs)
-        except ValueError:
-            continue
+        if all(_int_poly_eval(coeffs, a, p) for a in range(p)):
+            return FieldSpec(p, m, coeffs)  # raises for m > 3, where no root is not enough
     raise RuntimeError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
@@ -520,11 +484,6 @@ class FieldTower:
         self.base.check(a)
         return a
 
-    def section(self, x: int) -> int:
-        if x >= self.base.order:
-            raise ValueError(f"{x} is not in the embedded base field")
-        return x
-
     def frobenius(self, x: int) -> int:
         self.ext.check(x)
         return self.frob_t[x]
@@ -532,11 +491,3 @@ class FieldTower:
     def norm(self, x: int) -> int:
         self.ext.check(x)
         return self.norm_t[x]
-
-    def to_json(self) -> dict:
-        spec = self.base.spec or default_field_spec(self.base.order)
-        return {
-            "base": spec.to_json(),
-            "f_coeffs": [format_elem(self.base, c) for c in self.f],
-        }
-

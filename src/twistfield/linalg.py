@@ -40,9 +40,6 @@ class MatF:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def to_json(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
-
 
 @dataclass(frozen=True)
 class Subspace:
@@ -73,24 +70,22 @@ def _pivots_of(rows: tuple[Row, ...]) -> tuple[int, ...]:
 
 
 def _reduce_row(fld: Field, row: list[int], rows, pivots) -> list[int]:
-    """Eliminate `row` against normalized echelon rows (unit pivots)."""
+    """Eliminate `row` against normalized echelon rows (unit pivots); `fld` is tabulated."""
     sub_t, mul_t = fld.sub_t, fld.mul_t
-    if sub_t is not None:
-        for r, p in zip(rows, pivots):
-            c = row[p]
-            if c:
-                mc = mul_t[c]
-                row = [sub_t[a][mc[b]] for a, b in zip(row, r)]
-        return row
     for r, p in zip(rows, pivots):
         c = row[p]
         if c:
-            row = [fld.sub(a, fld.mul(c, b)) for a, b in zip(row, r)]
+            mc = mul_t[c]
+            row = [sub_t[a][mc[b]] for a, b in zip(row, r)]
     return row
 
 
 def rref_rows(fld: Field, rows) -> tuple[tuple[Row, ...], tuple[int, ...]]:
-    """RREF basis rows and their pivot columns (zero rows dropped)."""
+    """RREF basis rows and their pivot columns (zero rows dropped).
+
+    `fld` must be tabulated (see `_reduce_row`): every caller works over a base
+    field GF(q), q <= 9, never over the cubic extension.
+    """
     work: list[list[int]] = []
     pivots: list[int] = []
     for raw in rows:

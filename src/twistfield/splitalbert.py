@@ -58,15 +58,6 @@ class SplitAlbertSpec:
         fld = self.field
         return fld.mul(self.d[0], fld.mul(self.d[1], self.d[2]))
 
-    def to_json(self) -> dict:
-        from .gf import format_elem
-
-        return {
-            "field_order": self.field.order,
-            "d": [format_elem(self.field, di) for di in self.d],
-            "d_product": format_elem(self.field, self.d_product),
-        }
-
 
 @dataclass(frozen=True)
 class TriVector:

@@ -81,8 +81,7 @@ def test_criterion_1_global_counts(alg3, inv3, alg4, inv4):
 
 def test_criterion_2_commutative_census_exhaustive(alg3, comm3):
     t0 = time.perf_counter()
-    full = scan_all_nondegenerate(alg3, algebra_class=isotopy_class(comm3),
-                                  with_lines=True, workers=1)
+    full = scan_all_nondegenerate(alg3, algebra_class=isotopy_class(comm3), workers=1)
     inv = build_inventory(alg3)
     deg = complementary_space_count(alg3, PairVector((1, 2, 0), (2, 1, 0)), inventory=inv)
     elapsed = time.perf_counter() - t0
@@ -285,8 +284,7 @@ def test_criterion_9_determinism(alg3, comm3):
     cls = isotopy_class(comm3)
     outs = []
     for workers in (1, 2, 4):
-        rep = scan_all_nondegenerate(alg3, algebra_class=cls, with_lines=False,
-                                     workers=workers)
+        rep = scan_all_nondegenerate(alg3, algebra_class=cls, workers=workers)
         payload = rep.to_json_dict()
         payload.pop("runtime_ms")
         outs.append(json.dumps(payload, sort_keys=True))

@@ -12,7 +12,7 @@ from twistfield.algebra3 import (
     to_structure_constants,
     valid_c_values,
 )
-from twistfield.engine import PairVector, census
+from twistfield.engine import DEGENERATE, PairVector, census
 from twistfield.engine.census import (
     build_inventory,
     complementary_space_count,
@@ -21,6 +21,7 @@ from twistfield.engine.census import (
     line_profile,
     per_vector_profile,
     pool_size,
+    predicted_complementary_spaces,
     predicted_global_counts,
     scan_all_nondegenerate,
 )
@@ -102,6 +103,19 @@ def test_complementary_counts(alg3, inv3, alg4, inv4):
     assert complementary_space_count(alg3, deg, inventory=inv3) == 315
     assert complementary_space_count(alg4, PairVector((0, 0, 0), (1, 0, 0)),
                                      inventory=inv4) == 1264
+
+
+@pytest.mark.parametrize("q, expected", [(3, 315), (4, 1264), (5, 3725)])
+def test_degenerate_complement_matches_prediction(q, expected, tower3, tower4, tower5):
+    tower = {3: tower3, 4: tower4, 5: tower5}[q]
+    spec = TwistedFieldSpec(tower, valid_c_values(tower)[0])
+    alg = to_structure_constants(spec)
+    inv = build_inventory(alg)
+    predicted = predicted_complementary_spaces(q, isotopy_class(spec), DEGENERATE)
+    assert predicted == q**2 * (q**3 + q**2 - 1) == expected
+    x = (1, 1, 0)
+    for v in (((1, 0, 0), (0, 0, 0)), ((0, 0, 0), (0, 1, 0)), (x, x)):
+        assert complementary_space_count(alg, PairVector(*v), inventory=inv) == predicted, v
 
 
 def test_line_profile_q3(alg3, inv3):
@@ -229,8 +243,8 @@ def test_worker_count_does_not_change_inventory(alg3):
 
 def test_worker_count_does_not_change_scan(alg3):
     cls = IsotopyClass.COMMUTATIVE_ISOTOPIC
-    r1 = scan_all_nondegenerate(alg3, algebra_class=cls, with_lines=False, workers=1)
-    r2 = scan_all_nondegenerate(alg3, algebra_class=cls, with_lines=False, workers=2)
+    r1 = scan_all_nondegenerate(alg3, algebra_class=cls, workers=1)
+    r2 = scan_all_nondegenerate(alg3, algebra_class=cls, workers=2)
     d1, d2 = r1.to_json_dict(), r2.to_json_dict()
     d1.pop("runtime_ms")
     d2.pop("runtime_ms")

@@ -104,15 +104,11 @@ def reference_inventory(alg):
                 rec[3] += fiber
                 if first < rec[5]:
                     rec[4], rec[5] = rep, first
-    fld = alg.field
     spaces = []
     position = {}
     for rows, pivots, kind, fiber, rep, first in sorted(merged.values(), key=lambda r: r[5]):
-        plane = None
-        if kind == NONDEGENERATE:
-            plane = rref_rows(fld, (tuple(rep[:3]), tuple(rep[3:])))[0]
         position[rows] = len(spaces)
-        spaces.append((tuple(rows), tuple(pivots), kind, fiber, tuple(rep), first, plane))
+        spaces.append((tuple(rows), tuple(pivots), kind, fiber, tuple(rep), first))
     space_of = array("i")
     for found, local in partials:
         ids = [position[rec[0]] for rec in found] + [-1]  # a local -1 maps to ids[-1]
@@ -141,7 +137,7 @@ def reference_scan_range(alg, start, end):
 
 def assert_inventory_matches_reference(alg, inventory):
     spaces, space_of = reference_inventory(alg)
-    assert [(r.rows, r.pivots, r.kind, r.fiber, r.rep, r.first_index, r.plane)
+    assert [(r.rows, r.pivots, r.kind, r.fiber, r.rep, r.first_index)
             for r in inventory.spaces] == spaces
     assert inventory.space_of == space_of
 
@@ -360,17 +356,18 @@ def test_scan_witnesses_name_failed_checks_and_carry_lines(alg3, monkeypatch):
 def test_scan_witnesses_name_tally_and_complement(alg3, monkeypatch):
     cls = IsotopyClass.COMMUTATIVE_ISOTOPIC
     monkeypatch.setattr(census, "predicted_complementary_spaces", lambda q, c, k: -1)
-    rep = scan_all_nondegenerate(alg3, algebra_class=cls, with_lines=False)
+    rep = scan_all_nondegenerate(alg3, algebra_class=cls)
     assert rep.observed["mismatches"] == 624
-    assert all(w["failed"] == ["complement"] and "lines" not in w["observed"]
+    assert all(w["failed"] == ["complement"]
+               and w["observed"]["lines"] == census.predicted_line_profile(3, cls)
                for w in rep.witnesses)
     real = census.predicted_profile
     monkeypatch.setattr(census, "predicted_profile",
                         lambda q, c, k: ({**real(q, c, k)[0], "dim3": 0}, real(q, c, k)[1]))
-    rep = scan_all_nondegenerate(alg3, algebra_class=cls, with_lines=False)
+    rep = scan_all_nondegenerate(alg3, algebra_class=cls)
     assert all(w["failed"] == ["tally", "complement"] for w in rep.witnesses)
     monkeypatch.setattr(census, "hit_span_conditions", lambda frame, rec: False)
-    rep = scan_all_nondegenerate(alg3, algebra_class=cls, with_lines=False)
+    rep = scan_all_nondegenerate(alg3, algebra_class=cls)
     assert all(w["failed"] == ["tally", "complement", "span"] for w in rep.witnesses)
 
 
@@ -463,11 +460,26 @@ def test_span_check_covers_mixed_coordinates(alg3):
 
     def hit(rep):
         return census.SpaceRec(rows=(), pivots=(), kind=NONDEGENERATE, fiber=2, rep=rep,
-                               first_index=sum(c * 3**i for i, c in enumerate(rep)),
-                               plane=rref_rows(fld, (rep[:3], rep[3:]))[0])
+                               first_index=sum(c * 3**i for i, c in enumerate(rep)))
 
     mixed = (1, 0, 1) + (0, 1, 2)
     assert all(mixed[:3] != tuple(fld.mul(k, c) for c in V0.x) for k in range(3))
     assert all(mixed[3:] != tuple(fld.mul(k, c) for c in V0.y) for k in range(3))
     assert not census.hit_span_conditions(frame, hit(mixed))
     assert census.hit_span_conditions(frame, hit((1, 0, 1) + (1, 1, 1)))
+
+
+@pytest.mark.parametrize("which", ["q3", "q4"])
+def test_span_conditions_fail_on_degenerate_and_same_plane_spaces(which, alg3, inv3, alg4, inv4):
+    # a degenerate v' gives w' = 0 and <x',y'> = <x,y> gives w = 0, so neither passes
+    alg, inv = (alg3, inv3) if which == "q3" else (alg4, inv4)
+    fld = alg.field
+    planes = [rref_rows(fld, (rec.rep[:3], rec.rep[3:]))[0] for rec in inv.spaces]
+    for v in [V0] + seeded_vectors(fld, 11, 8):
+        frame = census.span_frame(fld, v)
+        base = rref_rows(fld, (v.x, v.y))[0]
+        excluded = [rec for rec, plane in zip(inv.spaces, planes)
+                    if rec.kind == DEGENERATE or plane == base]
+        assert sum(rec.kind == DEGENERATE for rec in excluded) == fld.order + 1
+        assert len(excluded) > fld.order + 1  # some nondegenerate space shares the plane
+        assert not any(census.hit_span_conditions(frame, rec) for rec in excluded), v

@@ -398,3 +398,46 @@ def test_reports_reconstruct_from_json(capsys):
     payload = json.loads(out)
     verdict = Verdict.from_json_dict(payload["report"])
     assert verdict.to_json_dict() == payload["report"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["build", "--q", "3", "--norm-target", "1+"], "malformed norm target"),
+    (["build", "--q", "3", "--norm-target", "0"], "norm target 0 is unreachable"),
+    (["build", "--q", "3"], "provide --c or --norm-target"),
+    (["build", "--q", "3", "--c", "[0,0,0]"], "c must be nonzero"),
+    (["census", "--q", "3", "--norm-target", "-1", "--v", "[1,0],[0,1,0]"],
+     "expected 3 coordinates in [1,0]"),
+    (["verify", "--theorem", "3.1", "--q", "3", "--d", "1,1"], "split constants must look like"),
+    (["verify", "--theorem", "3.1", "--q", "3", "--d", "1,x,1"], "malformed element literal"),
+    (["verify", "--theorem", "3.1", "--q", "3", "--d", "1,1,2"], "d0*d1*d2 = -1 is excluded"),
+    (["line-census", "--q", "3", "--norm-target", "-1"], "line-census needs --v"),
+])
+def test_boundary_inputs_are_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+@pytest.mark.parametrize("argv", [
+    ["field-info", "--q", "3"],
+    ["build", "--q", "3", "--norm-target", "-1"],
+    ["split", "--q", "3", "--norm-target", "-1"],
+    ["verify", "--theorem", "3.1", "--q", "7"],
+    ["line-census", "--q", "3", "--norm-target", "-1", "--v", "[1,0,0],[0,1,0]"],
+    ["census", "--scan-all", "--q", "3", "--norm-target", "-1"],
+])
+def test_format_other_than_json_fails_before_any_work(capsys, monkeypatch, argv, fmt):
+    def work(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "resolve_tower", work)
+    for name in ("verify_theorem_A", "verify_theorem_B", "verify_normal_forms",
+                 "verify_split_theorem_3_1", "search_theorem_7_2_analogue", "scan_orbit",
+                 "per_vector_profile", "line_profile"):
+        monkeypatch.setattr(cli.engine, name, work)
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == f"error: --format {fmt} is only available for census --v\n"

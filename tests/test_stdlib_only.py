@@ -32,3 +32,27 @@ def test_package_imports_only_the_standard_library():
 def test_no_module_imports_random():
     # every verdict is exact; none may rest on sampling again
     assert [where for where, top in absolute_imports() if top == "random"] == []
+
+
+def unused_imports(package=PACKAGE):
+    """(location, name) for every top-level import a module never uses; __init__ re-exports."""
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for name, line in imported.items():
+            if name not in used:
+                yield f"{path.relative_to(package)}:{line} {name}"
+
+
+def test_every_import_is_used():
+    assert list(unused_imports()) == []
