@@ -13,7 +13,7 @@ from array import array
 from dataclasses import dataclass, field as dc_field
 
 from .gf import Field, FieldTower
-from .linalg import MatF, identity_rows, kernel_rows
+from .linalg import MatF, f3_vectors, identity_rows, image_table, kernel_rows
 
 Vec3 = tuple[int, int, int]
 Tensor = tuple[tuple[tuple[int, int, int], ...], ...]
@@ -162,29 +162,20 @@ def basis_products(alg, b: Vec3) -> list[Vec3]:
 
 
 def left_division_tables(alg: Algebra3) -> tuple[array, array]:
-    """Left multiplication and left division on F^3 indices, n = q^3 of them.
+    """Left multiplication and left division on F^3 indices (`linalg` module docstring).
 
-    The index of (c0, c1, c2) is c0 + q*c1 + q^2*c2.  mul[a*n + x] is the index
-    of a*x; for a != 0, ldiv[a*n + b] is the x with a*x = b (row 0 is zeros).
+    With n = q^3, mul[a*n + x] is the index of a*x; for a != 0, ldiv[a*n + b]
+    is the x with a*x = b (row 0 is zeros).
     Raises RuntimeError unless every row a != 0 of mul is a permutation: that
     is the division certificate, since a*x = 0 then forces a = 0 or x = 0.
     """
     fld = alg.field
-    q = fld.order
-    qq, n = q * q, q**3
-    add_t, mul_t = fld.add_t, fld.mul_t
-    vecs = [(i % q, i // q % q, i // qq) for i in range(n)]
+    n = fld.order**3
+    vecs = f3_vectors(fld.order)
     mul = array("H", bytes(2 * n * n))
     for x in range(n):
         # a*x = a0 (e_0 x) + a1 (e_1 x) + a2 (e_2 x), for a in index order
-        m0, m1, m2 = ([tuple(mul_t[k][c] for c in r) for k in range(q)]
-                      for r in basis_products(alg, vecs[x]))
-        col = []
-        for s2 in m2:
-            for s1 in m1:
-                t0, t1, t2 = (add_t[add_t[s1[k]][s2[k]]] for k in range(3))
-                col += [t0[u0] + q * t1[u1] + qq * t2[u2] for u0, u1, u2 in m0]
-        mul[x::n] = array("H", col)
+        mul[x::n] = array("H", image_table(fld, basis_products(alg, vecs[x])))
     ldiv = array("H", bytes(2 * n))
     for a in range(1, n):
         row = mul[a * n:(a + 1) * n]
@@ -216,9 +207,7 @@ def det3(fld: Field, rows) -> int:
 def is_division(alg: Algebra3) -> bool:
     """det(L_a) != 0 and det(R_a) != 0 for every nonzero a, exhaustively."""
     fld = alg.field
-    q = fld.order
-    for idx in range(1, q**3):
-        a = (idx % q, idx // q % q, idx // (q * q))
+    for a in f3_vectors(fld.order)[1:]:
         if det3(fld, left_mul_matrix(alg, a).rows) == 0:
             return False
         if det3(fld, right_mul_matrix(alg, a).rows) == 0:

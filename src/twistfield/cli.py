@@ -34,6 +34,7 @@ from .gf import (
     parse_elem,
     parse_triple,
 )
+from .linalg import f3_vectors
 from .splitalbert import SplitAlbertSpec, split_twisted_field, splitting_counterexample
 
 EXIT_PASS = 0
@@ -145,9 +146,8 @@ def parse_pair_vector(tower: FieldTower, text: str) -> engine.PairVector:
 
 def resolve_split_spec(fld: Field, text: str | None) -> SplitAlbertSpec:
     """phi_d for --d "d0,d1,d2", or for the lex-least valid d when --d is absent."""
-    q = fld.order
     if text is None:
-        candidates = [(idx % q, idx // q % q, idx // (q * q)) for idx in range(q**3)]
+        candidates = f3_vectors(fld.order)
     else:
         parts = text.split(",")
         if len(parts) != 3:
@@ -196,6 +196,13 @@ def render(payload: dict, fmt: str, csv_rows=None) -> str:
     return "\n".join(lines)
 
 
+def emit(args, header: dict, report: dict, ok: bool, csv_rows=None, **extra) -> int:
+    """Print the command's payload in `args.format`; the exit code says whether it passed."""
+    payload = {"command": args.command, "header": header, "report": report, **extra}
+    print(render(payload, args.format, csv_rows=csv_rows))
+    return EXIT_PASS if ok else EXIT_COUNTEREXAMPLE
+
+
 def cmd_field_info(args) -> int:
     tower = resolve_tower(args.q)
     fibers = {}
@@ -203,17 +210,11 @@ def cmd_field_info(args) -> int:
         if x:
             key = format_elem(tower.base, tower.norm(x))
             fibers[key] = fibers.get(key, 0) + 1
-    payload = {
-        "command": "field-info",
-        "header": header_for(tower),
-        "report": {
-            "ext_order": tower.ext.order,
-            "norm_fiber_sizes": dict(sorted(fibers.items())),
-            "expected_fiber_size": (args.q**3 - 1) // (args.q - 1),
-        },
-    }
-    print(render(payload, args.format))
-    return EXIT_PASS
+    return emit(args, header_for(tower), {
+        "ext_order": tower.ext.order,
+        "norm_fiber_sizes": dict(sorted(fibers.items())),
+        "expected_fiber_size": (args.q**3 - 1) // (args.q - 1),
+    }, True)
 
 
 def cmd_build(args) -> int:
@@ -223,18 +224,12 @@ def cmd_build(args) -> int:
     alg = to_structure_constants(spec)
     t0 = time.perf_counter()
     division = is_division(alg)
-    payload = {
-        "command": "build",
-        "header": header_for(tower, c),
-        "report": {
-            "algebra": alg.to_json(),
-            "commutative_tensor": alg.is_commutative(),
-            "division": division,
-            "runtime_ms": round((time.perf_counter() - t0) * 1000, 3),
-        },
-    }
-    print(render(payload, args.format))
-    return EXIT_PASS if division else EXIT_COUNTEREXAMPLE
+    return emit(args, header_for(tower, c), {
+        "algebra": alg.to_json(),
+        "commutative_tensor": alg.is_commutative(),
+        "division": division,
+        "runtime_ms": round((time.perf_counter() - t0) * 1000, 3),
+    }, division)
 
 
 def cmd_split(args) -> int:
@@ -248,24 +243,18 @@ def cmd_split(args) -> int:
     # so the basis pairs of (1, t, t^2) decide all n^2 pairs
     basis = (1, args.q, args.q**2)
     bad = splitting_counterexample(stf, [(x, y) for x in basis for y in basis])
-    payload = {
-        "command": "split",
-        "header": header_for(tower, c),
-        "report": {
-            "d": [format_triple(tower, di) for di in stf.spec.d],
-            "d_product": format_triple(tower, stf.spec.d_product),
-            "minus_norm_c": format_triple(tower, tower.ext.neg(tower.embed(tower.norm(c)))),
-            "splitting_identity": bad is None,
-            "mode": "exhaustive",
-            "pairs_checked": n * n,
-            "runtime_ms": round((time.perf_counter() - t0) * 1000, 3),
-        },
+    report = {
+        "d": [format_triple(tower, di) for di in stf.spec.d],
+        "d_product": format_triple(tower, stf.spec.d_product),
+        "minus_norm_c": format_triple(tower, tower.ext.neg(tower.embed(tower.norm(c)))),
+        "splitting_identity": bad is None,
+        "mode": "exhaustive",
+        "pairs_checked": n * n,
+        "runtime_ms": round((time.perf_counter() - t0) * 1000, 3),
     }
     if bad is not None:
-        payload["report"]["witness"] = {"x": format_triple(tower, bad[0]),
-                                        "y": format_triple(tower, bad[1])}
-    print(render(payload, args.format))
-    return EXIT_PASS if bad is None else EXIT_COUNTEREXAMPLE
+        report["witness"] = {"x": format_triple(tower, bad[0]), "y": format_triple(tower, bad[1])}
+    return emit(args, header_for(tower, c), report, bad is None)
 
 
 def cmd_verify(args) -> int:
@@ -297,14 +286,7 @@ def cmd_verify(args) -> int:
         else:
             verdict = engine.search_theorem_7_2_analogue(spec)
         head = header_for(tower, d=spec.d)
-    payload = {
-        "command": "verify",
-        "theorem": args.theorem,
-        "header": head,
-        "report": verdict.to_json_dict(),
-    }
-    print(render(payload, args.format))
-    return EXIT_PASS if verdict.passed else EXIT_COUNTEREXAMPLE
+    return emit(args, head, verdict.to_json_dict(), verdict.passed, theorem=args.theorem)
 
 
 def cmd_census(args) -> int:
@@ -313,13 +295,7 @@ def cmd_census(args) -> int:
     spec = TwistedFieldSpec(tower, c)
     if args.scan_all:
         report = engine.scan_orbit(spec, workers=args.workers)
-        payload = {
-            "command": "census",
-            "header": header_for(tower, c),
-            "report": report.to_json_dict(),
-        }
-        print(render(payload, args.format))
-        return EXIT_PASS if report.match else EXIT_COUNTEREXAMPLE
+        return emit(args, header_for(tower, c), report.to_json_dict(), report.match)
     if not args.v:
         raise UsageError("census needs --v or --scan-all")
     v = parse_pair_vector(tower, args.v)
@@ -327,13 +303,8 @@ def cmd_census(args) -> int:
         raise UsageError("census base vector must be nonzero")
     alg = to_structure_constants(spec)
     report = engine.per_vector_profile(alg, v, algebra_class=isotopy_class(spec))
-    payload = {
-        "command": "census",
-        "header": header_for(tower, c),
-        "report": report.to_json_dict(),
-    }
-    print(render(payload, args.format, csv_rows=report.csv_rows()))
-    return EXIT_PASS if report.match else EXIT_COUNTEREXAMPLE
+    return emit(args, header_for(tower, c), report.to_json_dict(), report.match,
+                csv_rows=report.csv_rows())
 
 
 def cmd_line_census(args) -> int:
@@ -347,13 +318,7 @@ def cmd_line_census(args) -> int:
     if engine.classify(tower.base, v) != engine.NONDEGENERATE:
         raise UsageError("line profile needs a nondegenerate base vector")
     report = engine.line_profile(alg, v, algebra_class=isotopy_class(spec))
-    payload = {
-        "command": "line-census",
-        "header": header_for(tower, c),
-        "report": report.to_json_dict(),
-    }
-    print(render(payload, args.format))
-    return EXIT_PASS if report.match else EXIT_COUNTEREXAMPLE
+    return emit(args, header_for(tower, c), report.to_json_dict(), report.match)
 
 
 def main(argv=None) -> int:

@@ -5,13 +5,14 @@ division algebra, so for x' != 0 Av' is the graph {(w, T w)} of
 T = R_{y'} R_{x'}^-1, with RREF rows (e_j | a_j y') where a_j x' = e_j; for
 x' = 0 it is 0 + A.  One serial pass reads each a_j(x') off the left
 multiplication table (RuntimeError if some e_j is missing) and keys each v'
-by the indices of a_j y'.  The inventory lists the distinct spaces in order
+by the indices of a_j y' (vectors of F^3 and F^6 are handled as indices, see
+the `linalg` module docstring).  The inventory lists the distinct spaces in order
 of least index, with fiber sizes, the position of each v' in that list
 (`space_of`), and the left multiplication and division tables of A.  The
 census reports and the Theorem A and B verifiers all read this one sweep: A
 checks the fibers of `space_of`, B takes its dimensions from the kernel below.
 
-The census kernel (`_meet`) makes no rank test.  A is a division algebra, so
+The census kernel (`meet_all`) makes no rank test.  A is a division algebra, so
 each nonzero w in Av meet Av' is a'v' for exactly one a', and
 (k^-1 a')(k v') = a'v'.  Letting w run over one generator a v of each of the
 q^2+q+1 lines of Av and a' over A minus 0, the vector v' = L_{a'}^-1 w is
@@ -63,7 +64,8 @@ from ..algebra3 import (
     to_structure_constants,
 )
 from ..gf import Field, FieldTower, format_triple
-from ..linalg import Subspace, mat_vec, rref_rows
+from ..linalg import (Subspace, cross, decode_vector, f3_vectors, identity_rows, mat_vec,
+                      rref_rows, unit_row, vec_index)
 from .spaces import (
     DEGENERATE,
     NONDEGENERATE,
@@ -106,14 +108,6 @@ class AvInventory:
 
     def by_kind(self, kind: str) -> list[SpaceRec]:
         return [r for r in self.spaces if r.kind == kind]
-
-
-def decode_vector(q: int, idx: int) -> tuple:
-    coords = []
-    for _ in range(6):
-        coords.append(idx % q)
-        idx //= q
-    return tuple(coords)
 
 
 def index_chunks(total: int) -> list[tuple[int, int]]:
@@ -167,13 +161,15 @@ def build_inventory(alg: Algebra3, workers: int = 1) -> AvInventory:
     q = alg.field.order
     n = q**3
     mul, ldiv = left_division_tables(alg)
-    vecs = [decode_vector(q, i)[:3] for i in range(n)]
+    vecs = f3_vectors(q)
+    unit = identity_rows(3)
+    e_idx = [vec_index(q, e) for e in unit]
     solve = []  # [a_0, a_1, a_2] with a_j x' = e_j, for x' = 1 .. n-1
     for x in range(1, n):
         col = mul[x::n]  # a -> a x'
-        if not all(q**j in col for j in range(3)):
+        if not all(e in col for e in e_idx):
             raise RuntimeError(f"some e_j is not a*x for x = {vecs[x]}: not a division algebra")
-        solve.append([col.index(q**j) for j in range(3)])
+        solve.append([col.index(e) for e in e_idx])
     take = [itemgetter(*a_j) for a_j in zip(*solve)]
     # v' = (x', y') is keyed by the indices of a_j y', or by None when x' = 0;
     # indices run x' fastest, so ids come out in order of least index
@@ -186,9 +182,9 @@ def build_inventory(alg: Algebra3, workers: int = 1) -> AvInventory:
         space_of.extend([ids.setdefault(key, len(ids)) for key in zip(*(t(col) for t in take))])
     first = dict(zip(reversed(space_of), range(len(space_of) - 1, -1, -1)))  # least index
     fiber = Counter(space_of)
-    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    # v' is degenerate iff x' = 0 or y' = k x', that is T = k I with key (k, kq, kq^2)
-    degenerate = {None} | {(k, k * q, k * q * q) for k in range(q)}
+    # v' is degenerate iff x' = 0 or y' = k x', that is T = k I, keyed by the indices of k e_j
+    degenerate = {None} | {tuple(vec_index(q, [k * c for c in e]) for e in unit)
+                           for k in range(q)}
     spaces = []
     for pos, key in enumerate(ids):
         if key is None:  # Av' = 0 + A
@@ -352,31 +348,7 @@ class CensusReport:
 @lru_cache(maxsize=None)
 def _points(q: int) -> tuple[int, ...]:
     """Indices of the q^2+q+1 vectors of F^3 whose first nonzero coordinate is 1."""
-    return tuple(i for i in range(1, q**3) if next(c for c in decode_vector(q, i) if c) == 1)
-
-
-def _unit_row(fld: Field, row: tuple) -> tuple:
-    """`row` scaled so that its first nonzero entry is 1: the RREF basis of its line."""
-    k = fld.inv_t[next(c for c in row if c)]
-    if k == 1:
-        return row
-    scale = fld.mul_t[k]
-    return tuple(scale[c] for c in row)
-
-
-def _cross(fld: Field, a: tuple, b: tuple) -> tuple:
-    """a x b in F^3: nonzero iff a, b are independent, and then normal to <a, b>."""
-    mul, sub = fld.mul_t, fld.sub_t
-    return (sub[mul[a[1]][b[2]]][mul[a[2]][b[1]]],
-            sub[mul[a[2]][b[0]]][mul[a[0]][b[2]]],
-            sub[mul[a[0]][b[1]]][mul[a[1]][b[0]]])
-
-
-def _dot_table(fld: Field, f) -> list[int]:
-    """f . v for every v in F^3, indexed by v0 + q v1 + q^2 v2."""
-    mul, add = fld.mul_t, fld.add_t
-    c0, c1, c2 = ([mul[fi][a] for a in range(fld.order)] for fi in f)
-    return [add[add[a][b]][c] for c in c2 for b in c1 for a in c0]
+    return tuple(i for i, v in enumerate(f3_vectors(q)) if i and next(c for c in v if c) == 1)
 
 
 @dataclass
@@ -391,12 +363,12 @@ class Meet:
     hits: list  # (d, rec) for each space Av' with d in (1, 2)
 
 
-def _meet(inventory: AvInventory, v: PairVector) -> Meet:
+def meet_all(inventory: AvInventory, v: PairVector) -> Meet:
     """dim(Av meet Av') for every v', by (q^2+q+1)(q^3-1) table lookups (module docstring)."""
     q = inventory.field.order
     n = q**3
     mul, ldiv, space_of = inventory.mul, inventory.ldiv, inventory.space_of
-    ix, iy = (w[0] + q * w[1] + q * q * w[2] for w in (v.x, v.y))
+    ix, iy = vec_index(q, v.x), vec_index(q, v.y)
     gens = [(mul[a * n + ix], mul[a * n + iy]) for a in _points(q)]
     reached = [[x + n * y for x, y in zip(ldiv[n + w1::n], ldiv[n + w2::n])]
                for w1, w2 in gens]
@@ -445,15 +417,16 @@ def _lines(plane_alg: Algebra3, v: PairVector, meet: Meet) -> dict[tuple, tuple[
     """
     fld = plane_alg.field
     q = fld.order
+    vecs = f3_vectors(q)
     plane = set()
     for b in [v.y] + [tuple(fld.add(c, fld.mul(k, d)) for c, d in zip(v.x, v.y))
                       for k in range(q)]:
-        plane.add(_unit_row(fld, plane_alg.mulvec(b, v.x) + plane_alg.mulvec(b, v.y)))
+        plane.add(unit_row(fld, plane_alg.mulvec(b, v.x) + plane_alg.mulvec(b, v.y)))
     out = {}
     for (w1, w2), vs in zip(meet.gens, meet.reached):
         n = list(map(meet.mult.__getitem__, vs)).count(1)
         if n:
-            row = _unit_row(fld, decode_vector(q, w1 + q**3 * w2))
+            row = unit_row(fld, vecs[w1] + vecs[w2])
             out[(row,)] = (n, row in plane)
     return out
 
@@ -476,7 +449,7 @@ def per_vector_profile(alg: Algebra3, v: PairVector, *, inventory: AvInventory |
         raise ValueError("census base vector must be nonzero")
     if inventory is None:
         inventory = build_inventory(alg)
-    meet = _meet(inventory, v)
+    meet = meet_all(inventory, v)
     vectors = {**meet.vectors, "zero_vector": 1}
     pred_v, pred_s = predicted_profile(fld.order, algebra_class, kind)
     predicted = None
@@ -495,15 +468,11 @@ def per_vector_profile(alg: Algebra3, v: PairVector, *, inventory: AvInventory |
     )
 
 
-def complementary_space_count(alg: Algebra3, v: PairVector, *,
-                              inventory: AvInventory | None = None) -> int:
+def complementary_space_count(alg: Algebra3, v: PairVector, *, inventory: AvInventory) -> int:
     """Number of distinct Av' (v' nonzero) meeting Av trivially."""
-    fld = alg.field
-    if classify(fld, v) == ZERO:
+    if classify(alg.field, v) == ZERO:
         raise ValueError("base vector must be nonzero")
-    if inventory is None:
-        inventory = build_inventory(alg)
-    spaces = _meet(inventory, v).spaces
+    spaces = meet_all(inventory, v).spaces
     return spaces["dim0_nondegenerate"] + spaces["dim0_degenerate"]
 
 
@@ -541,7 +510,7 @@ def line_profile(alg: Algebra3, v: PairVector, *, inventory: AvInventory | None 
         raise ValueError("line profile needs a nondegenerate base vector")
     if inventory is None:
         inventory = build_inventory(alg)
-    lines = _lines(plane_algebra(alg), v, _meet(inventory, v))
+    lines = _lines(plane_algebra(alg), v, meet_all(inventory, v))
     grouped = _group_lines(lines)
     detail = [{"line": Subspace(fld, 6, line).to_json(), "vectors": n, "in_base_plane": in_plane}
               for line, (n, in_plane) in sorted(lines.items())]
@@ -559,12 +528,10 @@ def line_profile(alg: Algebra3, v: PairVector, *, inventory: AvInventory | None 
     )
 
 
-def global_counts(alg: Algebra3, *, inventory: AvInventory | None = None) -> CensusReport:
+def global_counts(alg: Algebra3, *, inventory: AvInventory) -> CensusReport:
     """Vector and distinct-space counts by degeneracy class over all of F^6."""
     t0 = time.perf_counter()
     q = alg.field.order
-    if inventory is None:
-        inventory = build_inventory(alg)
     observed = {
         "nondegenerate_vectors": inventory.totals[NONDEGENERATE][0],
         "degenerate_nonzero_vectors": inventory.totals[DEGENERATE][0],
@@ -589,7 +556,7 @@ def global_counts(alg: Algebra3, *, inventory: AvInventory | None = None) -> Cen
 def span_frame(fld: Field, v: PairVector) -> tuple:
     """What `hit_span_conditions` compares each hit of a nondegenerate v = (x, y) with:
     F, v, and n = x cross y, the normal of <x,y>."""
-    return fld, v, _cross(fld, v.x, v.y)
+    return fld, v, cross(fld, v.x, v.y)
 
 
 def hit_span_conditions(frame: tuple, rec: SpaceRec) -> bool:
@@ -611,7 +578,7 @@ def hit_span_conditions(frame: tuple, rec: SpaceRec) -> bool:
     b, a = (add[add[mul[n[0]][c[0]]][mul[n[1]][c[1]]]][mul[n[2]][c[2]]] for c in (x1, y1))
     w, w1 = (tuple(sub[mul[a][s]][mul[b][t]] for s, t in zip(x, y))
              for x, y in ((v.x, v.y), (x1, y1)))
-    return any(_cross(fld, w, w1))
+    return any(cross(fld, w, w1))
 
 
 def _scan_vectors(alg: Algebra3, inventory: AvInventory, cls: IsotopyClass,
@@ -634,7 +601,7 @@ def _scan_vectors(alg: Algebra3, inventory: AvInventory, cls: IsotopyClass,
         frame = span_frame(fld, v)
         if not any(frame[2]):  # x cross y = 0: v is degenerate
             continue
-        meet = _meet(inventory, v)
+        meet = meet_all(inventory, v)
         observed = {"vectors": meet.vectors, "spaces": meet.spaces,
                     "lines": _group_lines(_lines(plane_alg, v, meet))}
         failed = []
@@ -714,7 +681,7 @@ def orbit_certificate(tower: FieldTower, algs: list, beta: int, gamma: int) -> d
     basis = (1, q, q * q)
     b_cols, g_cols = ([K.coeffs(K.mul(k, t)) for t in basis] for k in (beta, gamma))
     b_rows, g_rows = tuple(zip(*b_cols)), tuple(zip(*g_cols))
-    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    unit = identity_rows(3)
     pairs = 0
     for alg in algs:
         for i in range(3):
@@ -766,7 +733,7 @@ def scan_orbit(spec: TwistedFieldSpec, *, workers: int = 1) -> CensusReport:
     gamma = tower.ext.mul(beta, tower.frob_t[beta])
     orbit = orbit_certificate(tower, [alg] if plane_alg is alg else [alg, plane_alg],
                               beta, gamma)
-    idx = 1 + q**4  # v = (e_0, e_1), the start of the certificate's walk
+    idx = vec_index(q, (1, 0, 0, 0, 1, 0))  # v = (e_0, e_1), the start of the certificate's walk
     checked, mismatches = _scan_vectors(alg, build_inventory(alg), cls, plane_alg, idx, idx + 1)
     if checked != 1:
         raise RuntimeError(f"the representative {decode_vector(q, idx)} was not profiled")

@@ -6,12 +6,7 @@ from dataclasses import dataclass
 
 from ..algebra3 import Algebra3, basis_products, left_mul_matrix, right_mul_matrix
 from ..gf import Field
-from ..linalg import (
-    Subspace,
-    intersect,
-    kernel_rows,
-    rref_rows,
-)
+from ..linalg import Subspace, cross, intersect, kernel_rows, rref_rows
 
 Vec3 = tuple[int, int, int]
 
@@ -42,9 +37,13 @@ class PairVector:
 
 
 def classify(fld: Field, v: PairVector) -> str:
-    """Rank of the 2x3 coordinate stack: 0 -> zero, 1 -> degenerate, 2 -> nondegenerate."""
-    rows, _ = rref_rows(fld, (v.x, v.y))
-    return (ZERO, DEGENERATE, NONDEGENERATE)[len(rows)]
+    """Rank of the 2x3 coordinate stack: 0 -> zero, 1 -> degenerate, 2 -> nondegenerate.
+
+    The rank is 2 iff x cross y != 0.
+    """
+    if any(cross(fld, v.x, v.y)):
+        return NONDEGENERATE
+    return DEGENERATE if any(v.flat) else ZERO
 
 
 def pair_rows(alg: Algebra3, x: Vec3, y: Vec3) -> list[tuple[int, ...]]:
@@ -103,8 +102,7 @@ def construct_two_dim_partner(alg: Algebra3, v: PairVector, x2: Vec3) -> PairVec
     if classify(fld, v) != NONDEGENERATE:
         raise ValueError("base vector must be nondegenerate")
     x2 = tuple(x2)
-    stack, _ = rref_rows(fld, (v.x, x2))
-    if len(stack) != 2:
+    if not any(cross(fld, v.x, x2)):
         raise ValueError("replacement first coordinate must be independent of x")
     rhs = alg.mulvec(x2, v.y)
     y2 = solve3(fld, left_mul_matrix(alg, v.x).rows, rhs)

@@ -1,5 +1,7 @@
 """Per-theorem verifiers: span-equality laws, two-dim intersection existence,
 matrix-pair normal forms, and the finite-field analogue of the d = 1 obstruction.
+
+The sweeps handle vectors of F^3 and F^6 as indices (`linalg` module docstring).
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ from operator import itemgetter
 
 from ..algebra3 import Algebra3, IsotopyClass, TwistedFieldSpec, isotopy_class, to_structure_constants
 from ..gf import Field
-from ..linalg import kernel_rows, mat_mul, rref_rows
+from ..linalg import (cross, decode_vector, f3_vectors, image_table, kernel_rows, mat_mul,
+                      rref_rows, unit_row, vec_index)
 from ..splitalbert import SplitAlbertSpec, TriVector, rmat, rmat_inv
-from .census import AvInventory, _cross, _dot_table, _meet, build_inventory, decode_vector
+from .census import AvInventory, build_inventory, meet_all
 from .normalform import mul2, pair_normal_form, template_matches
 from .spaces import NONDEGENERATE, PairVector, intersection_dim, pair_rows, plane_representatives
 
@@ -68,7 +71,7 @@ def verify_theorem_A(alg: Algebra3, inventory: AvInventory | None = None) -> Ver
     for pos, rec in enumerate(inventory.spaces):
         if rec.kind != NONDEGENERATE:
             continue
-        line = [sum(fld.mul(k, c) * q**j for j, c in enumerate(rec.rep)) for k in range(1, q)]
+        line = [vec_index(q, [fld.mul(k, c) for c in rec.rep]) for k in range(1, q)]
         if fiber_size[pos] != q - 1 or any(space_of[i] != pos for i in line):
             failed.append(pos)
     witnesses = []
@@ -92,7 +95,7 @@ def verify_theorem_B(tf: TwistedFieldSpec, inventory: AvInventory | None = None)
     v runs over one representative per coordinate plane, v' over every distinct
     Av'; a dim-2 pair forces both vectors nondegenerate and simultaneous GL2
     frame changes preserve intersection dimensions, so this covers all pairs.
-    The dimensions come from the census kernel (`census._meet`).  `checked`
+    The dimensions come from the census kernel (`census.meet_all`).  `checked`
     counts, per representative, the spaces in inventory order up to the first
     dim-2 one, or all of them; each witness is cross-checked directly.
     """
@@ -107,7 +110,7 @@ def verify_theorem_B(tf: TwistedFieldSpec, inventory: AvInventory | None = None)
     checked = 0
     for v in plane_representatives(fld):
         two_dim = [inventory.space_of[rec.first_index]
-                   for d, rec in _meet(inventory, v).hits if d == 2]
+                   for d, rec in meet_all(inventory, v).hits if d == 2]
         if not two_dim:
             checked += len(inventory.spaces)
             continue
@@ -158,7 +161,7 @@ def verify_split_theorem_3_1(spec: SplitAlbertSpec) -> Verdict:
     r = len(regs)
     index = {v: i for i, v in enumerate(regs)}
     # projective representative per regular vector
-    rep_id = [index[tuple(fld.mul(fld.inv(v[0]), c) for c in v)] for v in regs]
+    rep_id = [index[unit_row(fld, v)] for v in regs]
     rmats = [rmat(spec, TriVector("V", v)).rows for v in regs]
     rinvs = [rmat_inv(spec, TriVector("V", v)).rows for v in regs]
 
@@ -309,13 +312,6 @@ def verify_normal_forms(fld: Field) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _map_table(fld: Field, rows) -> list[int]:
-    """The index of M v for every v in F^3, M the 3x3 matrix with these rows."""
-    q = fld.order
-    t0, t1, t2 = (_dot_table(fld, r) for r in rows)
-    return [a + q * b + q * q * c for a, b, c in zip(t0, t1, t2)]
-
-
 def _projective_sum_table(fld: Field) -> list[list[int]]:
     """table[a][b] = the index of a + b in F^3, scaled to lead with 1 (0 stays 0).
 
@@ -324,13 +320,10 @@ def _projective_sum_table(fld: Field) -> list[list[int]]:
     """
     q = fld.order
     add = fld.add_t
-    vecs = [(i % q, i // q % q, i // (q * q)) for i in range(q**3)]
-    scaled = [0]
-    for v in vecs[1:]:
-        s = fld.inv(next(c for c in v if c))
-        scaled.append(sum(fld.mul(s, c) * q**j for j, c in enumerate(v)))
-    return [[scaled[add[a0][b0] + q * add[a1][b1] + q * q * add[a2][b2]]
-             for b0, b1, b2 in vecs] for a0, a1, a2 in vecs]
+    vecs = f3_vectors(q)
+    scaled = [vec_index(q, unit_row(fld, v)) for v in vecs]
+    return [[scaled[vec_index(q, [add[s][t] for s, t in zip(a, b)])] for b in vecs]
+            for a in vecs]
 
 
 def search_theorem_7_2_analogue(spec: SplitAlbertSpec) -> Verdict:
@@ -358,16 +351,15 @@ def search_theorem_7_2_analogue(spec: SplitAlbertSpec) -> Verdict:
     fld = spec.field
     q = fld.order
     mul, add, sub = fld.mul_t, fld.add_t, fld.sub_t
-    vecs = [(i % q, i // q % q, i // (q * q)) for i in range(q**3)]
+    vecs = f3_vectors(q)
     # (x', y') of rank 2 grouped by x', each y' with its rows (left, right) as F^3 indices
     groups = []
     for x2 in vecs:
         group = []
         for iy, y2 in enumerate(vecs):
-            if _cross(fld, x2, y2) != (0, 0, 0):
-                flat = [r[k] + q * r[k + 1] + q * q * r[k + 2]
-                        for r in pair_rows(spec, x2, y2) for k in (0, 3)]
-                group.append((iy, *flat))
+            if any(cross(fld, x2, y2)):
+                group.append((iy, *(vec_index(q, r[k:k + 3])
+                                    for r in pair_rows(spec, x2, y2) for k in (0, 3))))
         groups.append(group)
     pairs = sum(map(len, groups))
     rank_one = _projective_sum_table(fld)
@@ -376,16 +368,18 @@ def search_theorem_7_2_analogue(spec: SplitAlbertSpec) -> Verdict:
     checked = 0
     for v in plane_representatives(fld):
         x, y = v.x, v.y
-        n = _cross(fld, x, y)
+        n = cross(fld, x, y)
         j = next(j for j, c in enumerate(n) if c)
         m = tuple(fld.inv(n[j]) if k == j else 0 for k in range(3))
         # (x, y, m) has determinant n.m = 1; the rows of its inverse are these
-        alpha, beta, p = (_dot_table(fld, f) for f in (_cross(fld, y, m), _cross(fld, m, x), n))
+        alpha, beta, p = (image_table(fld, [(c, 0, 0) for c in f])
+                          for f in (cross(fld, y, m), cross(fld, m, x), n))
         ann = kernel_rows(fld, pair_rows(spec, x, y), 6)
         if len(ann) != 3:
             raise RuntimeError(f"U{(x, y)} has dimension {6 - len(ann)}, not 3")
-        left = _map_table(fld, [r[:3] for r in ann])
-        right = _map_table(fld, [r[3:] for r in ann])
+        # the columns of N_L and N_R, the images of e_j
+        left = image_table(fld, zip(*(r[:3] for r in ann)))
+        right = image_table(fld, zip(*(r[3:] for r in ann)))
         checked += pairs
         for ix, group in enumerate(groups):
             p1, a1, b1 = p[ix], alpha[ix], beta[ix]

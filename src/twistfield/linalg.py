@@ -4,11 +4,16 @@ Vectors are tuples of element indices, matrices are tuples of row tuples.
 Reduced row-echelon form is the canonical representative of a subspace, so
 structural equality of :class:`Subspace` values is subspace equality and the
 basis tuple doubles as a hash key for census bookkeeping.
+
+Where a whole space is swept, a vector is one integer: the F^3 index of v is
+v_0 + q v_1 + q^2 v_2, and the F^6 index of (x, y) is idx(x) + q^3 idx(y),
+that is sum v_j q^j in both cases (`vec_index`, `decode_vector`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 from .gf import Field
 
@@ -247,3 +252,70 @@ def _dot(fld: Field, r, v) -> int:
 
 def identity_rows(n: int) -> tuple[Row, ...]:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+# ---------------------------------------------------------------------------
+# F^3 coordinates: indices, line representatives and tabulated maps
+# ---------------------------------------------------------------------------
+
+
+def vec_index(q: int, v) -> int:
+    """The index sum v_j q^j of a vector over GF(q) (module docstring)."""
+    idx = 0
+    for c in reversed(v):
+        idx = idx * q + c
+    return idx
+
+
+def decode_vector(q: int, idx: int, n: int = 6) -> Row:
+    """The vector of F^n with index `idx`; inverse of `vec_index`."""
+    coords = []
+    for _ in range(n):
+        coords.append(idx % q)
+        idx //= q
+    return tuple(coords)
+
+
+@lru_cache(maxsize=None)
+def f3_vectors(q: int) -> tuple[Row, ...]:
+    """Every vector of F^3, in index order."""
+    return tuple(decode_vector(q, i, 3) for i in range(q**3))
+
+
+def unit_row(fld: Field, row: Row) -> Row:
+    """`row` scaled so that its first nonzero entry is 1: the RREF basis of its line.
+
+    The zero row maps to itself.
+    """
+    lead = next((c for c in row if c), 1)
+    if lead == 1:
+        return row
+    scale = fld.mul_t[fld.inv_t[lead]]
+    return tuple(scale[c] for c in row)
+
+
+def cross(fld: Field, a: Row, b: Row) -> Row:
+    """a x b in F^3: nonzero iff a, b are independent, and then normal to <a, b>."""
+    mul, sub = fld.mul_t, fld.sub_t
+    return (sub[mul[a[1]][b[2]]][mul[a[2]][b[1]]],
+            sub[mul[a[2]][b[0]]][mul[a[0]][b[2]]],
+            sub[mul[a[0]][b[1]]][mul[a[1]][b[0]]])
+
+
+def image_table(fld: Field, images) -> list[int]:
+    """The index of v_0 m_0 + v_1 m_1 + v_2 m_2 for every v in F^3, in index order.
+
+    `images` = (m_0, m_1, m_2) are the images of e_0, e_1, e_2 under a linear
+    map, so this tabulates the map on indices; images (c_j, 0, 0) give the dot
+    product with c.  `fld` must be tabulated.
+    """
+    q = fld.order
+    qq = q * q
+    add_t, mul_t = fld.add_t, fld.mul_t
+    m0, m1, m2 = ([tuple(mul_t[k][c] for c in m) for k in range(q)] for m in images)
+    out = []
+    for s2 in m2:
+        for s1 in m1:
+            t0, t1, t2 = (add_t[add_t[s1[k]][s2[k]]] for k in range(3))
+            out += [t0[u0] + q * t1[u1] + qq * t2[u2] for u0, u1, u2 in m0]
+    return out

@@ -22,7 +22,6 @@ from twistfield.engine import DEGENERATE, NONDEGENERATE, PairVector, census, cla
 from twistfield.engine.census import (
     DIM_KEYS,
     build_inventory,
-    decode_vector,
     index_chunks,
     line_profile,
     per_vector_profile,
@@ -33,7 +32,7 @@ from twistfield.engine.census import (
 )
 from twistfield.engine.spaces import pair_rows
 from twistfield.gf import parse_triple
-from twistfield.linalg import Subspace, added_rank, intersect_rows, rref_rows
+from twistfield.linalg import Subspace, added_rank, decode_vector, intersect_rows, rref_rows
 
 V0 = PairVector((1, 0, 0), (0, 1, 0))
 
@@ -77,7 +76,7 @@ def reference_lines(plane_alg, v, base_rows, base_pivots, hits):
 
 def assert_kernel_matches_reference(alg, inventory, plane_alg, v):
     base_rows, base_pivots, vectors, spaces, hits = reference_profile(alg, v, inventory)
-    meet = census._meet(inventory, v)
+    meet = census.meet_all(inventory, v)
     assert meet.vectors == vectors, v
     assert meet.spaces == spaces, v
     assert sorted((d, r.first_index) for d, r in meet.hits) == \
@@ -308,7 +307,7 @@ def test_missing_division_vector_raises_runtime_error(alg3, monkeypatch):
 
 
 def test_corrupted_space_of_raises_runtime_error(alg3, inv3):
-    meet = census._meet(inv3, V0)
+    meet = census.meet_all(inv3, V0)
     vi = next(i for i, m in meet.mult.items() if m == 1)  # a v' with d = 1
     other = next(i for i in range(len(inv3.spaces)) if i != inv3.space_of[vi])
     space_of = array("i", inv3.space_of)
@@ -322,12 +321,12 @@ def test_corrupted_space_of_raises_runtime_error(alg3, inv3):
 def test_wrong_multiplicity_raises_runtime_error(alg3, inv3):
     # make a' = 2 reach the same v' as a' = 1 from the first generator of Av
     n = 27
-    w1, w2 = census._meet(inv3, V0).gens[0]
+    w1, w2 = census.meet_all(inv3, V0).gens[0]
     ldiv = array("H", inv3.ldiv)
     ldiv[2 * n + w1], ldiv[2 * n + w2] = ldiv[n + w1], ldiv[n + w2]
     broken = dataclasses.replace(inv3, ldiv=ldiv)
     with pytest.raises(RuntimeError, match="reached"):
-        census._meet(broken, V0)
+        census.meet_all(broken, V0)
 
 
 # -- replayable scan witnesses -----------------------------------------------------------

@@ -21,9 +21,9 @@ from twistfield.engine import (
     intersection_dim,
     plane_representatives,
 )
-from twistfield.engine.census import decode_vector, hit_span_conditions, span_frame
+from twistfield.engine.census import hit_span_conditions, span_frame
 from twistfield.engine.spaces import pair_rows, solve3
-from twistfield.linalg import Subspace, added_rank, intersect_rows, rref_rows
+from twistfield.linalg import Subspace, added_rank, decode_vector, intersect_rows, rref_rows
 
 
 def nondeg_vectors(fld):

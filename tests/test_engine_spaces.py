@@ -18,9 +18,8 @@ from twistfield.engine import (
     plane_representatives,
     solution_space,
 )
-from twistfield.engine.census import decode_vector
 from twistfield.engine.spaces import pair_rows
-from twistfield.linalg import Subspace, rref_rows
+from twistfield.linalg import Subspace, decode_vector, rref_rows
 
 
 def all_vec3(q):

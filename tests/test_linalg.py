@@ -9,13 +9,20 @@ from twistfield import gf
 from twistfield.linalg import (
     MatF,
     Subspace,
+    cross,
+    decode_vector,
+    f3_vectors,
+    image_table,
     intersect,
     kernel,
+    mat_vec,
     rank,
     rref,
     rref_rows,
     span,
     subspace_sum,
+    unit_row,
+    vec_index,
 )
 
 F2 = gf.Field.of_order(2)
@@ -184,3 +191,59 @@ def test_matf_validation():
 def test_rref_preserves_span_hypothesis(rows):
     red, _ = rref_rows(F3, [tuple(r) for r in rows])
     assert span(F3, 4, rows) == Subspace(F3, 4, red)
+
+
+# ---------------------------------------------------------------------------
+# F^3 coordinates
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q, n", [(3, 3), (4, 3), (3, 6)])
+def test_vec_index_and_decode_vector_round_trip(q, n):
+    for idx in range(q**n):
+        v = decode_vector(q, idx, n)
+        assert len(v) == n and all(0 <= c < q for c in v)
+        assert vec_index(q, v) == idx
+    assert vec_index(q, (0, 1, 0, 0, 0, 1)) == q + q**5  # idx(x) + q^3 idx(y)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_f3_vectors_in_index_order(q):
+    vecs = f3_vectors(q)
+    assert len(vecs) == q**3 and len(set(vecs)) == q**3
+    assert [vec_index(q, v) for v in vecs] == list(range(q**3))
+    assert vecs[1] == (1, 0, 0) and vecs[q] == (0, 1, 0) and vecs[q * q] == (0, 0, 1)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_image_table_is_mat_vec(q):
+    fld = FIELDS[q]
+    rng = random.Random(q)
+    vecs = f3_vectors(q)
+    for _ in range(4):
+        rows = [random_vector(rng, fld, 3) for _ in range(3)]
+        table = image_table(fld, list(zip(*rows)))  # the images of e_j are the columns
+        assert table == [vec_index(q, mat_vec(fld, rows, v)) for v in vecs]
+        c = random_vector(rng, fld, 3)
+        assert image_table(fld, [(cj, 0, 0) for cj in c]) == [mat_vec(fld, [c], v)[0]
+                                                             for v in vecs]
+
+
+def test_cross_is_zero_iff_rank_below_two():
+    vecs = f3_vectors(3)
+    for a in vecs:
+        for b in vecs:
+            assert (not any(cross(F3, a, b))) == (len(rref_rows(F3, (a, b))[0]) < 2)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_unit_row_is_the_line_representative(q):
+    fld = FIELDS[q]
+    assert unit_row(fld, (0, 0, 0)) == (0, 0, 0)
+    for v in f3_vectors(q)[1:]:
+        rep = unit_row(fld, v)
+        assert next(c for c in rep if c) == 1
+        assert rref_rows(fld, (v,))[0] == (rep,)
+        for k in range(1, q):
+            assert unit_row(fld, tuple(fld.mul(k, c) for c in v)) == rep
+

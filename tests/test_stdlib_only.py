@@ -56,3 +56,18 @@ def unused_imports(package=PACKAGE):
 
 def test_every_import_is_used():
     assert list(unused_imports()) == []
+
+
+def private_imports(package=PACKAGE):
+    """(location, name) for every package-relative import of a name starting with "_"."""
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        yield f"{path.relative_to(package)}:{node.lineno} {alias.name}"
+
+
+def test_no_private_names_cross_modules():
+    # a name another module needs is public; a private one stays in its module
+    assert list(private_imports()) == []

@@ -28,12 +28,11 @@ from twistfield.engine import (
     verify_theorem_A,
     verify_theorem_B,
 )
-from twistfield.engine.census import decode_vector
 from twistfield.engine.spaces import pair_rows
 from twistfield.engine import verify as verify_module
 from twistfield.engine.verify import Verdict
 from twistfield.engine.normalform import det2, template_matches
-from twistfield.linalg import added_rank, identity_rows, kernel_rows, rref_rows
+from twistfield.linalg import added_rank, decode_vector, identity_rows, kernel_rows, rref_rows
 from twistfield.splitalbert import SplitAlbertSpec, TriVector
 
 
