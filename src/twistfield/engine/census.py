@@ -45,7 +45,6 @@ so a space's least-index vector stands for all of its vectors.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from array import array
@@ -144,6 +143,8 @@ def parallel_map(fn, chunks: list, workers: int, init: tuple) -> list:
     n = pool_size(workers, len(chunks))
     if n == 1:
         return [fn(*init, *chunk) for chunk in chunks]
+    import multiprocessing  # only the pool path needs it, so start-up does not load it
+
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     with multiprocessing.get_context(method).Pool(
             n, initializer=_worker_init, initargs=(fn, init)) as pool:

@@ -8,18 +8,20 @@ from __future__ import annotations
 
 import itertools
 import time
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from operator import itemgetter
 
-from ..algebra3 import Algebra3, IsotopyClass, TwistedFieldSpec, isotopy_class, to_structure_constants
+from ..algebra3 import (Algebra3, IsotopyClass, TwistedFieldSpec, basis_products, isotopy_class,
+                        to_structure_constants)
 from ..gf import Field
-from ..linalg import (cross, decode_vector, f3_vectors, image_table, kernel_rows, mat_mul,
-                      rref_rows, unit_row, vec_index)
-from ..splitalbert import SplitAlbertSpec, TriVector, rmat, rmat_inv
+from ..linalg import (cross, decode_vector, f3_vectors, identity_rows, image_table, kernel_rows,
+                      unit_row, vec_index)
+from ..splitalbert import SplitAlbertSpec, TriVector, rmat
 from .census import AvInventory, build_inventory, meet_all
 from .normalform import mul2, pair_normal_form, template_matches
-from .spaces import NONDEGENERATE, PairVector, intersection_dim, pair_rows, plane_representatives
+from .spaces import NONDEGENERATE, PairVector, intersection_dim, plane_representatives
 
 
 @dataclass
@@ -145,11 +147,12 @@ def verify_split_theorem_3_1(spec: SplitAlbertSpec) -> Verdict:
     """U(x,y) = U(x',y') iff (x',y') = k(x,y) or (y,y') = k(x,x'), regular quadruples.
 
     Also checks the matrix criterion R_{x'}^{-1} R_x = R_{y'}^{-1} R_y.  All
-    r^4 quadruples are decided from partitions of the r^2 regular pairs.  Span
-    equality groups pairs by their RREF key `skey`.  The prediction groups them
-    by the label (rep x, rep y, y0/x0), or ("diag", y0/x0) when rep x = rep y.
-    The two agree on every quadruple iff #skey = #label = #(skey, label).  For
-    the matrix criterion, S = {skey(i,j) = skey(k,l)} is walked class by class,
+    r^4 quadruples are decided from partitions of the r^2 regular pairs, keyed
+    by table lookups (`_graph_keys`): span equality groups pairs by `skey`, the
+    matrix criterion by `mkey`.  The prediction groups them by the label
+    (rep x, rep y, y0/x0), or ("diag", y0/x0) when rep x = rep y.  The two
+    agree on every quadruple iff #skey = #label = #(skey, label).  For the
+    matrix criterion, S = {skey(i,j) = skey(k,l)} is walked class by class,
     checking mkey(i,k) = mkey(j,l) on each element; then S lies inside
     M = {mkey(i,k) = mkey(j,l)}, and |S| = |M| (a sum of squared class sizes
     on each side) makes them equal.  Witnesses come from the classes that split.
@@ -162,25 +165,18 @@ def verify_split_theorem_3_1(spec: SplitAlbertSpec) -> Verdict:
     index = {v: i for i, v in enumerate(regs)}
     # projective representative per regular vector
     rep_id = [index[unit_row(fld, v)] for v in regs]
-    rmats = [rmat(spec, TriVector("V", v)).rows for v in regs]
-    rinvs = [rmat_inv(spec, TriVector("V", v)).rows for v in regs]
-
     # pair p = i * r + j stands for (x, y) = (regs[i], regs[j]); mrow[i][k] keys
     # R_{x_k}^{-1} R_{x_i}
-    skey_pool: dict[tuple, int] = {}
+    skey, mrow = _graph_keys(spec, regs)
     label_pool: dict[tuple, int] = {}
-    mkey_pool: dict[tuple, int] = {}
-    skey, label, mrow = [], [], []
+    label = []
     for i, x in enumerate(regs):
+        by_inv_x0 = fld.mul_t[fld.inv(x[0])]
         for j, y in enumerate(regs):
-            # U(x, y) is spanned by the rows (phi(alpha_i, x) | phi(alpha_i, y))
-            rows, _ = rref_rows(fld, pair_rows(spec, x, y))
-            skey.append(skey_pool.setdefault(rows, len(skey_pool)))
-            ratio = fld.div(y[0], x[0])
+            ratio = by_inv_x0[y[0]]
             lab = ("diag", ratio) if rep_id[i] == rep_id[j] else (rep_id[i], rep_id[j], ratio)
             label.append(label_pool.setdefault(lab, len(label_pool)))
-        mrow.append([mkey_pool.setdefault(mat_mul(fld, rinvs[k], rmats[i]), len(mkey_pool))
-                     for k in range(r)])
+    skey_count = max(skey) + 1
 
     witnesses = []
 
@@ -193,8 +189,8 @@ def verify_split_theorem_3_1(spec: SplitAlbertSpec) -> Verdict:
             "matrix_criterion": mrow[i][k] == mrow[j][l],
         })
 
-    by_skey = _classes(skey, len(skey_pool))
-    if not len(skey_pool) == len(label_pool) == len(set(zip(skey, label))):
+    by_skey = _classes(skey, skey_count)
+    if not skey_count == len(label_pool) == len(set(zip(skey, label))):
         # some class of one partition meets two classes of the other
         for classes, other in ((by_skey, label), (_classes(label, len(label_pool)), skey)):
             for members in classes:
@@ -215,7 +211,7 @@ def verify_split_theorem_3_1(spec: SplitAlbertSpec) -> Verdict:
     mflat = [m for row in mrow for m in row]
     if sum(n * n for n in Counter(mflat).values()) != s_size and not witnesses:
         # S lies inside M but is smaller: equal mkey(i,k) = mkey(j,l), unequal spans
-        for members in _classes(mflat, len(mkey_pool)):
+        for members in _classes(mflat, max(mflat) + 1):
             for ik in members:
                 for jl in members:
                     (i, k), (j, l) = divmod(ik, r), divmod(jl, r)
@@ -229,6 +225,41 @@ def verify_split_theorem_3_1(spec: SplitAlbertSpec) -> Verdict:
         details={"mode": "exhaustive", "q": q, "d": list(spec.d)},
         runtime_ms=(time.perf_counter() - t0) * 1000,
     )
+
+
+def _graph_keys(spec: SplitAlbertSpec, regs: list) -> tuple[list[int], list[list[int]]]:
+    """Key ids, in order of first occurrence: skey[i * r + j] of U(x_i, x_j) and
+    mrow[i][k] of R_{x_k}^{-1} R_{x_i}, for the r vectors x_i of `regs`.
+
+    R_x a = phi(a, x), so for regular x, U(x, y) = {(R_x a | R_y a)} is the
+    graph of R_y R_x^{-1}, with RREF rows (e_m | R_y R_x^{-1} e_m).  skey is
+    the indices of R_y R_x^{-1} e_m: three lookups in the table of R_y
+    (`image_table`) at the columns R_x^{-1} e_m.  mkey is the rows of
+    R_{x_k}^{-1} R_{x_i}: three lookups in the table of R_{x_i}^T at the rows of
+    R_{x_k}^{-1}.  Both inverses are read off the tables with `.index`, so every
+    table is checked to reach e_0, e_1 and e_2; RuntimeError when one does not.
+    """
+    fld = spec.field
+    q = fld.order
+    e_idx = [vec_index(q, e) for e in identity_rows(3)]
+    # per vector: the tables of R_x and R_x^T, and getters of the columns and rows of R_x^{-1}
+    tables, tables_t, inv_cols, inv_rows = [], [], [], []
+    for x in regs:
+        rows = rmat(spec, TriVector("V", x)).rows
+        for out, inverse, images in ((tables, inv_cols, zip(*rows)), (tables_t, inv_rows, rows)):
+            table = image_table(fld, images)
+            if not all(e in table for e in e_idx):
+                raise RuntimeError(f"some e_j is not in the table of R_x, x = {x}: R_x is singular")
+            out.append(table)
+            inverse.append(itemgetter(*(table.index(e) for e in e_idx)))
+    skey_pool: dict[tuple, int] = {}
+    mkey_pool: dict[tuple, int] = {}
+    skey = []
+    mrow = []
+    for cols, table_t in zip(inv_cols, tables_t):
+        skey += [skey_pool.setdefault(cols(table), len(skey_pool)) for table in tables]
+        mrow.append([mkey_pool.setdefault(get(table_t), len(mkey_pool)) for get in inv_rows])
+    return skey, mrow
 
 
 def _classes(keys: list[int], count: int) -> list[list[int]]:
@@ -279,7 +310,7 @@ def verify_normal_forms(fld: Field) -> Verdict:
     t0 = time.perf_counter()
     q = fld.order
     weight = (1, q * q - 1, (q * q - 1) * (q * q - q))
-    omega = next(w for w in range(1, q) if len({fld.pow(w, e) for e in range(q - 1)}) == q - 1)
+    omega = _primitive(fld)
     gens = (((omega, 0), (0, 1)), ((1, 1), (0, 1)), ((0, 1), (1, 0)))
     tag_counts: dict[str, int] = {}
     witnesses = []
@@ -343,30 +374,37 @@ def search_theorem_7_2_analogue(spec: SplitAlbertSpec) -> Verdict:
     admissible iff (p', p'') != 0 and p'p''(a' - b'') - p'^2 a'' + p''^2 b' != 0.
     dim(U(x,y) meet U(x',y')) = 2 iff the three rows of U(x',y') project to a
     rank-one set under the annihilator N = [N_L | N_R] of U(x,y); both halves
-    of N are tabulated over F^3 once per base, and each pair's `pair_rows` are
-    read once, as indices.  U(x,y) has dimension 3, as phi(a, .) has rank at
-    least 2 for a != 0; a base of another dimension raises RuntimeError.
+    of N are tabulated over F^3 once per base.  Every row is read from one
+    table of the q^3 per-vector products phi(alpha_k, v) (`basis_products`),
+    held as three array columns.  U(x,y) has dimension 3, as phi(a, .) has
+    rank at least 2 for a != 0; a base of another dimension raises RuntimeError.
+
+    The per-base counts depend only on the torus orbit of the plane <x, y>
+    (`_torus_orbits`), so the sweep runs on the first plane of each orbit, in
+    `plane_representatives` order, and weights its counts by the orbit size.
+    The witnesses are the first five hits of those planes.
     """
     t0 = time.perf_counter()
     fld = spec.field
     q = fld.order
+    n3 = q**3
     mul, add, sub = fld.mul_t, fld.add_t, fld.sub_t
     vecs = f3_vectors(q)
-    # (x', y') of rank 2 grouped by x', each y' with its rows (left, right) as F^3 indices
+    # prods[k][v]: the index of phi(alpha_k, v); U(x, y) has the rows
+    # (phi(alpha_k, x) | phi(alpha_k, y))
+    prods = [array("i", col) for col in zip(*(
+        [vec_index(q, row) for row in basis_products(spec, v)] for v in vecs))]
+    orbits = _torus_orbits(fld, prods)
+    # for each x', the y' with (x', y') of rank 2: those off the line F x'
     groups = []
     for x2 in vecs:
-        group = []
-        for iy, y2 in enumerate(vecs):
-            if any(cross(fld, x2, y2)):
-                group.append((iy, *(vec_index(q, r[k:k + 3])
-                                    for r in pair_rows(spec, x2, y2) for k in (0, 3))))
-        groups.append(group)
+        line = {vec_index(q, [mul[k][c] for c in x2]) for k in range(q)}
+        groups.append(array("i", [iy for iy in range(n3) if iy not in line] if any(x2) else []))
     pairs = sum(map(len, groups))
     rank_one = _projective_sum_table(fld)
     hits = []
-    admissible = 0
-    checked = 0
-    for v in plane_representatives(fld):
+    admissible = two_dim = checked = 0
+    for v, weight in orbits:
         x, y = v.x, v.y
         n = cross(fld, x, y)
         j = next(j for j, c in enumerate(n) if c)
@@ -374,17 +412,20 @@ def search_theorem_7_2_analogue(spec: SplitAlbertSpec) -> Verdict:
         # (x, y, m) has determinant n.m = 1; the rows of its inverse are these
         alpha, beta, p = (image_table(fld, [(c, 0, 0) for c in f])
                           for f in (cross(fld, y, m), cross(fld, m, x), n))
-        ann = kernel_rows(fld, pair_rows(spec, x, y), 6)
+        base_x, base_y = vec_index(q, x), vec_index(q, y)
+        ann = kernel_rows(fld, [vecs[col[base_x]] + vecs[col[base_y]] for col in prods], 6)
         if len(ann) != 3:
             raise RuntimeError(f"U{(x, y)} has dimension {6 - len(ann)}, not 3")
         # the columns of N_L and N_R, the images of e_j
         left = image_table(fld, zip(*(r[:3] for r in ann)))
         right = image_table(fld, zip(*(r[3:] for r in ann)))
-        checked += pairs
+        right0, right1, right2 = ([right[i] for i in col] for col in prods)
+        base_admissible = base_hits = 0
         for ix, group in enumerate(groups):
             p1, a1, b1 = p[ix], alpha[ix], beta[ix]
             by_p1, by_sq1, by_b1 = mul[p1], mul[mul[p1][p1]], mul[b1]
-            for iy, l0, r0, l1, r1, l2, r2 in group:
+            proj0, proj1, proj2 = (rank_one[left[col[ix]]] for col in prods)
+            for iy in group:
                 p2 = p[iy]
                 if not (p1 or p2):
                     continue
@@ -392,27 +433,83 @@ def search_theorem_7_2_analogue(spec: SplitAlbertSpec) -> Verdict:
                     by_sq1[alpha[iy]]]
                 if not det:
                     continue
-                admissible += 1
-                line = {rank_one[left[l0]][right[r0]], rank_one[left[l1]][right[r1]],
-                        rank_one[left[l2]][right[r2]]}
+                base_admissible += 1
+                line = {proj0[right0[iy]], proj1[right1[iy]], proj2[right2[iy]]}
                 line.discard(0)
                 if len(line) == 1:
-                    hits.append({"x": list(x), "y": list(y),
-                                 "x2": list(vecs[ix]), "y2": list(vecs[iy])})
+                    base_hits += 1
+                    if len(hits) < 5:
+                        hits.append({"x": list(x), "y": list(y),
+                                     "x2": list(vecs[ix]), "y2": list(vecs[iy])})
+        checked += weight * pairs
+        admissible += weight * base_admissible
+        two_dim += weight * base_hits
     d_is_one = spec.d_product == 1
-    passed = d_is_one or not hits
+    passed = d_is_one or not two_dim
     return Verdict(
         name="two-dim-search",
         passed=passed,
         checked=checked,
-        witnesses=hits[:5],
+        witnesses=hits,
         details={
             "q": q,
             "d": list(spec.d),
             "d_product": spec.d_product,
             "admissible_quadruples": admissible,
-            "two_dim_hits": len(hits),
+            "two_dim_hits": two_dim,
             "note": "finite-field analogue; heuristic evidence, not a theorem check",
         },
         runtime_ms=(time.perf_counter() - t0) * 1000,
     )
+
+
+def _torus_orbits(fld: Field, prods: list) -> list[tuple[PairVector, int]]:
+    """The first plane of each torus orbit, in `plane_representatives` order, with its orbit size.
+
+    t in (F^x)^3 acts by t.x = (t_0 x_0, t_1 x_1, t_2 x_2).  If
+    phi(t.a, t.x) = u.phi(a, x) with u_k = t_{k+1} t_{k+2}, then
+    U(t.x, t.y) = (u + u) U(x, y): t moves the rank-2 pairs among themselves
+    and keeps the kernel of [x y x' y'] and every dim(U(x,y) meet U(x',y')),
+    and frame changes in GL2 keep them as well, so the per-base counts of
+    the 7.2 sweep depend only on the torus orbit of the plane <x, y>.  The
+    run checks the certificate, raising RuntimeError when it fails: the
+    identity holds for the generators diag(w,1,1), diag(1,w,1), diag(1,1,w)
+    (w generating F^x) on every row of the product table `prods`,
+    phi(alpha_k, t.x) = (u / t_k).phi(alpha_k, x); and the orbits cover all
+    q^2+q+1 planes.  An orbit is taken on the normals x cross y, as
+    t.x cross t.y = u.(x cross y) and u = t_0 t_1 t_2 / t runs through the
+    torus, up to scalars, as t does.
+    """
+    q = fld.order
+    w = _primitive(fld)
+    for t in ((w, 1, 1), (1, w, 1), (1, 1, w)):
+        u = [fld.mul(t[(k + 1) % 3], t[(k + 2) % 3]) for k in range(3)]
+        move = _scaling(fld, t)
+        for k, col in enumerate(prods):
+            image = _scaling(fld, [fld.div(c, t[k]) for c in u])
+            if any(col[move[x]] != image[col[x]] for x in range(len(col))):
+                raise RuntimeError(f"phi(t.alpha_{k}, t.x) != u.phi(alpha_{k}, x) for t = {t}")
+    torus = list(itertools.product(range(1, q), repeat=3))
+    orbits = []
+    seen: set[int] = set()
+    for v in plane_representatives(fld):
+        n = cross(fld, v.x, v.y)
+        if vec_index(q, unit_row(fld, n)) in seen:
+            continue
+        orbit = {vec_index(q, unit_row(fld, [fld.mul(s, c) for s, c in zip(t, n)])) for t in torus}
+        seen |= orbit
+        orbits.append((v, len(orbit)))
+    if len(seen) != q * q + q + 1:
+        raise RuntimeError(f"the torus orbits cover {len(seen)} planes, not q^2+q+1")
+    return orbits
+
+
+def _primitive(fld: Field) -> int:
+    """The least element generating F^x."""
+    q = fld.order
+    return next(w for w in range(1, q) if len({fld.pow(w, e) for e in range(q - 1)}) == q - 1)
+
+
+def _scaling(fld: Field, s) -> list[int]:
+    """The table of x -> (s_0 x_0, s_1 x_1, s_2 x_2) on F^3 indices."""
+    return image_table(fld, [tuple(c if k == j else 0 for k in range(3)) for j, c in enumerate(s)])

@@ -8,8 +8,10 @@ instead, each digit being an F-element index, so a K element is the triple
 ascending index order, starting at 0.
 
 All arithmetic is schoolbook polynomial arithmetic modulo the defining
-polynomial; products are memoized into full tables for orders <= 256, which
-covers every field the census code touches.  No discrete-log shortcuts.
+polynomial.  A base field GF(q), built from a :class:`FieldSpec`, memoizes its
+arithmetic into full tables, which the census and verifier kernels read; a
+cubic extension K = GF(q^3), built by `Field.extension`, computes each
+operation on demand.  No discrete-log shortcuts.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 from typing import Iterator
-
-TABLE_LIMIT = 256
 
 SUPPORTED_Q = (3, 4, 5, 7, 8, 9)
 
@@ -162,11 +162,12 @@ def default_field_spec(q: int) -> FieldSpec:
 
 
 class Field:
-    """GF(p^m) with integer-indexed elements and table-backed operations.
+    """GF(p^m) with integer-indexed elements.
 
     Built either directly from a :class:`FieldSpec` (chain over the prime
-    field) or as an extension of another Field by a monic irreducible
-    polynomial with coefficients in that field.
+    field), with table-backed operations, or as an extension of another Field
+    by a monic irreducible polynomial with coefficients in that field, with
+    untabulated ones (`add_t`, `sub_t`, `mul_t` and `inv_t` are None).
     """
 
     def __init__(self, subfield: "Field | None", modulus: tuple[int, ...], var: str,
@@ -237,7 +238,7 @@ class Field:
                 _undigits([self.subfield.neg(d) for d in _digits(a, q, self.deg_over_sub)], q)
                 for a in range(n)
             ]
-        if n <= TABLE_LIMIT:
+        if self.spec is not None:
             self.add_t = [[self._slow_add(a, b) for b in range(n)] for a in range(n)]
             self.mul_t = [[self._slow_mul(a, b) for b in range(n)] for a in range(n)]
             self.sub_t = [[self.add_t[a][self.neg_t[b]] for b in range(n)] for a in range(n)]

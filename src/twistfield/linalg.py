@@ -220,21 +220,6 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     return Subspace(s1.field, s1.ambient, rows)
 
 
-def mat_mul(fld: Field, a, b):
-    """Product of two row-major matrices given as sequences of rows."""
-    n, k = len(a), len(b)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(len(b[0])):
-            acc = 0
-            for t in range(k):
-                acc = fld.add(acc, fld.mul(a[i][t], b[t][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def mat_vec(fld: Field, a, v) -> Row:
     return tuple(
         _dot(fld, row, v)

@@ -42,7 +42,7 @@ from twistfield.engine.census import (
     line_profile,
     per_vector_profile,
 )
-from twistfield.linalg import identity_rows, intersect, mat_mul, span, subspace_sum
+from twistfield.linalg import identity_rows, intersect, span, subspace_sum
 from twistfield.splitalbert import (
     SplitAlbertSpec,
     TriVector,
@@ -53,6 +53,8 @@ from twistfield.splitalbert import (
     rmat_inv,
     split_twisted_field,
 )
+
+from reference_kernels import mat_mul
 
 V0 = PairVector((1, 0, 0), (0, 1, 0))
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from twistfield import cli, gf, splitalbert
-from twistfield.engine import census
+from twistfield.engine import census, verify
 from twistfield.engine.verify import Verdict
 
 
@@ -441,3 +441,20 @@ def test_format_other_than_json_fails_before_any_work(capsys, monkeypatch, argv,
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert err == f"error: --format {fmt} is only available for census --v\n"
+
+
+@pytest.mark.parametrize("broken", ["dropped orbit", "torus identity"])
+def test_broken_torus_certificate_is_internal(capsys, monkeypatch, broken):
+    if broken == "dropped orbit":  # the last plane is alone in its torus orbit
+        real = verify.plane_representatives
+        monkeypatch.setattr(verify, "plane_representatives", lambda fld: real(fld)[:-1])
+        message = "the torus orbits cover 12 planes"
+    else:  # one vector gets the products of another
+        real = verify.basis_products
+        monkeypatch.setattr(verify, "basis_products", lambda sp, v: real(
+            sp, (1, 1, 2) if tuple(v) == (1, 1, 1) else v))
+        message = "phi(t.alpha_"
+    code, out, err = run_cli(capsys, "verify", "--theorem", "7.2-analogue", "--q", "3")
+    assert code == cli.EXIT_INTERNAL == 3
+    assert message in json.loads(out)["error"]
+    assert "Traceback" in err

@@ -69,6 +69,15 @@ def test_tower_field_axioms_exhaustive(q):
             assert K.mul(a, K.inv(a)) == 1
 
 
+@pytest.mark.parametrize("q", gf.SUPPORTED_Q)
+def test_only_base_fields_are_tabulated(q):
+    # the kernels read GF(q) tables; K = GF(q^3) computes each operation on demand
+    tower = gf.FieldTower.build(q)
+    tables = ("add_t", "sub_t", "mul_t", "inv_t")
+    assert all(getattr(tower.base, t) is not None for t in tables)
+    assert all(getattr(tower.ext, t) is None for t in tables)
+
+
 def test_pow_matches_repeated_multiplication():
     F9 = gf.Field.of_order(9)
     for a in F9.elements():

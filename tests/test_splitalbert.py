@@ -8,7 +8,7 @@ import pytest
 
 from twistfield import gf, splitalbert
 from twistfield.algebra3 import TwistedFieldSpec, det3, pick_c_by_norm, valid_c_values
-from twistfield.linalg import identity_rows, mat_mul, mat_vec, rank, MatF, rref_rows
+from twistfield.linalg import identity_rows, mat_vec, rank, MatF, rref_rows
 from twistfield.splitalbert import (
     SplitAlbertSpec,
     TriVector,
@@ -28,6 +28,8 @@ from twistfield.splitalbert import (
     split_twisted_field,
     splitting_counterexample,
 )
+
+from reference_kernels import mat_mul
 
 F3 = gf.Field.of_order(3)
 F5 = gf.Field.of_order(5)

@@ -32,8 +32,11 @@ from twistfield.engine.spaces import pair_rows
 from twistfield.engine import verify as verify_module
 from twistfield.engine.verify import Verdict
 from twistfield.engine.normalform import det2, template_matches
-from twistfield.linalg import added_rank, decode_vector, identity_rows, kernel_rows, rref_rows
-from twistfield.splitalbert import SplitAlbertSpec, TriVector
+from twistfield.linalg import (added_rank, cross, decode_vector, f3_vectors, image_table,
+                               kernel_rows, rref_rows, vec_index)
+from twistfield.splitalbert import SplitAlbertSpec, TriVector, rmat, rmat_inv
+
+from reference_kernels import mat_inv, mat_mul
 
 
 def test_theorem_A_q3_commutative_tensor(alg3):
@@ -288,8 +291,10 @@ def test_theorem_A_checks_both_fiber_size_and_fiber_members(alg3, inv3):
 def reference_theorem_3_1(spec):
     """The old loop over every regular quadruple; also returns its per-quadruple `examine`.
 
-    The kernels are read through the verify module, so a monkeypatched one reaches
-    the reference as it reaches the partition check.
+    U(x, y) is the RREF of the rows (R_x e_m | R_y e_m), and the matrix criterion is
+    the product of a dense inverse with R (`reference_kernels`).  R is read through
+    the verify module, so a monkeypatched `rmat` reaches the reference as it reaches
+    the graph keys.
     """
     fld = spec.field
     q = fld.order
@@ -305,12 +310,12 @@ def reference_theorem_3_1(spec):
     skey = [[0] * r for _ in range(r)]
     mkey = [[0] * r for _ in range(r)]
     rmats = [verify_module.rmat(spec, TriVector("V", v)).rows for v in regs]
-    rinvs = [verify_module.rmat_inv(spec, TriVector("V", v)).rows for v in regs]
-    for i, x in enumerate(regs):
-        for j, y in enumerate(regs):
-            rows, _ = rref_rows(fld, verify_module.pair_rows(spec, x, y))
+    rinvs = [mat_inv(fld, m) for m in rmats]
+    for i in range(r):
+        for j in range(r):
+            rows, _ = rref_rows(fld, [a + b for a, b in zip(zip(*rmats[i]), zip(*rmats[j]))])
             skey[i][j] = skey_pool.setdefault(rows, len(skey_pool))
-            m = verify_module.mat_mul(fld, rinvs[j], rmats[i])
+            m = mat_mul(fld, rinvs[j], rmats[i])
             mkey[i][j] = mkey_pool.setdefault(m, len(mkey_pool))
 
     def examine(i, j, k, l):
@@ -360,22 +365,26 @@ def test_split_theorem_31_matches_quadruple_reference(q):
         assert got.passed and got.checked == (q - 1) ** 12
 
 
-@pytest.mark.parametrize("kernel", ["rmat_inv", "pair_rows", "mat_mul"])
+@pytest.mark.parametrize("kernel", ["rmat", "rmat_singular", "image_table"])
 def test_split_theorem_31_mutations_fail_with_replayable_witnesses(monkeypatch, kernel):
-    # rmat_inv: R^{-1} of one vector replaced by another's (the matrix criterion breaks);
-    # pair_rows: one pair (x, y) gets another pair's rows (span and prediction split);
-    # mat_mul: every R_{x'}^{-1} R_x collapses to I (M grows past S)
+    # rmat: R of one vector replaced by another's (span and prediction split), which the
+    # reference reads too and replays; rmat_singular: R of one vector replaced by the
+    # singular R of (1, 2, 0); image_table: tables that never reach e_0 = index 1.  No
+    # inverse can be read off a table of the last two, which the run checks.
     spec = SplitAlbertSpec(gf.Field.of_order(3), (1, 1, 1))
-    if kernel == "rmat_inv":
-        real = verify_module.rmat_inv
-        monkeypatch.setattr(verify_module, "rmat_inv", lambda sp, v: real(
-            sp, TriVector("V", (1, 1, 1)) if v.coords == (1, 2, 2) else v))
-    elif kernel == "pair_rows":
-        real = verify_module.pair_rows
-        monkeypatch.setattr(verify_module, "pair_rows", lambda sp, x, y: real(
-            sp, *(((1, 1, 1), (1, 1, 2)) if (x, y) == ((1, 2, 2), (2, 1, 1)) else (x, y))))
+    if kernel == "image_table":
+        real = verify_module.image_table
+        monkeypatch.setattr(verify_module, "image_table", lambda fld, images: [
+            0 if i == 1 else i for i in real(fld, images)])
     else:
-        monkeypatch.setattr(verify_module, "mat_mul", lambda fld, a, b: identity_rows(3))
+        real = verify_module.rmat
+        swap = (1, 1, 1) if kernel == "rmat" else (1, 2, 0)
+        monkeypatch.setattr(verify_module, "rmat", lambda sp, v: real(
+            sp, TriVector("V", swap) if v.coords == (1, 2, 2) else v))
+    if kernel != "rmat":
+        with pytest.raises(RuntimeError, match="is singular"):
+            verify_split_theorem_3_1(spec)
+        return
     verdict = verify_split_theorem_3_1(spec)
     reference, examine = reference_theorem_3_1(spec)
     assert verdict.passed is False and reference.passed is False
@@ -383,6 +392,25 @@ def test_split_theorem_31_mutations_fail_with_replayable_witnesses(monkeypatch, 
     assert 0 < len(verdict.witnesses) <= 5
     for w in verdict.witnesses:
         assert examine(w) == w
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_graph_keys_partition_pairs_as_rref_keys(q):
+    # skey: the RREF of pair_rows; mkey: R_{x_k}^-1 R_{x_i} as a dense product
+    fld = gf.Field.of_order(q)
+    specs = list(valid_d(fld))
+    for spec in (specs[0], specs[-1]):
+        regs = list(itertools.product(range(1, q), repeat=3))
+        skey, mrow = verify_module._graph_keys(spec, regs)
+        rref_pool, product_pool = {}, {}
+        rref_keys = [rref_pool.setdefault(rref_rows(fld, pair_rows(spec, x, y)), len(rref_pool))
+                     for x in regs for y in regs]
+        rmats = [rmat(spec, TriVector("V", v)).rows for v in regs]
+        rinvs = [rmat_inv(spec, TriVector("V", v)).rows for v in regs]
+        product_keys = [[product_pool.setdefault(mat_mul(fld, rinvs[k], rmats[i]), len(product_pool))
+                         for k in range(len(regs))] for i in range(len(regs))]
+        assert skey == rref_keys  # ids by first occurrence: equal lists, equal partitions
+        assert mrow == product_keys
 
 
 # -- Theorem 7.1 by the loop over all q^8 pairs, and the 7.2 sweep by one kernel and one
@@ -416,13 +444,12 @@ def reference_admissible(fld, x, y, x2, y2):
 
 
 def reference_theorem_7_2(spec):
-    """The sweep with one kernel and one added_rank per quadruple; `pair_rows` read
-    through the verify module, so a monkeypatched one reaches both sweeps."""
+    """The sweep with one kernel and one added_rank per quadruple."""
     fld = spec.field
     q = fld.order
     vecs = [(i % q, i // q % q, i // (q * q)) for i in range(q**3)]
     pairs = [(x, y) for x in vecs for y in vecs if len(rref_rows(fld, (x, y))[0]) == 2]
-    urows = {(x, y): rref_rows(fld, verify_module.pair_rows(spec, x, y)) for x, y in pairs}
+    urows = {(x, y): rref_rows(fld, pair_rows(spec, x, y)) for x, y in pairs}
     hits = []
     admissible = checked = 0
     for v in plane_representatives(fld):
@@ -439,6 +466,59 @@ def reference_theorem_7_2(spec):
         "q": q, "d": list(spec.d), "d_product": spec.d_product,
         "admissible_quadruples": admissible, "two_dim_hits": len(hits),
         "note": "finite-field analogue; heuristic evidence, not a theorem check"})
+
+
+def full_plane_theorem_7_2(spec):
+    """The projection-table sweep over every one of the q^2+q+1 base planes, before the
+    torus orbits; also returns each plane's (admissible, hits), keyed by its base pair."""
+    fld = spec.field
+    q = fld.order
+    mul, add, sub = fld.mul_t, fld.add_t, fld.sub_t
+    vecs = f3_vectors(q)
+    groups = []
+    for x2 in vecs:
+        groups.append([(iy, *(vec_index(q, r[k:k + 3]) for r in pair_rows(spec, x2, y2)
+                              for k in (0, 3)))
+                       for iy, y2 in enumerate(vecs) if any(cross(fld, x2, y2))])
+    pairs = sum(map(len, groups))
+    rank_one = verify_module._projective_sum_table(fld)
+    hits, per_plane = [], {}
+    admissible = checked = 0
+    for v in plane_representatives(fld):
+        x, y = v.x, v.y
+        n = cross(fld, x, y)
+        j = next(j for j, c in enumerate(n) if c)
+        m = tuple(fld.inv(n[j]) if k == j else 0 for k in range(3))
+        alpha, beta, p = (image_table(fld, [(c, 0, 0) for c in f])
+                          for f in (cross(fld, y, m), cross(fld, m, x), n))
+        ann = kernel_rows(fld, pair_rows(spec, x, y), 6)
+        left = image_table(fld, zip(*(r[:3] for r in ann)))
+        right = image_table(fld, zip(*(r[3:] for r in ann)))
+        checked += pairs
+        base = [0, 0]
+        for ix, group in enumerate(groups):
+            p1, a1, b1 = p[ix], alpha[ix], beta[ix]
+            for iy, l0, r0, l1, r1, l2, r2 in group:
+                p2 = p[iy]
+                det = sub[add[mul[mul[p1][p2]][sub[a1][beta[iy]]]][mul[b1][mul[p2][p2]]]][
+                    mul[mul[p1][p1]][alpha[iy]]]
+                if not (p1 or p2) or not det:
+                    continue
+                base[0] += 1
+                line = {rank_one[left[l0]][right[r0]], rank_one[left[l1]][right[r1]],
+                        rank_one[left[l2]][right[r2]]}
+                line.discard(0)
+                if len(line) == 1:
+                    base[1] += 1
+                    hits.append({"x": list(x), "y": list(y),
+                                 "x2": list(vecs[ix]), "y2": list(vecs[iy])})
+        admissible += base[0]
+        per_plane[(x, y)] = tuple(base)
+    verdict = Verdict("two-dim-search", spec.d_product == 1 or not hits, checked, hits[:5], {
+        "q": q, "d": list(spec.d), "d_product": spec.d_product,
+        "admissible_quadruples": admissible, "two_dim_hits": len(hits),
+        "note": "finite-field analogue; heuristic evidence, not a theorem check"})
+    return verdict, per_plane
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -498,11 +578,14 @@ def test_row_spaces_are_the_subspaces_of_f4_once_each():
     assert all(len(rref_rows(fld, rows)[0]) == rank for rank, rows in spaces)
 
 
-@pytest.mark.parametrize("q, d", [
+TWO_DIM_CASES = [
     *((3, spec.d) for spec in valid_d(gf.Field.of_order(3))),
     (4, (2, 1, 1)), (4, (1, 2, 1)), (4, (2, 3, 2)),
     (5, (1, 1, 1)),
-])
+]
+
+
+@pytest.mark.parametrize("q, d", TWO_DIM_CASES)
 def test_two_dim_search_matches_rank_reference(q, d):
     spec = SplitAlbertSpec(gf.Field.of_order(q), d)
     verdict = search_theorem_7_2_analogue(spec)
@@ -512,14 +595,48 @@ def test_two_dim_search_matches_rank_reference(q, d):
 
 
 def test_two_dim_search_follows_a_changed_pair_rows(monkeypatch):
-    # the first hit's (x', y') gets the rows of its base (x, y): U(x, y) meets it in 3 dims
-    spec = SplitAlbertSpec(gf.Field.of_order(3), (1, 1, 1))
+    # every pair's rows come from the products of another valid d: the torus identity
+    # holds for every d, so the certificate lets this through and the counts follow that d,
+    # here from no hits (d0 d1 d2 = 2) to the hits of d = (1, 1, 1) and a failed verdict
+    fld = gf.Field.of_order(5)
+    spec, other = SplitAlbertSpec(fld, (1, 1, 2)), SplitAlbertSpec(fld, (1, 1, 1))
     before = search_theorem_7_2_analogue(spec)
-    hit = before.witnesses[0]
-    base, moved = (tuple(hit["x"]), tuple(hit["y"])), (tuple(hit["x2"]), tuple(hit["y2"]))
-    real = verify_module.pair_rows
-    monkeypatch.setattr(verify_module, "pair_rows", lambda sp, x, y: real(
-        sp, *(base if (x, y) == moved else (x, y))))
+    real = verify_module.basis_products
+    monkeypatch.setattr(verify_module, "basis_products", lambda sp, v: real(other, v))
     verdict = search_theorem_7_2_analogue(spec)
-    assert same_verdict(verdict, reference_theorem_7_2(spec))
-    assert verdict.details != before.details
+    want, _ = full_plane_theorem_7_2(other)
+    keys = ("admissible_quadruples", "two_dim_hits")
+    assert (verdict.checked, [verdict.details[k] for k in keys], verdict.witnesses) == (
+        want.checked, [want.details[k] for k in keys], want.witnesses)
+    assert before.passed and before.details["two_dim_hits"] == 0
+    assert not verdict.passed and verdict.details["two_dim_hits"] > 0
+
+
+def test_two_dim_search_changed_products_trip_the_torus_certificate(monkeypatch):
+    # one vector gets the products of another: the product table is no longer torus-equivariant
+    spec = SplitAlbertSpec(gf.Field.of_order(3), (1, 1, 1))
+    real = verify_module.basis_products
+    monkeypatch.setattr(verify_module, "basis_products", lambda sp, v: real(
+        sp, (1, 1, 2) if tuple(v) == (1, 1, 1) else v))
+    with pytest.raises(RuntimeError, match="phi\\(t.alpha_"):
+        search_theorem_7_2_analogue(spec)
+
+
+def test_two_dim_search_dropped_orbit_trips_the_cover_check(monkeypatch):
+    # the last plane, with normal (1, 0, 0), is alone in its torus orbit
+    real = verify_module.plane_representatives
+    monkeypatch.setattr(verify_module, "plane_representatives", lambda fld: real(fld)[:-1])
+    with pytest.raises(RuntimeError, match="cover 12 planes"):
+        search_theorem_7_2_analogue(SplitAlbertSpec(gf.Field.of_order(3), (1, 1, 1)))
+
+
+@pytest.mark.parametrize("q, d", TWO_DIM_CASES)
+def test_two_dim_orbit_sweep_matches_full_plane_sweep(q, d):
+    spec = SplitAlbertSpec(gf.Field.of_order(q), d)
+    want, per_plane = full_plane_theorem_7_2(spec)
+    assert same_verdict(search_theorem_7_2_analogue(spec), want)
+    # the per-plane counts are constant on each torus orbit: the zero pattern of x cross y
+    by_pattern = {}
+    for (x, y), counts in per_plane.items():
+        by_pattern.setdefault(tuple(c != 0 for c in cross(spec.field, x, y)), set()).add(counts)
+    assert len(by_pattern) == 7 and all(len(c) == 1 for c in by_pattern.values())
