@@ -5,12 +5,15 @@ division algebra, so for x' != 0 Av' is the graph {(w, T w)} of
 T = R_{y'} R_{x'}^-1, with RREF rows (e_j | a_j y') where a_j x' = e_j; for
 x' = 0 it is 0 + A.  One serial pass reads each a_j(x') off the left
 multiplication table (RuntimeError if some e_j is missing) and keys each v'
-by the indices of a_j y' (vectors of F^3 and F^6 are handled as indices, see
-the `linalg` module docstring).  The inventory lists the distinct spaces in order
-of least index, with fiber sizes, the position of each v' in that list
-(`space_of`), and the left multiplication and division tables of A.  The
-census reports and the Theorem A and B verifiers all read this one sweep: A
-checks the fibers of `space_of`, B takes its dimensions from the kernel below.
+by one int, k_0 + n k_1 + n^2 k_2 with k_j the index of a_j y' and n = q^3,
+or -1 when x' = 0 (vectors of F^3 and F^6 are handled as indices, see the
+`linalg` module docstring).  The inventory is columns: arrays of the key,
+fiber size, least index and kind of each distinct space in order of least
+index, the position of each v' in that order (`space_of`), and the left
+multiplication and division tables of A.  A `SpaceRec` is built only when a
+report or witness reads `spaces`.  The census reports and the Theorem A and B
+verifiers all read this one sweep: A checks the fiber column against
+`space_of`, B takes its dimensions from the kernel below.
 
 The census kernel (`meet_all`) makes no rank test.  A is a division algebra, so
 each nonzero w in Av meet Av' is a'v' for exactly one a', and
@@ -49,9 +52,10 @@ import os
 import time
 from array import array
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from operator import itemgetter
+from operator import add, itemgetter
 
 from ..algebra3 import (
     Algebra3,
@@ -89,11 +93,41 @@ class SpaceRec:
     first_index: int
 
 
+KINDS = (NONDEGENERATE, DEGENERATE)  # the values of the `kind` column
+UNIT = identity_rows(3)
+
+
+class SpaceRecords(Sequence):
+    """`AvInventory.spaces`: one SpaceRec per space, built from the columns when read."""
+
+    def __init__(self, inventory: "AvInventory"):
+        self.inventory = inventory
+
+    def __len__(self) -> int:
+        return len(self.inventory.key)
+
+    def __getitem__(self, pos: int) -> SpaceRec:
+        inv = self.inventory
+        n = inv.field.order**3
+        key, vecs = inv.key[pos], f3_vectors(inv.field.order)
+        if key < 0:  # Av' = 0 + A
+            rows, pivots = tuple((0, 0, 0) + e for e in UNIT), (3, 4, 5)
+        else:
+            rows, pivots = tuple(e + vecs[key // n**j % n] for j, e in enumerate(UNIT)), (0, 1, 2)
+        return SpaceRec(rows, pivots, KINDS[inv.kind[pos]], inv.fiber[pos], inv.rep(pos),
+                        inv.first[pos])
+
+
 @dataclass
 class AvInventory:
     alg: Algebra3
-    spaces: list[SpaceRec]
-    # space_of[i]: position in `spaces` of Av' for the v' of index i (-1 for v' = 0)
+    # one entry per space, in order of least index: the key k_0 + n k_1 + n^2 k_2
+    # (-1 for 0 + A), the fiber size, the least index and the KINDS position
+    key: array = dc_field(repr=False)
+    fiber: array = dc_field(repr=False)
+    first: array = dc_field(repr=False)
+    kind: array = dc_field(repr=False)
+    # space_of[i]: position of Av' for the v' of index i (-1 for v' = 0)
     space_of: array = dc_field(repr=False, compare=False)
     # left multiplication and division on F^3 indices (algebra3.left_division_tables)
     mul: array = dc_field(repr=False, compare=False)
@@ -105,8 +139,15 @@ class AvInventory:
     def field(self) -> Field:
         return self.alg.field
 
-    def by_kind(self, kind: str) -> list[SpaceRec]:
-        return [r for r in self.spaces if r.kind == kind]
+    @property
+    def spaces(self) -> SpaceRecords:
+        return SpaceRecords(self)
+
+    def rep(self, pos: int) -> tuple:
+        """The least-index vector v' of space `pos`, as the coordinates (x', y')."""
+        q = self.field.order
+        y, x = divmod(self.first[pos], q**3)
+        return f3_vectors(q)[x] + f3_vectors(q)[y]
 
 
 def index_chunks(total: int) -> list[tuple[int, int]]:
@@ -152,10 +193,12 @@ def parallel_map(fn, chunks: list, workers: int, init: tuple) -> list:
 
 
 def build_inventory(alg: Algebra3, workers: int = 1) -> AvInventory:
-    """Every distinct Av' (v' != 0) in order of least index, read off the table `mul`.
+    """The columns of every distinct Av' (v' != 0), in order of least index, read off `mul`.
 
-    One serial pass (module docstring).  `workers` is checked and otherwise
-    unused; it stays for the benchmark's per-layer run, which passes 1 and 2.
+    One serial pass keys each v' by one int (module docstring) and records a
+    space's least index as it assigns the space an id; the fibers are counted
+    off `space_of` once the key dict is gone.  `workers` is checked and
+    otherwise unused; it stays for the benchmark's per-layer run.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -163,41 +206,42 @@ def build_inventory(alg: Algebra3, workers: int = 1) -> AvInventory:
     n = q**3
     mul, ldiv = left_division_tables(alg)
     vecs = f3_vectors(q)
-    unit = identity_rows(3)
-    e_idx = [vec_index(q, e) for e in unit]
+    e_idx = [vec_index(q, e) for e in UNIT]
     solve = []  # [a_0, a_1, a_2] with a_j x' = e_j, for x' = 1 .. n-1
     for x in range(1, n):
         col = mul[x::n]  # a -> a x'
         if not all(e in col for e in e_idx):
             raise RuntimeError(f"some e_j is not a*x for x = {vecs[x]}: not a division algebra")
         solve.append([col.index(e) for e in e_idx])
-    take = [itemgetter(*a_j) for a_j in zip(*solve)]
-    # v' = (x', y') is keyed by the indices of a_j y', or by None when x' = 0;
-    # indices run x' fastest, so ids come out in order of least index
-    ids: dict = {}
+    take0, take1, take2 = (itemgetter(*a_j) for a_j in zip(*solve))
+    by_n, by_n2 = ([k * n**j for k in range(n)] for j in (1, 2))
+    # indices run x' fastest, so a new id is a new least index
+    ids: dict[int, int] = {}
     space_of = array("i", [-1])
+    first = array("i")
     for y in range(n):
         col = mul[y::n]
-        if y:
-            space_of.append(ids.setdefault(None, len(ids)))
-        space_of.extend([ids.setdefault(key, len(ids)) for key in zip(*(t(col) for t in take))])
-    first = dict(zip(reversed(space_of), range(len(space_of) - 1, -1, -1)))  # least index
-    fiber = Counter(space_of)
+        new = len(ids)
+        block = [ids.setdefault(-1, len(ids))] if y else []
+        block += [ids.setdefault(k, len(ids)) for k in map(
+            add, map(add, take0(col), map(by_n.__getitem__, take1(col))),
+            map(by_n2.__getitem__, take2(col)))]
+        at = 0
+        for pos in range(new, len(ids)):
+            at = block.index(pos, at)
+            first.append(len(space_of) + at)
+        space_of.extend(block)
     # v' is degenerate iff x' = 0 or y' = k x', that is T = k I, keyed by the indices of k e_j
-    degenerate = {None} | {tuple(vec_index(q, [k * c for c in e]) for e in unit)
-                           for k in range(q)}
-    spaces = []
-    for pos, key in enumerate(ids):
-        if key is None:  # Av' = 0 + A
-            rows, pivots = tuple((0, 0, 0) + e for e in unit), (3, 4, 5)
-        else:
-            rows, pivots = tuple(e + vecs[t] for e, t in zip(unit, key)), (0, 1, 2)
-        kind = DEGENERATE if key in degenerate else NONDEGENERATE
-        spaces.append(SpaceRec(rows, pivots, kind, fiber[pos], decode_vector(q, first[pos]),
-                               first[pos]))
-    totals = {kind: (sum(r.fiber for r in spaces if r.kind == kind),
-                     sum(r.kind == kind for r in spaces)) for kind in (NONDEGENERATE, DEGENERATE)}
-    return AvInventory(alg, spaces, space_of, mul, ldiv, totals)
+    degenerate = {-1} | {sum(vec_index(q, [k * c for c in e]) * n**j for j, e in enumerate(UNIT))
+                         for k in range(q)}
+    key = array("q", ids)
+    del ids
+    counts = Counter(space_of)
+    fiber = array("i", map(counts.__getitem__, range(len(key))))
+    kind = array("b", [k in degenerate for k in key])  # KINDS: 0 nondegenerate, 1 degenerate
+    totals = {name: (sum(f for f, k in zip(fiber, kind) if k == i), kind.count(i))
+              for i, name in enumerate(KINDS)}
+    return AvInventory(alg, key, fiber, first, kind, space_of, mul, ldiv, totals)
 
 
 # ---------------------------------------------------------------------------
@@ -206,56 +250,22 @@ def build_inventory(alg: Algebra3, workers: int = 1) -> AvInventory:
 
 
 def predicted_profile(q: int, cls: IsotopyClass | None, v_kind: str):
-    """(vector counts, space counts) predicted for a fixed v of the given kind."""
+    """(vector counts, space counts) for a fixed v of the given kind, in DIM_KEYS order."""
     if v_kind == DEGENERATE:
-        vectors = {
-            "dim3": q**3 - 1,
-            "dim2": 0,
-            "dim1": 0,
-            "dim0_nondegenerate": (q**3 - 1) * (q**3 - q),
-            "dim0_degenerate": (q**3 - 1) * q,
-        }
-        spaces = {
-            "dim3": 1,
-            "dim2": 0,
-            "dim1": 0,
-            "dim0_nondegenerate": q * (q + 1) * (q**3 - 1),
-            "dim0_degenerate": q,
-        }
-        return vectors, spaces
-    if cls is None:
+        vectors = (q**3 - 1, 0, 0, (q**3 - 1) * (q**3 - q), (q**3 - 1) * q)
+        spaces = (1, 0, 0, q * (q + 1) * (q**3 - 1), q)
+    elif cls is None:
         return None, None
-    if cls is IsotopyClass.COMMUTATIVE_ISOTOPIC:
-        vectors = {
-            "dim3": q - 1,
-            "dim2": q**3 - q,
-            "dim1": q**3 * (q**2 - 1),
-            "dim0_nondegenerate": (q - 1) * (q**5 - q**3 - 2 * q**2 - 2 * q - 1),
-            "dim0_degenerate": (q**3 - 1) * (q + 1),
-        }
-        spaces = {
-            "dim3": 1,
-            "dim2": q**2 + q,
-            "dim1": q**3 * (q + 1),
-            "dim0_nondegenerate": q**5 - q**3 - 2 * q**2 - 2 * q - 1,
-            "dim0_degenerate": q + 1,
-        }
+    elif cls is IsotopyClass.COMMUTATIVE_ISOTOPIC:
+        vectors = (q - 1, q**3 - q, q**3 * (q**2 - 1),
+                   (q - 1) * (q**5 - q**3 - 2 * q**2 - 2 * q - 1), (q**3 - 1) * (q + 1))
+        spaces = (1, q**2 + q, q**3 * (q + 1), q**5 - q**3 - 2 * q**2 - 2 * q - 1, q + 1)
     else:
-        vectors = {
-            "dim3": q - 1,
-            "dim2": 0,
-            "dim1": q * (q + 1) * (q**3 - 1),
-            "dim0_nondegenerate": (q - 1) * (q**5 - 2 * q**3 - 3 * q**2 - 2 * q - 1),
-            "dim0_degenerate": (q**3 - 1) * (q + 1),
-        }
-        spaces = {
-            "dim3": 1,
-            "dim2": 0,
-            "dim1": q * (q + 1) * (q**2 + q + 1),
-            "dim0_nondegenerate": q**5 - 2 * q**3 - 3 * q**2 - 2 * q - 1,
-            "dim0_degenerate": q + 1,
-        }
-    return vectors, spaces
+        vectors = (q - 1, 0, q * (q + 1) * (q**3 - 1),
+                   (q - 1) * (q**5 - 2 * q**3 - 3 * q**2 - 2 * q - 1), (q**3 - 1) * (q + 1))
+        spaces = (1, 0, q * (q + 1) * (q**2 + q + 1), q**5 - 2 * q**3 - 3 * q**2 - 2 * q - 1,
+                  q + 1)
+    return dict(zip(DIM_KEYS, vectors)), dict(zip(DIM_KEYS, spaces))
 
 
 def predicted_complementary_spaces(q: int, cls: IsotopyClass | None, v_kind: str) -> int | None:
@@ -292,25 +302,11 @@ class CensusReport:
     runtime_ms: float = 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "parameters": self.parameters,
-            "observed": self.observed,
-            "predicted": self.predicted,
-            "match": self.match,
-            "witnesses": self.witnesses,
-            "runtime_ms": round(self.runtime_ms, 3),
-        }
+        return {**vars(self), "runtime_ms": round(self.runtime_ms, 3)}  # in field order
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "CensusReport":
-        return cls(
-            parameters=payload["parameters"],
-            observed=payload["observed"],
-            predicted=payload["predicted"],
-            match=payload["match"],
-            witnesses=payload["witnesses"],
-            runtime_ms=payload.get("runtime_ms", 0.0),
-        )
+        return cls(**payload)
 
     def csv_rows(self) -> list[dict]:
         rows = []
@@ -361,7 +357,7 @@ class Meet:
     mult: Counter  # F^6 index of v' -> times reached, (q^d - 1)/(q - 1)
     vectors: dict  # DIM_KEYS -> vectors v'
     spaces: dict  # DIM_KEYS -> distinct spaces Av'
-    hits: list  # (d, rec) for each space Av' with d in (1, 2)
+    hits: list  # (d, position in inventory.spaces) for each space Av' with d in (1, 2)
 
 
 def meet_all(inventory: AvInventory, v: PairVector) -> Meet:
@@ -395,17 +391,17 @@ def meet_all(inventory: AvInventory, v: PairVector) -> Meet:
     for kind, (n_vectors, n_spaces) in inventory.totals.items():
         vectors["dim0_" + kind] = n_vectors
         spaces["dim0_" + kind] = n_spaces
+    fiber, kind = inventory.fiber, inventory.kind
     hits = []
     for pos, (d, count) in met.items():
-        rec = inventory.spaces[pos]
-        if count != rec.fiber:
-            raise RuntimeError(f"space {pos} met on {count} of its {rec.fiber} vectors")
+        if count != fiber[pos]:
+            raise RuntimeError(f"space {pos} met on {count} of its {fiber[pos]} vectors")
         vectors[f"dim{d}"] += count
         spaces[f"dim{d}"] += 1
-        vectors["dim0_" + rec.kind] -= count
-        spaces["dim0_" + rec.kind] -= 1
+        vectors["dim0_" + KINDS[kind[pos]]] -= count
+        spaces["dim0_" + KINDS[kind[pos]]] -= 1
         if d < 3:
-            hits.append((d, rec))
+            hits.append((d, pos))
     return Meet(gens, reached, mult, vectors, spaces, hits)
 
 
@@ -560,10 +556,10 @@ def span_frame(fld: Field, v: PairVector) -> tuple:
     return fld, v, cross(fld, v.x, v.y)
 
 
-def hit_span_conditions(frame: tuple, rec: SpaceRec) -> bool:
+def hit_span_conditions(frame: tuple, rep: tuple) -> bool:
     """A hit with dim(Av meet Av') in {1, 2}, v nondegenerate, forces v' nondegenerate,
     <x',y'> != <x,y>, and p x' + r y' not in F^x (p x + r y) for every point [p:r]
-    of P^1(F) (`frame` = span_frame(fld, v)).
+    of P^1(F) (`frame` = span_frame(fld, v), `rep` = (x', y') any vector of the hit).
 
     The last test ranges over every combination of the coordinates, so the
     conditions hold for (v, v') iff they hold for (Pv, Pv'), P in GL2(F).  With
@@ -575,7 +571,7 @@ def hit_span_conditions(frame: tuple, rec: SpaceRec) -> bool:
     """
     fld, v, n = frame
     add, sub, mul = fld.add_t, fld.sub_t, fld.mul_t
-    x1, y1 = rec.rep[:3], rec.rep[3:]
+    x1, y1 = rep[:3], rep[3:]
     b, a = (add[add[mul[n[0]][c[0]]][mul[n[1]][c[1]]]][mul[n[2]][c[2]]] for c in (x1, y1))
     w, w1 = (tuple(sub[mul[a][s]][mul[b][t]] for s, t in zip(x, y))
              for x, y in ((v.x, v.y), (x1, y1)))
@@ -610,7 +606,7 @@ def _scan_vectors(alg: Algebra3, inventory: AvInventory, cls: IsotopyClass,
             failed.append("tally")
         if meet.spaces["dim0_nondegenerate"] + meet.spaces["dim0_degenerate"] != pred_comp:
             failed.append("complement")
-        if not all(hit_span_conditions(frame, rec) for _, rec in meet.hits):
+        if not all(hit_span_conditions(frame, inventory.rep(pos)) for _, pos in meet.hits):
             failed.append("span")
         if observed["lines"] != pred_lines:
             failed.append("lines")
@@ -682,18 +678,17 @@ def orbit_certificate(tower: FieldTower, algs: list, beta: int, gamma: int) -> d
     basis = (1, q, q * q)
     b_cols, g_cols = ([K.coeffs(K.mul(k, t)) for t in basis] for k in (beta, gamma))
     b_rows, g_rows = tuple(zip(*b_cols)), tuple(zip(*g_cols))
-    unit = identity_rows(3)
     pairs = 0
     for alg in algs:
         for i in range(3):
             for j in range(3):
                 if alg.mulvec(b_cols[i], b_cols[j]) != mat_vec(fld, g_rows,
-                                                              alg.mulvec(unit[i], unit[j])):
+                                                              alg.mulvec(UNIT[i], UNIT[j])):
                     raise RuntimeError(f"(B e_{i})(B e_{j}) != G (e_{i} e_{j}) for beta = "
                                        f"{format_triple(tower, beta)}: not an autotopism")
                 pairs += 1
     size = q * q + q + 1
-    start, _ = rref_rows(fld, unit[:2])
+    start, _ = rref_rows(fld, UNIT[:2])
     plane, steps = start, 0
     while steps < size:
         plane, _ = rref_rows(fld, [mat_vec(fld, b_rows, r) for r in plane])

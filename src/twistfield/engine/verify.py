@@ -11,7 +11,7 @@ import time
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from operator import itemgetter
+from operator import add, itemgetter
 
 from ..algebra3 import (Algebra3, IsotopyClass, TwistedFieldSpec, basis_products, isotopy_class,
                         to_structure_constants)
@@ -19,7 +19,7 @@ from ..gf import Field
 from ..linalg import (cross, decode_vector, f3_vectors, identity_rows, image_table, kernel_rows,
                       unit_row, vec_index)
 from ..splitalbert import SplitAlbertSpec, TriVector, rmat
-from .census import AvInventory, build_inventory, meet_all
+from .census import KINDS, AvInventory, build_inventory, meet_all
 from .normalform import mul2, pair_normal_form, template_matches
 from .spaces import NONDEGENERATE, PairVector, intersection_dim, plane_representatives
 
@@ -34,47 +34,36 @@ class Verdict:
     runtime_ms: float = 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "checked": self.checked,
-            "witnesses": self.witnesses,
-            "details": self.details,
-            "runtime_ms": round(self.runtime_ms, 3),
-        }
+        return {**vars(self), "runtime_ms": round(self.runtime_ms, 3)}  # in field order
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "Verdict":
-        return cls(
-            name=payload["name"],
-            passed=payload["passed"],
-            checked=payload["checked"],
-            witnesses=payload["witnesses"],
-            details=payload["details"],
-            runtime_ms=payload.get("runtime_ms", 0.0),
-        )
+        return cls(**payload)
 
 
 def verify_theorem_A(alg: Algebra3, inventory: AvInventory | None = None) -> Verdict:
     """Av = Av' iff Fv = Fv', over all nondegenerate vectors.
 
     Reads the inventory's sweep over A^2: the statement holds iff the fiber
-    of each nondegenerate space in `space_of` is exactly the q - 1 vectors
-    k rep, k in F^x.  Witnesses decode a failing space's fiber.
+    of each nondegenerate space is exactly the q - 1 vectors k rep, k in F^x,
+    with rep its least-index vector: its `fiber` entry is q - 1 and `space_of`
+    puts each k rep in it.  Witnesses decode a failing space's fiber.
     """
     t0 = time.perf_counter()
     fld = alg.field
     q = fld.order
+    n = q**3
     if inventory is None:
         inventory = build_inventory(alg)
     space_of = inventory.space_of
-    fiber_size = Counter(space_of)
+    scales = [_scaling(fld, (k, k, k)) for k in range(1, q)]
     failed = []
-    for pos, rec in enumerate(inventory.spaces):
-        if rec.kind != NONDEGENERATE:
+    for pos, (fiber, first, kind) in enumerate(zip(inventory.fiber, inventory.first,
+                                                   inventory.kind)):
+        if KINDS[kind] != NONDEGENERATE:
             continue
-        line = [vec_index(q, [fld.mul(k, c) for c in rec.rep]) for k in range(1, q)]
-        if fiber_size[pos] != q - 1 or any(space_of[i] != pos for i in line):
+        x, y = first % n, first // n
+        if fiber != q - 1 or any(space_of[s[x] + n * s[y]] != pos for s in scales):
             failed.append(pos)
     witnesses = []
     for pos in failed[:5]:
@@ -111,8 +100,7 @@ def verify_theorem_B(tf: TwistedFieldSpec, inventory: AvInventory | None = None)
     hits = []
     checked = 0
     for v in plane_representatives(fld):
-        two_dim = [inventory.space_of[rec.first_index]
-                   for d, rec in meet_all(inventory, v).hits if d == 2]
+        two_dim = [pos for d, pos in meet_all(inventory, v).hits if d == 2]
         if not two_dim:
             checked += len(inventory.spaces)
             continue
@@ -169,14 +157,14 @@ def verify_split_theorem_3_1(spec: SplitAlbertSpec) -> Verdict:
     # R_{x_k}^{-1} R_{x_i}
     skey, mrow = _graph_keys(spec, regs)
     label_pool: dict[tuple, int] = {}
-    label = []
-    for i, x in enumerate(regs):
+    label = array("i")
+    for x, rx in zip(regs, rep_id):
         by_inv_x0 = fld.mul_t[fld.inv(x[0])]
-        for j, y in enumerate(regs):
-            ratio = by_inv_x0[y[0]]
-            lab = ("diag", ratio) if rep_id[i] == rep_id[j] else (rep_id[i], rep_id[j], ratio)
-            label.append(label_pool.setdefault(lab, len(label_pool)))
+        label.extend([label_pool.setdefault(
+            ("diag", by_inv_x0[y[0]]) if rx == ry else (rx, ry, by_inv_x0[y[0]]), len(label_pool))
+            for y, ry in zip(regs, rep_id)])
     skey_count = max(skey) + 1
+    label_count = len(label_pool)
 
     witnesses = []
 
@@ -190,9 +178,11 @@ def verify_split_theorem_3_1(spec: SplitAlbertSpec) -> Verdict:
         })
 
     by_skey = _classes(skey, skey_count)
-    if not skey_count == len(label_pool) == len(set(zip(skey, label))):
+    # (skey, label) as one int per pair
+    pair_count = len(set(map(add, map(label_count.__mul__, skey), label)))
+    if not skey_count == label_count == pair_count:
         # some class of one partition meets two classes of the other
-        for classes, other in ((by_skey, label), (_classes(label, len(label_pool)), skey)):
+        for classes, other in ((by_skey, label), (_classes(label, label_count), skey)):
             for members in classes:
                 split = [p2 for p2 in members if other[p2] != other[members[0]]]
                 if split and len(witnesses) < 5:
@@ -201,17 +191,16 @@ def verify_split_theorem_3_1(spec: SplitAlbertSpec) -> Verdict:
     s_size = 0
     for members in by_skey:
         s_size += len(members) ** 2
-        pick_k = itemgetter(*(p // r for p in members))
-        pick_l = itemgetter(*(p % r for p in members))
-        for p in members:
-            i, j = divmod(p, r)
-            if len(witnesses) < 5 and pick_k(mrow[i]) != pick_l(mrow[j]):
+        ks, ls = [p // r for p in members], [p % r for p in members]
+        pick_k, pick_l = itemgetter(*ks), itemgetter(*ls)
+        for p, i, j in zip(members, ks, ls):
+            if pick_k(mrow[i]) != pick_l(mrow[j]) and len(witnesses) < 5:
                 witness(p, next(p2 for p2 in members
                                 if mrow[i][p2 // r] != mrow[j][p2 % r]))
-    mflat = [m for row in mrow for m in row]
-    if sum(n * n for n in Counter(mflat).values()) != s_size and not witnesses:
+    m_counts = Counter(itertools.chain.from_iterable(mrow))
+    if sum(n * n for n in m_counts.values()) != s_size and not witnesses:
         # S lies inside M but is smaller: equal mkey(i,k) = mkey(j,l), unequal spans
-        for members in _classes(mflat, max(mflat) + 1):
+        for members in _classes(itertools.chain.from_iterable(mrow), len(m_counts)):
             for ik in members:
                 for jl in members:
                     (i, k), (j, l) = divmod(ik, r), divmod(jl, r)
@@ -227,9 +216,10 @@ def verify_split_theorem_3_1(spec: SplitAlbertSpec) -> Verdict:
     )
 
 
-def _graph_keys(spec: SplitAlbertSpec, regs: list) -> tuple[list[int], list[list[int]]]:
+def _graph_keys(spec: SplitAlbertSpec, regs: list) -> tuple[array, list[array]]:
     """Key ids, in order of first occurrence: skey[i * r + j] of U(x_i, x_j) and
-    mrow[i][k] of R_{x_k}^{-1} R_{x_i}, for the r vectors x_i of `regs`.
+    mrow[i][k] of R_{x_k}^{-1} R_{x_i}, for the r vectors x_i of `regs`, as
+    array('i') columns.
 
     R_x a = phi(a, x), so for regular x, U(x, y) = {(R_x a | R_y a)} is the
     graph of R_y R_x^{-1}, with RREF rows (e_m | R_y R_x^{-1} e_m).  skey is
@@ -247,24 +237,25 @@ def _graph_keys(spec: SplitAlbertSpec, regs: list) -> tuple[list[int], list[list
     for x in regs:
         rows = rmat(spec, TriVector("V", x)).rows
         for out, inverse, images in ((tables, inv_cols, zip(*rows)), (tables_t, inv_rows, rows)):
-            table = image_table(fld, images)
+            table = array("H", image_table(fld, images))
             if not all(e in table for e in e_idx):
                 raise RuntimeError(f"some e_j is not in the table of R_x, x = {x}: R_x is singular")
             out.append(table)
             inverse.append(itemgetter(*(table.index(e) for e in e_idx)))
     skey_pool: dict[tuple, int] = {}
     mkey_pool: dict[tuple, int] = {}
-    skey = []
+    skey = array("i")
     mrow = []
     for cols, table_t in zip(inv_cols, tables_t):
-        skey += [skey_pool.setdefault(cols(table), len(skey_pool)) for table in tables]
-        mrow.append([mkey_pool.setdefault(get(table_t), len(mkey_pool)) for get in inv_rows])
+        skey.extend([skey_pool.setdefault(cols(table), len(skey_pool)) for table in tables])
+        mrow.append(array("i", [mkey_pool.setdefault(get(table_t), len(mkey_pool))
+                                for get in inv_rows]))
     return skey, mrow
 
 
-def _classes(keys: list[int], count: int) -> list[list[int]]:
-    """Positions grouped by key id, each group in ascending order."""
-    out: list[list[int]] = [[] for _ in range(count)]
+def _classes(keys, count: int) -> list[array]:
+    """Positions grouped by key id, each group an ascending array."""
+    out = [array("i") for _ in range(count)]
     for pos, key in enumerate(keys):
         out[key].append(pos)
     return out

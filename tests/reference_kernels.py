@@ -1,8 +1,17 @@
-"""Dense matrix kernels the tests use as references: no code in `src/` calls them."""
+"""Kernels the tests use as references: dense matrix products and inverses, and the
+inventory before its column layout.  No code in `src/` calls them."""
 
 from __future__ import annotations
 
-from twistfield.linalg import identity_rows, rref_rows
+from array import array
+from collections import Counter
+from dataclasses import dataclass
+from operator import itemgetter
+
+from twistfield.algebra3 import left_division_tables
+from twistfield.engine.census import SpaceRec
+from twistfield.engine.spaces import DEGENERATE, NONDEGENERATE
+from twistfield.linalg import decode_vector, f3_vectors, identity_rows, rref_rows, vec_index
 
 
 def mat_mul(fld, a, b):
@@ -27,3 +36,56 @@ def mat_inv(fld, a):
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
     return tuple(r[n:] for r in rows)
+
+
+@dataclass
+class ReferenceInventory:
+    spaces: list
+    space_of: array
+    mul: array
+    ldiv: array
+    totals: dict
+
+
+def reference_build_inventory(alg):
+    """The inventory as a dict of 3-tuple keys with one SpaceRec per space: the layout
+    before the columns, kept as the reference for `census.build_inventory`."""
+    q = alg.field.order
+    n = q**3
+    mul, ldiv = left_division_tables(alg)
+    vecs = f3_vectors(q)
+    unit = identity_rows(3)
+    e_idx = [vec_index(q, e) for e in unit]
+    solve = []  # [a_0, a_1, a_2] with a_j x' = e_j, for x' = 1 .. n-1
+    for x in range(1, n):
+        col = mul[x::n]  # a -> a x'
+        if not all(e in col for e in e_idx):
+            raise RuntimeError(f"some e_j is not a*x for x = {vecs[x]}: not a division algebra")
+        solve.append([col.index(e) for e in e_idx])
+    take = [itemgetter(*a_j) for a_j in zip(*solve)]
+    # v' = (x', y') is keyed by the indices of a_j y', or by None when x' = 0;
+    # indices run x' fastest, so ids come out in order of least index
+    ids: dict = {}
+    space_of = array("i", [-1])
+    for y in range(n):
+        col = mul[y::n]
+        if y:
+            space_of.append(ids.setdefault(None, len(ids)))
+        space_of.extend([ids.setdefault(key, len(ids)) for key in zip(*(t(col) for t in take))])
+    first = dict(zip(reversed(space_of), range(len(space_of) - 1, -1, -1)))  # least index
+    fiber = Counter(space_of)
+    # v' is degenerate iff x' = 0 or y' = k x', that is T = k I, keyed by the indices of k e_j
+    degenerate = {None} | {tuple(vec_index(q, [k * c for c in e]) for e in unit)
+                           for k in range(q)}
+    spaces = []
+    for pos, key in enumerate(ids):
+        if key is None:  # Av' = 0 + A
+            rows, pivots = tuple((0, 0, 0) + e for e in unit), (3, 4, 5)
+        else:
+            rows, pivots = tuple(e + vecs[t] for e, t in zip(unit, key)), (0, 1, 2)
+        kind = DEGENERATE if key in degenerate else NONDEGENERATE
+        spaces.append(SpaceRec(rows, pivots, kind, fiber[pos], decode_vector(q, first[pos]),
+                               first[pos]))
+    totals = {kind: (sum(r.fiber for r in spaces if r.kind == kind),
+                     sum(r.kind == kind for r in spaces)) for kind in (NONDEGENERATE, DEGENERATE)}
+    return ReferenceInventory(spaces, space_of, mul, ldiv, totals)

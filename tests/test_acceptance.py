@@ -275,7 +275,7 @@ def test_criterion_8_property_suites(tower3, alg3, inv3):
     for rec in inv3.spaces:
         d = len(rec.rows) - added_rank(alg3.field, base_rows, base_pivots, rec.rows)
         if d in (1, 2):
-            ok = ok and hit_span_conditions(frame, rec)
+            ok = ok and hit_span_conditions(frame, rec.rep)
     report("criterion 8: property suites (field axioms, norm fibers, RREF canonicity, "
            "modular law, intersection span conditions)", ok,
            f"{time.perf_counter() - t0:.1f}s")

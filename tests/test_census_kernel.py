@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import tracemalloc
 from array import array
 
 import pytest
@@ -33,6 +34,8 @@ from twistfield.engine.census import (
 from twistfield.engine.spaces import pair_rows
 from twistfield.gf import parse_triple
 from twistfield.linalg import Subspace, added_rank, decode_vector, intersect_rows, rref_rows
+
+from reference_kernels import reference_build_inventory
 
 V0 = PairVector((1, 0, 0), (0, 1, 0))
 
@@ -79,7 +82,7 @@ def assert_kernel_matches_reference(alg, inventory, plane_alg, v):
     meet = census.meet_all(inventory, v)
     assert meet.vectors == vectors, v
     assert meet.spaces == spaces, v
-    assert sorted((d, r.first_index) for d, r in meet.hits) == \
+    assert sorted((d, inventory.spaces[pos].first_index) for d, pos in meet.hits) == \
         sorted((d, r.first_index) for d, r in hits), v
     ref_lines = reference_lines(plane_alg, v, base_rows, base_pivots, hits)
     if classify(alg.field, v) == NONDEGENERATE:
@@ -235,6 +238,57 @@ def test_inventory_matches_rank_sweep_q5(tower5, norm):
     assert_inventory_matches_reference(alg, build_inventory(alg))
 
 
+def assert_columns_match_dict_build(alg):
+    inventory = build_inventory(alg)
+    ref = reference_build_inventory(alg)
+    assert list(inventory.spaces) == ref.spaces
+    assert len(inventory.spaces) == len(ref.spaces)
+    assert inventory.space_of == ref.space_of
+    assert inventory.totals == ref.totals
+    assert (inventory.mul, inventory.ldiv) == (ref.mul, ref.ldiv)
+
+
+def test_columns_match_dict_build_for_every_c_q3(tower3):
+    for c in valid_c_values(tower3):
+        assert_columns_match_dict_build(to_structure_constants(TwistedFieldSpec(tower3, c)))
+
+
+def test_columns_match_dict_build_q4(tower4):
+    cs = valid_c_values(tower4)
+    for c in (cs[0], cs[-1]):
+        assert_columns_match_dict_build(to_structure_constants(TwistedFieldSpec(tower4, c)))
+
+
+@pytest.mark.parametrize("norm", ["-1", "2"])
+def test_columns_match_dict_build_q5(tower5, norm):
+    fld = tower5.base
+    spec = TwistedFieldSpec(tower5, pick_c_by_norm(tower5, fld.neg(1) if norm == "-1" else 2))
+    assert_columns_match_dict_build(to_structure_constants(spec))
+
+
+def traced_peak(build, alg) -> int:
+    tracemalloc.start()
+    try:
+        build(alg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_inventory_peak_memory_q5(tower5):
+    """The tracemalloc peak of `build_inventory` at q=5 stays under 1.5 MB.
+
+    Measured on the first c of norm 2: 0.56 MB for the columns, 3.0 MB for the
+    dict-of-tuples build in `reference_kernels` (3.2 MB at norm -1), which the
+    test checks stays above the bound.
+    """
+    alg = to_structure_constants(TwistedFieldSpec(tower5, pick_c_by_norm(tower5, 2)))
+    build_inventory(alg)  # fill the caches (f3_vectors) outside the trace
+    bound = 1_500_000
+    assert traced_peak(build_inventory, alg) < bound
+    assert traced_peak(reference_build_inventory, alg) > bound
+
+
 @pytest.mark.parametrize("which", ["q3", "q4"])
 def test_left_division_tables_match_products(which, alg3, alg4):
     alg = alg3 if which == "q3" else alg4
@@ -365,7 +419,7 @@ def test_scan_witnesses_name_tally_and_complement(alg3, monkeypatch):
                         lambda q, c, k: ({**real(q, c, k)[0], "dim3": 0}, real(q, c, k)[1]))
     rep = scan_all_nondegenerate(alg3, algebra_class=cls)
     assert all(w["failed"] == ["tally", "complement"] for w in rep.witnesses)
-    monkeypatch.setattr(census, "hit_span_conditions", lambda frame, rec: False)
+    monkeypatch.setattr(census, "hit_span_conditions", lambda frame, rep: False)
     rep = scan_all_nondegenerate(alg3, algebra_class=cls)
     assert all(w["failed"] == ["tally", "complement", "span"] for w in rep.witnesses)
 
@@ -457,15 +511,11 @@ def test_span_check_covers_mixed_coordinates(alg3):
     fld = alg3.field
     frame = census.span_frame(fld, V0)
 
-    def hit(rep):
-        return census.SpaceRec(rows=(), pivots=(), kind=NONDEGENERATE, fiber=2, rep=rep,
-                               first_index=sum(c * 3**i for i, c in enumerate(rep)))
-
     mixed = (1, 0, 1) + (0, 1, 2)
     assert all(mixed[:3] != tuple(fld.mul(k, c) for c in V0.x) for k in range(3))
     assert all(mixed[3:] != tuple(fld.mul(k, c) for c in V0.y) for k in range(3))
-    assert not census.hit_span_conditions(frame, hit(mixed))
-    assert census.hit_span_conditions(frame, hit((1, 0, 1) + (1, 1, 1)))
+    assert not census.hit_span_conditions(frame, mixed)
+    assert census.hit_span_conditions(frame, (1, 0, 1) + (1, 1, 1))
 
 
 @pytest.mark.parametrize("which", ["q3", "q4"])
@@ -481,4 +531,4 @@ def test_span_conditions_fail_on_degenerate_and_same_plane_spaces(which, alg3, i
                     if rec.kind == DEGENERATE or plane == base]
         assert sum(rec.kind == DEGENERATE for rec in excluded) == fld.order + 1
         assert len(excluded) > fld.order + 1  # some nondegenerate space shares the plane
-        assert not any(census.hit_span_conditions(frame, rec) for rec in excluded), v
+        assert not any(census.hit_span_conditions(frame, rec.rep) for rec in excluded), v

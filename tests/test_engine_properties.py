@@ -43,7 +43,7 @@ def test_degenerate_meets_trivially_or_equals(which, alg3, inv3, alg4, inv4):
     alg, inv = (alg3, inv3) if which == "q3" else (alg4, inv4)
     fld = alg.field
     q = fld.order
-    deg_spaces = inv.by_kind(DEGENERATE)
+    deg_spaces = [rec for rec in inv.spaces if rec.kind == DEGENERATE]
     assert len(deg_spaces) == q + 1
     for rec in deg_spaces:
         assert rec.fiber == q**3 - 1  # one space per degenerate line
@@ -149,7 +149,7 @@ def test_hits_force_span_conditions(which, alg3, inv3, alg4, inv4):
         for rec in inv.spaces:
             d = len(rec.rows) - added_rank(fld, base_rows, base_pivots, rec.rows)
             if d in (1, 2):
-                assert hit_span_conditions(frame, rec), (v, rec.rep, d)
+                assert hit_span_conditions(frame, rec.rep), (v, rec.rep, d)
 
 
 # -- dim-2 planes: distinctness and the bijection onto non-base planes -----------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import random
 
@@ -327,6 +328,24 @@ def test_splitting_identity_random(q):
     check_splitting_identity(stf, [(rng.randrange(n), rng.randrange(n)) for _ in range(300)])
 
 
+@functools.lru_cache(maxsize=None)
+def tabulated_tower(q):
+    """A tower of its own whose K = GF(q^3) carries add, sub, mul and inverse tables,
+    filled from its untabulated operations.
+
+    The exhaustive references below make about n^2 products in K each; the shared
+    `tower*` fixtures keep K untabulated, the path the CLI runs.
+    """
+    tower = gf.FieldTower.build(q)
+    K = tower.ext
+    n = K.order
+    add, sub, mul = ([[op(a, b) for b in range(n)] for a in range(n)]
+                     for op in (K.add, K.sub, K.mul))
+    inv = [0] + [K.inv(a) for a in range(1, n)]
+    K.add_t, K.sub_t, K.mul_t, K.inv_t = add, sub, mul, inv
+    return tower
+
+
 def basis_pairs(q):
     """The 9 pairs of the F-basis (1, t, t^2) of K, as element indices."""
     basis = (1, q, q * q)
@@ -337,7 +356,8 @@ def basis_pairs(q):
 def test_basis_pairs_decide_the_splitting_identity(request, q):
     # both sides are F-bilinear, so the 9 basis pairs agree with all n^2 pairs, also
     # for a nu with rotated conjugates of c (still K-bilinear, and wrong off the base field)
-    tower = request.getfixturevalue(f"tower{q}")
+    tower = tabulated_tower(q)
+    assert tower.base.order == q and request.getfixturevalue(f"tower{q}").f == tower.f
     n = tower.ext.order
     every = [(x, y) for x in range(n) for y in range(n)]
     if q == 5:
@@ -372,8 +392,8 @@ def test_nu_matches_phi_on_basis(comm3):
             assert nu_product(stf, ei, ej) == nu_via_phi(stf, ei, ej)
 
 
-def test_nu_matches_phi_exhaustive_q3(comm3):
-    stf = split_twisted_field(comm3)
+def test_nu_matches_phi_exhaustive_q3():
+    stf = split_twisted_field(TwistedFieldSpec(tabulated_tower(3), 2))  # comm3's c = -1
     for xi in itertools.product(range(27), repeat=3):
         eta = (xi[2], xi[0], (xi[1] * 7 + 1) % 27)
         assert nu_product(stf, xi, eta) == nu_via_phi(stf, xi, eta)

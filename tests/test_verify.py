@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from array import array
+from collections import Counter
 
 import pytest
 
@@ -265,6 +266,13 @@ def test_corrupted_inventory_is_never_a_verdict_for_B_and_a_witness_for_A(comm3,
                                   "members": [(v.x, v.y)]}]
 
 
+def with_space_of(inventory, space_of):
+    """`inventory` with `space_of` replaced and its fiber column counted from it."""
+    counts = Counter(space_of)
+    fiber = array("i", (counts[pos] for pos in range(len(inventory.fiber))))
+    return dataclasses.replace(inventory, space_of=space_of, fiber=fiber)
+
+
 def test_theorem_A_checks_both_fiber_size_and_fiber_members(alg3, inv3):
     fld = alg3.field
     v = plane_representatives(fld)[0]
@@ -280,7 +288,7 @@ def test_theorem_A_checks_both_fiber_size_and_fiber_members(alg3, inv3):
     swapped = array("i", moved)
     swapped[index3(tuple(fld.mul(2, c) for c in inv3.spaces[other].rep))] = mine
     for space_of in (moved, swapped):
-        verdict = verify_theorem_A(alg3, inventory=dataclasses.replace(inv3, space_of=space_of))
+        verdict = verify_theorem_A(alg3, inventory=with_space_of(inv3, space_of))
         assert verdict.passed is False
         assert [w["Av_key"] for w in verdict.witnesses] == keys
 
@@ -409,8 +417,8 @@ def test_graph_keys_partition_pairs_as_rref_keys(q):
         rinvs = [rmat_inv(spec, TriVector("V", v)).rows for v in regs]
         product_keys = [[product_pool.setdefault(mat_mul(fld, rinvs[k], rmats[i]), len(product_pool))
                          for k in range(len(regs))] for i in range(len(regs))]
-        assert skey == rref_keys  # ids by first occurrence: equal lists, equal partitions
-        assert mrow == product_keys
+        assert list(skey) == rref_keys  # ids by first occurrence: equal lists, equal partitions
+        assert [list(row) for row in mrow] == product_keys
 
 
 # -- Theorem 7.1 by the loop over all q^8 pairs, and the 7.2 sweep by one kernel and one
