@@ -5,19 +5,22 @@ Exit codes: 0 = pass, 1 = counterexample or failed verdict, 2 = usage error,
 the traceback on stderr).
 Identical configuration produces byte-identical JSON except for the
 runtime_ms field, regardless of worker count.
+
+Each command runs in a fresh process, which compiles every module it imports
+unless a bytecode cache is at hand.  So this module imports only `gf`,
+`algebra3` and `linalg` at the top, and each handler imports the engine
+modules its command runs (`engine/__init__.py` re-exports nothing); the
+verifiers in `engine.verify` do the same.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import re
 import sys
 import time
 
-from . import engine
 from .algebra3 import (
     TwistedFieldSpec,
     is_division,
@@ -35,7 +38,11 @@ from .gf import (
     parse_triple,
 )
 from .linalg import f3_vectors
-from .splitalbert import SplitAlbertSpec, split_twisted_field, splitting_counterexample
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only
+    from .engine.spaces import PairVector
+    from .splitalbert import SplitAlbertSpec
 
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -128,7 +135,9 @@ def resolve_c(tower: FieldTower, args) -> int:
     return c
 
 
-def parse_pair_vector(tower: FieldTower, text: str) -> engine.PairVector:
+def parse_pair_vector(tower: FieldTower, text: str) -> PairVector:
+    from .engine.spaces import PairVector
+
     match = re.fullmatch(r"\s*\[([^\[\]]*)\]\s*,\s*\[([^\[\]]*)\]\s*", text)
     if match is None:
         raise UsageError(f'base vector must look like "[1,0,0],[0,1,0]", got {text!r}')
@@ -141,11 +150,13 @@ def parse_pair_vector(tower: FieldTower, text: str) -> engine.PairVector:
             coords.append(tuple(parse_elem(tower.base, s) for s in parts))
         except ValueError as exc:
             raise UsageError(f"malformed element literal: {exc}") from exc
-    return engine.PairVector(coords[0], coords[1])
+    return PairVector(coords[0], coords[1])
 
 
 def resolve_split_spec(fld: Field, text: str | None) -> SplitAlbertSpec:
     """phi_d for --d "d0,d1,d2", or for the lex-least valid d when --d is absent."""
+    from .splitalbert import SplitAlbertSpec
+
     if text is None:
         candidates = f3_vectors(fld.order)
     else:
@@ -184,6 +195,9 @@ def render(payload: dict, fmt: str, csv_rows=None) -> str:
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True)
     if fmt == "csv":
+        import csv
+        import io
+
         out = io.StringIO()
         writer = csv.DictWriter(out, fieldnames=list(csv_rows[0].keys()))
         writer.writeheader()
@@ -233,6 +247,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_split(args) -> int:
+    from .splitalbert import split_twisted_field, splitting_counterexample
+
     tower = resolve_tower(args.q)
     c = resolve_c(tower, args)
     spec = TwistedFieldSpec(tower, c)
@@ -258,6 +274,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .engine import verify
+
     tower = resolve_tower(args.q)
     ignored = []
     if args.theorem in ("3.1", "7.1", "7.2-analogue"):
@@ -270,44 +288,48 @@ def cmd_verify(args) -> int:
     if args.theorem == "A":
         c = resolve_c(tower, args)
         alg = to_structure_constants(TwistedFieldSpec(tower, c))
-        verdict = engine.verify_theorem_A(alg)
+        verdict = verify.verify_theorem_A(alg)
         head = header_for(tower, c)
     elif args.theorem == "B":
         c = resolve_c(tower, args)
-        verdict = engine.verify_theorem_B(TwistedFieldSpec(tower, c))
+        verdict = verify.verify_theorem_B(TwistedFieldSpec(tower, c))
         head = header_for(tower, c)
     elif args.theorem == "7.1":
-        verdict = engine.verify_normal_forms(tower.base)
+        verdict = verify.verify_normal_forms(tower.base)
         head = header_for(tower)
     else:
         spec = resolve_split_spec(tower.base, args.d)
         if args.theorem == "3.1":
-            verdict = engine.verify_split_theorem_3_1(spec)
+            verdict = verify.verify_split_theorem_3_1(spec)
         else:
-            verdict = engine.search_theorem_7_2_analogue(spec)
+            verdict = verify.search_theorem_7_2_analogue(spec)
         head = header_for(tower, d=spec.d)
     return emit(args, head, verdict.to_json_dict(), verdict.passed, theorem=args.theorem)
 
 
 def cmd_census(args) -> int:
+    from .engine import census, spaces
+
     tower = resolve_tower(args.q)
     c = resolve_c(tower, args)
     spec = TwistedFieldSpec(tower, c)
     if args.scan_all:
-        report = engine.scan_orbit(spec, workers=args.workers)
+        report = census.scan_orbit(spec, workers=args.workers)
         return emit(args, header_for(tower, c), report.to_json_dict(), report.match)
     if not args.v:
         raise UsageError("census needs --v or --scan-all")
     v = parse_pair_vector(tower, args.v)
-    if engine.classify(tower.base, v) == engine.ZERO:
+    if spaces.classify(tower.base, v) == spaces.ZERO:
         raise UsageError("census base vector must be nonzero")
     alg = to_structure_constants(spec)
-    report = engine.per_vector_profile(alg, v, algebra_class=isotopy_class(spec))
+    report = census.per_vector_profile(alg, v, algebra_class=isotopy_class(spec))
     return emit(args, header_for(tower, c), report.to_json_dict(), report.match,
                 csv_rows=report.csv_rows())
 
 
 def cmd_line_census(args) -> int:
+    from .engine import census, spaces
+
     tower = resolve_tower(args.q)
     c = resolve_c(tower, args)
     if not args.v:
@@ -315,9 +337,9 @@ def cmd_line_census(args) -> int:
     spec = TwistedFieldSpec(tower, c)
     alg = to_structure_constants(spec)
     v = parse_pair_vector(tower, args.v)
-    if engine.classify(tower.base, v) != engine.NONDEGENERATE:
+    if spaces.classify(tower.base, v) != spaces.NONDEGENERATE:
         raise UsageError("line profile needs a nondegenerate base vector")
-    report = engine.line_profile(alg, v, algebra_class=isotopy_class(spec))
+    report = census.line_profile(alg, v, algebra_class=isotopy_class(spec))
     return emit(args, header_for(tower, c), report.to_json_dict(), report.match)
 
 

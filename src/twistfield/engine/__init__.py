@@ -1,73 +1,1 @@
 """The action of A on A^2: Av subspaces, intersections, normal forms, censuses."""
-
-from .census import (
-    AvInventory,
-    CensusReport,
-    build_inventory,
-    complementary_space_count,
-    global_counts,
-    line_profile,
-    per_vector_profile,
-    predicted_complementary_spaces,
-    predicted_global_counts,
-    predicted_line_profile,
-    predicted_profile,
-    scan_all_nondegenerate,
-    scan_orbit,
-)
-from .normalform import PairNormalForm, pair_normal_form, template_matches
-from .spaces import (
-    DEGENERATE,
-    NONDEGENERATE,
-    ZERO,
-    PairVector,
-    av_subspace,
-    classify,
-    construct_two_dim_partner,
-    intersection_dim,
-    plane_representatives,
-    solution_space,
-)
-from .verify import (
-    Verdict,
-    search_theorem_7_2_analogue,
-    verify_normal_forms,
-    verify_split_theorem_3_1,
-    verify_theorem_A,
-    verify_theorem_B,
-)
-
-__all__ = [
-    "AvInventory",
-    "CensusReport",
-    "DEGENERATE",
-    "NONDEGENERATE",
-    "PairNormalForm",
-    "PairVector",
-    "Verdict",
-    "ZERO",
-    "av_subspace",
-    "build_inventory",
-    "classify",
-    "complementary_space_count",
-    "construct_two_dim_partner",
-    "global_counts",
-    "intersection_dim",
-    "line_profile",
-    "pair_normal_form",
-    "per_vector_profile",
-    "plane_representatives",
-    "predicted_complementary_spaces",
-    "predicted_global_counts",
-    "predicted_line_profile",
-    "predicted_profile",
-    "scan_all_nondegenerate",
-    "scan_orbit",
-    "search_theorem_7_2_analogue",
-    "solution_space",
-    "template_matches",
-    "verify_normal_forms",
-    "verify_split_theorem_3_1",
-    "verify_theorem_A",
-    "verify_theorem_B",
-]

@@ -2,6 +2,8 @@
 matrix-pair normal forms, and the finite-field analogue of the d = 1 obstruction.
 
 The sweeps handle vectors of F^3 and F^6 as indices (`linalg` module docstring).
+Each verifier imports the engine modules only it needs (`census`, `normalform`
+or `splitalbert`), so a CLI process compiles no other verifier's dependencies.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from ..algebra3 import (Algebra3, IsotopyClass, TwistedFieldSpec, basis_products
 from ..gf import Field
 from ..linalg import (cross, decode_vector, f3_vectors, identity_rows, image_table, kernel_rows,
                       unit_row, vec_index)
-from ..splitalbert import SplitAlbertSpec, TriVector, rmat
-from .census import KINDS, AvInventory, build_inventory, meet_all
-from .normalform import mul2, pair_normal_form, template_matches
 from .spaces import NONDEGENERATE, PairVector, intersection_dim, plane_representatives
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only
+    from ..splitalbert import SplitAlbertSpec
+    from .census import AvInventory
 
 
 @dataclass
@@ -49,6 +53,8 @@ def verify_theorem_A(alg: Algebra3, inventory: AvInventory | None = None) -> Ver
     with rep its least-index vector: its `fiber` entry is q - 1 and `space_of`
     puts each k rep in it.  Witnesses decode a failing space's fiber.
     """
+    from .census import KINDS, build_inventory
+
     t0 = time.perf_counter()
     fld = alg.field
     q = fld.order
@@ -90,6 +96,8 @@ def verify_theorem_B(tf: TwistedFieldSpec, inventory: AvInventory | None = None)
     counts, per representative, the spaces in inventory order up to the first
     dim-2 one, or all of them; each witness is cross-checked directly.
     """
+    from .census import build_inventory, meet_all
+
     t0 = time.perf_counter()
     alg = to_structure_constants(tf)
     cls = isotopy_class(tf)
@@ -229,6 +237,8 @@ def _graph_keys(spec: SplitAlbertSpec, regs: list) -> tuple[array, list[array]]:
     R_{x_k}^{-1}.  Both inverses are read off the tables with `.index`, so every
     table is checked to reach e_0, e_1 and e_2; RuntimeError when one does not.
     """
+    from ..splitalbert import TriVector, rmat
+
     fld = spec.field
     q = fld.order
     e_idx = [vec_index(q, e) for e in identity_rows(3)]
@@ -298,6 +308,8 @@ def verify_normal_forms(fld: Field) -> Verdict:
     checks its (P, Q) and the template is checked on every representative;
     witnesses are representatives whose template fails.
     """
+    from .normalform import mul2, pair_normal_form, template_matches
+
     t0 = time.perf_counter()
     q = fld.order
     weight = (1, q * q - 1, (q * q - 1) * (q * q - q))

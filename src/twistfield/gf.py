@@ -17,8 +17,8 @@ operation on demand.  No discrete-log shortcuts.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
-from typing import Iterator
 
 SUPPORTED_Q = (3, 4, 5, 7, 8, 9)
 

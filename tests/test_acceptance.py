@@ -24,23 +24,22 @@ from twistfield.algebra3 import (
     to_structure_constants,
     valid_c_values,
 )
-from twistfield.engine import (
-    PairVector,
-    pair_normal_form,
-    scan_all_nondegenerate,
-    search_theorem_7_2_analogue,
-    template_matches,
-    verify_normal_forms,
-    verify_split_theorem_3_1,
-    verify_theorem_A,
-    verify_theorem_B,
-)
 from twistfield.engine.census import (
     build_inventory,
     complementary_space_count,
     global_counts,
     line_profile,
     per_vector_profile,
+    scan_all_nondegenerate,
+)
+from twistfield.engine.normalform import pair_normal_form, template_matches
+from twistfield.engine.spaces import PairVector
+from twistfield.engine.verify import (
+    search_theorem_7_2_analogue,
+    verify_normal_forms,
+    verify_split_theorem_3_1,
+    verify_theorem_A,
+    verify_theorem_B,
 )
 from twistfield.linalg import identity_rows, intersect, span, subspace_sum
 from twistfield.splitalbert import (

@@ -12,7 +12,7 @@ from twistfield.algebra3 import (
     to_structure_constants,
     valid_c_values,
 )
-from twistfield.engine import DEGENERATE, PairVector, census
+from twistfield.engine import census
 from twistfield.engine.census import (
     build_inventory,
     complementary_space_count,
@@ -25,6 +25,7 @@ from twistfield.engine.census import (
     predicted_global_counts,
     scan_all_nondegenerate,
 )
+from twistfield.engine.spaces import DEGENERATE, PairVector
 
 V0 = PairVector((1, 0, 0), (0, 1, 0))
 

@@ -19,7 +19,7 @@ from twistfield.algebra3 import (
     to_structure_constants,
     valid_c_values,
 )
-from twistfield.engine import DEGENERATE, NONDEGENERATE, PairVector, census, classify
+from twistfield.engine import census
 from twistfield.engine.census import (
     DIM_KEYS,
     build_inventory,
@@ -31,7 +31,7 @@ from twistfield.engine.census import (
     scan_all_nondegenerate,
     scan_orbit,
 )
-from twistfield.engine.spaces import pair_rows
+from twistfield.engine.spaces import DEGENERATE, NONDEGENERATE, PairVector, classify, pair_rows
 from twistfield.gf import parse_triple
 from twistfield.linalg import Subspace, added_rank, decode_vector, intersect_rows, rref_rows
 

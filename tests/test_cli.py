@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -283,7 +287,7 @@ def test_verify_json_determinism_across_workers(capsys, theorem, q, c):
 
 def test_exit_code_one_on_failed_verdict(capsys, monkeypatch):
     # the theorems hold, so force a failing verdict to check the exit mapping
-    monkeypatch.setattr(cli.engine, "verify_theorem_A",
+    monkeypatch.setattr(verify, "verify_theorem_A",
                         lambda alg: Verdict("theorem-A", False, 1))
     code, out, _ = run_cli(capsys, "verify", "--theorem", "A", "--q", "3",
                            "--norm-target", "-1")
@@ -304,7 +308,7 @@ def test_internal_error_is_not_a_counterexample(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("fast sweep disagrees with direct intersection")
 
-    monkeypatch.setattr(cli.engine, "verify_theorem_B", broken)
+    monkeypatch.setattr(verify, "verify_theorem_B", broken)
     code, out, err = run_cli(capsys, "verify", "--theorem", "B", "--q", "3",
                              "--norm-target", "-1")
     assert code == cli.EXIT_INTERNAL == 3
@@ -324,7 +328,7 @@ def test_engine_value_error_is_internal(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("an invariant deep in the engine")
 
-    monkeypatch.setattr(cli.engine, "verify_theorem_B", broken)
+    monkeypatch.setattr(verify, "verify_theorem_B", broken)
     code, out, err = run_cli(capsys, "verify", "--theorem", "B", "--q", "3",
                              "--norm-target", "-1")
     assert code == cli.EXIT_INTERNAL == 3
@@ -433,10 +437,11 @@ def test_format_other_than_json_fails_before_any_work(capsys, monkeypatch, argv,
         raise AssertionError("the command ran")
 
     monkeypatch.setattr(cli, "resolve_tower", work)
-    for name in ("verify_theorem_A", "verify_theorem_B", "verify_normal_forms",
-                 "verify_split_theorem_3_1", "search_theorem_7_2_analogue", "scan_orbit",
-                 "per_vector_profile", "line_profile"):
-        monkeypatch.setattr(cli.engine, name, work)
+    for module, name in ((verify, "verify_theorem_A"), (verify, "verify_theorem_B"),
+                         (verify, "verify_normal_forms"), (verify, "verify_split_theorem_3_1"),
+                         (verify, "search_theorem_7_2_analogue"), (census, "scan_orbit"),
+                         (census, "per_vector_profile"), (census, "line_profile")):
+        monkeypatch.setattr(module, name, work)
     code, out, err = run_cli(capsys, *argv, "--format", fmt)
     assert code == cli.EXIT_USAGE
     assert out == ""
@@ -458,3 +463,52 @@ def test_broken_torus_certificate_is_internal(capsys, monkeypatch, broken):
     assert code == cli.EXIT_INTERNAL == 3
     assert message in json.loads(out)["error"]
     assert "Traceback" in err
+
+
+# the twistfield modules a fresh process holds after each command: `gf`, `algebra3` and
+# `linalg` come with `import twistfield.cli`, every other module only with its command
+BASE_MODULES = {"twistfield", "twistfield.cli", "twistfield.gf", "twistfield.algebra3",
+                "twistfield.linalg"}
+SRC = Path(__file__).resolve().parents[1] / "src"
+LOADED_MODULES = """
+import contextlib, io, json, sys
+import twistfield.cli
+argv = sys.argv[1:]
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = twistfield.cli.main(argv)
+    assert code == 0, code
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "twistfield")))
+"""
+C3 = ["--q", "3", "--c", "[2,0,0]"]
+V3 = ["--v", "[1,0,0],[0,1,0]", *C3]
+CENSUS = {"engine", "census", "spaces"}
+COMMAND_MODULES = {
+    "import": ([], set()),
+    "field-info": (["field-info", "--q", "3"], set()),
+    "build": (["build", *C3], set()),
+    "split": (["split", *C3], {"splitalbert"}),
+    "census-scan-all": (["census", "--scan-all", *C3], CENSUS),
+    "census-v": (["census", *V3], CENSUS),
+    "census-v-csv": (["census", *V3, "--format", "csv"], CENSUS),
+    "line-census": (["line-census", *V3], CENSUS),
+    **{f"verify-{t}": (["verify", "--theorem", t, *C3], CENSUS | {"verify"}) for t in "AB"},
+    "verify-7.1": (["verify", "--theorem", "7.1", "--q", "3"],
+                   {"engine", "verify", "normalform", "spaces"}),
+    **{f"verify-{t}": (["verify", "--theorem", t, "--q", "3"],
+                       {"engine", "verify", "spaces", "splitalbert"})
+       for t in ("3.1", "7.2-analogue")},
+}
+
+
+@pytest.mark.parametrize("name", COMMAND_MODULES)
+def test_each_command_loads_only_the_modules_it_runs(name):
+    # a fresh process compiles every module it imports, so no command loads another's engine
+    argv, more = COMMAND_MODULES[name]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    want = BASE_MODULES | {("twistfield." if m in ("engine", "splitalbert") else
+                            "twistfield.engine.") + m for m in more}
+    assert set(json.loads(done.stdout)) == want

@@ -12,17 +12,18 @@ from twistfield.algebra3 import (
     pick_c_by_norm,
     to_structure_constants,
 )
-from twistfield.engine import (
+from twistfield.engine.census import hit_span_conditions, span_frame
+from twistfield.engine.spaces import (
     DEGENERATE,
     NONDEGENERATE,
     PairVector,
     av_subspace,
     classify,
     intersection_dim,
+    pair_rows,
     plane_representatives,
+    solve3,
 )
-from twistfield.engine.census import hit_span_conditions, span_frame
-from twistfield.engine.spaces import pair_rows, solve3
 from twistfield.linalg import Subspace, added_rank, decode_vector, intersect_rows, rref_rows
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from twistfield.algebra3 import right_mul_matrix
-from twistfield.engine import (
+from twistfield.engine.spaces import (
     DEGENERATE,
     NONDEGENERATE,
     ZERO,
@@ -15,10 +15,10 @@ from twistfield.engine import (
     classify,
     construct_two_dim_partner,
     intersection_dim,
+    pair_rows,
     plane_representatives,
     solution_space,
 )
-from twistfield.engine.spaces import pair_rows
 from twistfield.linalg import Subspace, decode_vector, rref_rows
 
 

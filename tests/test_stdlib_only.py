@@ -34,28 +34,54 @@ def test_no_module_imports_random():
     assert [where for where, top in absolute_imports() if top == "random"] == []
 
 
+def scope_imports(scope):
+    """{name: line} for the imports in `scope`'s own body, outside any nested function."""
+    imported = {}
+    todo = list(scope.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return imported
+
+
 def unused_imports(package=PACKAGE):
-    """(location, name) for every top-level import a module never uses; __init__ re-exports."""
+    """(location, name) for every import its scope never uses: the module for a top-level
+    import, the function for one inside a function.  __init__ modules are skipped."""
     for path in sorted(package.rglob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        imported = {}
-        for node in tree.body:
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-                for alias in node.names:
-                    imported[alias.asname or alias.name] = node.lineno
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        for name, line in imported.items():
-            if name not in used:
-                yield f"{path.relative_to(package)}:{line} {name}"
+        scopes = [tree] + [node for node in ast.walk(tree)
+                           if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for scope in scopes:
+            used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+            for name, line in scope_imports(scope).items():
+                if name not in used:
+                    yield f"{path.relative_to(package)}:{line} {name}"
 
 
 def test_every_import_is_used():
     assert list(unused_imports()) == []
+
+
+def test_unused_import_lint_reads_function_scopes(tmp_path):
+    # a top-level import may be used in any function; one inside a function only in it
+    (tmp_path / "mod.py").write_text(
+        "import os\n"
+        "def f():\n"
+        "    import json\n"
+        "    from io import StringIO\n"
+        "    return os.sep, StringIO\n"
+        "def g():\n"
+        "    return json\n")
+    assert list(unused_imports(tmp_path)) == ["mod.py:3 json"]
 
 
 def private_imports(package=PACKAGE):

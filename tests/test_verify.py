@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from twistfield import gf
+from twistfield import gf, splitalbert
 from twistfield.algebra3 import (
     IsotopyClass,
     TwistedFieldSpec,
@@ -16,23 +16,25 @@ from twistfield.algebra3 import (
     to_structure_constants,
     valid_c_values,
 )
-from twistfield.engine import (
+from twistfield.engine import normalform, verify as verify_module
+from twistfield.engine.census import build_inventory
+from twistfield.engine.normalform import det2, template_matches
+from twistfield.engine.spaces import (
     DEGENERATE,
     NONDEGENERATE,
     PairVector,
-    build_inventory,
     classify,
+    pair_rows,
     plane_representatives,
+)
+from twistfield.engine.verify import (
+    Verdict,
     search_theorem_7_2_analogue,
     verify_normal_forms,
     verify_split_theorem_3_1,
     verify_theorem_A,
     verify_theorem_B,
 )
-from twistfield.engine.spaces import pair_rows
-from twistfield.engine import verify as verify_module
-from twistfield.engine.verify import Verdict
-from twistfield.engine.normalform import det2, template_matches
 from twistfield.linalg import (added_rank, cross, decode_vector, f3_vectors, image_table,
                                kernel_rows, rref_rows, vec_index)
 from twistfield.splitalbert import SplitAlbertSpec, TriVector, rmat, rmat_inv
@@ -301,8 +303,8 @@ def reference_theorem_3_1(spec):
 
     U(x, y) is the RREF of the rows (R_x e_m | R_y e_m), and the matrix criterion is
     the product of a dense inverse with R (`reference_kernels`).  R is read through
-    the verify module, so a monkeypatched `rmat` reaches the reference as it reaches
-    the graph keys.
+    the splitalbert module, so a monkeypatched `rmat` reaches the reference as it
+    reaches the graph keys.
     """
     fld = spec.field
     q = fld.order
@@ -317,7 +319,7 @@ def reference_theorem_3_1(spec):
     skey_pool, mkey_pool = {}, {}
     skey = [[0] * r for _ in range(r)]
     mkey = [[0] * r for _ in range(r)]
-    rmats = [verify_module.rmat(spec, TriVector("V", v)).rows for v in regs]
+    rmats = [splitalbert.rmat(spec, TriVector("V", v)).rows for v in regs]
     rinvs = [mat_inv(fld, m) for m in rmats]
     for i in range(r):
         for j in range(r):
@@ -385,9 +387,9 @@ def test_split_theorem_31_mutations_fail_with_replayable_witnesses(monkeypatch, 
         monkeypatch.setattr(verify_module, "image_table", lambda fld, images: [
             0 if i == 1 else i for i in real(fld, images)])
     else:
-        real = verify_module.rmat
+        real = splitalbert.rmat
         swap = (1, 1, 1) if kernel == "rmat" else (1, 2, 0)
-        monkeypatch.setattr(verify_module, "rmat", lambda sp, v: real(
+        monkeypatch.setattr(splitalbert, "rmat", lambda sp, v: real(
             sp, TriVector("V", swap) if v.coords == (1, 2, 2) else v))
     if kernel != "rmat":
         with pytest.raises(RuntimeError, match="is singular"):
@@ -426,7 +428,7 @@ def test_graph_keys_partition_pairs_as_rref_keys(q):
 
 
 def reference_normal_forms(fld):
-    """Every one of the q^8 pairs through `pair_normal_form`, read through the verify module."""
+    """Every one of the q^8 pairs through `pair_normal_form`, read through its module."""
     q = fld.order
     mats = [((a, b), (c, d))
             for a in range(q) for b in range(q) for c in range(q) for d in range(q)]
@@ -434,7 +436,7 @@ def reference_normal_forms(fld):
     witnesses = []
     for g0 in mats:
         for g1 in mats:
-            form = verify_module.pair_normal_form(fld, g0, g1)
+            form = normalform.pair_normal_form(fld, g0, g1)
             tag_counts[form.tag] = tag_counts.get(form.tag, 0) + 1
             if not template_matches(fld, form):
                 witnesses.append({"g0": g0, "g1": g1, "tag": form.tag})
@@ -558,13 +560,13 @@ def test_normal_form_tag_counts_closed_forms(q):
 
 def test_normal_forms_non_invariant_tag_trips_the_generator_check(monkeypatch):
     # a tag that also reads G0[0][0], which row swaps change
-    real = verify_module.pair_normal_form
+    real = normalform.pair_normal_form
 
     def broken(fld, g0, g1):
         form = real(fld, g0, g1)
         return dataclasses.replace(form, tag=form.tag + "'" * (g0[0][0] == 0))
 
-    monkeypatch.setattr(verify_module, "pair_normal_form", broken)
+    monkeypatch.setattr(normalform, "pair_normal_form", broken)
     with pytest.raises(RuntimeError, match="changes under"):
         verify_normal_forms(gf.Field.of_order(3))
 
