@@ -13,7 +13,7 @@ from array import array
 from dataclasses import dataclass, field as dc_field
 
 from .gf import Field, FieldTower
-from .linalg import MatF, f3_vectors, identity_rows, image_table, kernel_rows
+from .linalg import MatF, f3_vectors, identity_rows, image_table, kernel_rows, mat_vec
 
 Vec3 = tuple[int, int, int]
 Tensor = tuple[tuple[tuple[int, int, int], ...], ...]
@@ -97,16 +97,6 @@ class Algebra3:
             raise ValueError("structure tensor must be 3x3x3")
         object.__setattr__(self, "tensor", t)
 
-    def mulvec(self, a: Vec3, b: Vec3) -> Vec3:
-        """a*b = sum_i a_i (e_i * b)."""
-        fld = self.field
-        out = [0, 0, 0]
-        for ai, row in zip(a, basis_products(self, b)):
-            if ai:
-                for k in range(3):
-                    out[k] = fld.add(out[k], fld.mul(ai, row[k]))
-        return (out[0], out[1], out[2])
-
     def is_commutative(self) -> bool:
         s = self.tensor
         return all(s[i][j] == s[j][i] for i in range(3) for j in range(3))
@@ -139,7 +129,10 @@ def basis_products(alg, b: Vec3) -> list[Vec3]:
 
     `alg` is anything with a tabulated `field` and a 3x3x3 `tensor` (an
     :class:`Algebra3`, or a split Albert spec, where row i is phi(alpha_i, b)).
-    Every product, multiplication matrix and Av generator derives from it.
+    Every product of coordinate vectors derives from it: `mulvec`, both
+    multiplication matrices, the division tables, the autotopism check, phi,
+    L_x and R_y, and the generators of Av and U(x, y).  Only the K-level
+    definitions mu and nu multiply in K directly.
     """
     fld = alg.field
     add_t, mul_t = fld.add_t, fld.mul_t
@@ -186,14 +179,42 @@ def left_division_tables(alg: Algebra3) -> tuple[array, array]:
     return mul, ldiv
 
 
-def left_mul_matrix(alg: Algebra3, a: Vec3) -> MatF:
+def mulvec(alg, a: Vec3, b: Vec3) -> Vec3:
+    """a*b = sum_i a_i (e_i * b), for any `alg` that `basis_products` takes."""
+    fld = alg.field
+    out = [0, 0, 0]
+    for ai, row in zip(a, basis_products(alg, b)):
+        if ai:
+            for k in range(3):
+                out[k] = fld.add(out[k], fld.mul(ai, row[k]))
+    return (out[0], out[1], out[2])
+
+
+def left_mul_matrix(alg, a: Vec3) -> MatF:
     """Matrix of x -> a*x in the standard basis; its columns are a*e_j."""
-    return MatF(alg.field, tuple(zip(*(alg.mulvec(a, e) for e in identity_rows(3)))))
+    return MatF(alg.field, tuple(zip(*(mulvec(alg, a, e) for e in identity_rows(3)))))
 
 
-def right_mul_matrix(alg: Algebra3, b: Vec3) -> MatF:
+def right_mul_matrix(alg, b: Vec3) -> MatF:
     """Matrix of x -> x*b in the standard basis; its columns are e_i*b."""
     return MatF(alg.field, tuple(zip(*basis_products(alg, b))))
+
+
+def autotopism_counterexample(src, dst, f, g, h) -> tuple[int, int] | None:
+    """The first basis pair (i, j), in row-major order, with h(e_i e_j) != (f e_i)(g e_j), or None.
+
+    e_i e_j is taken in `src` and (f e_i)(g e_j) in `dst`, both over one field;
+    f, g and h are 3x3 matrices given as rows.  All three maps are linear, so
+    None means h(a b) = (f a)(g b) for every a and b.
+    """
+    fld = src.field
+    unit = identity_rows(3)
+    f_cols, g_cols = tuple(zip(*f)), tuple(zip(*g))
+    for i in range(3):
+        for j in range(3):
+            if mat_vec(fld, h, mulvec(src, unit[i], unit[j])) != mulvec(dst, f_cols[i], g_cols[j]):
+                return i, j
+    return None
 
 
 def det3(fld: Field, rows) -> int:
@@ -300,7 +321,7 @@ def commutative_isotope(alg: Algebra3) -> Algebra3 | None:
         return None
     t = kernel[0]
     images = [(t[i], t[3 + i], t[6 + i]) for i in range(3)]  # T e_i
-    iso = Algebra3(fld, tuple(tuple(alg.mulvec(ti, e) for e in unit) for ti in images))
+    iso = Algebra3(fld, tuple(tuple(mulvec(alg, ti, e) for e in unit) for ti in images))
     if not iso.is_commutative():
         raise RuntimeError("commutative isotope is not commutative")
     return iso

@@ -61,9 +61,11 @@ from ..algebra3 import (
     Algebra3,
     IsotopyClass,
     TwistedFieldSpec,
+    autotopism_counterexample,
     commutative_isotope,
     isotopy_class,
     left_division_tables,
+    mulvec,
     to_structure_constants,
 )
 from ..gf import Field, FieldTower, format_triple
@@ -418,7 +420,7 @@ def _lines(plane_alg: Algebra3, v: PairVector, meet: Meet) -> dict[tuple, tuple[
     plane = set()
     for b in [v.y] + [tuple(fld.add(c, fld.mul(k, d)) for c, d in zip(v.x, v.y))
                       for k in range(q)]:
-        plane.add(unit_row(fld, plane_alg.mulvec(b, v.x) + plane_alg.mulvec(b, v.y)))
+        plane.add(unit_row(fld, mulvec(plane_alg, b, v.x) + mulvec(plane_alg, b, v.y)))
     out = {}
     for (w1, w2), vs in zip(meet.gens, meet.reached):
         n = list(map(meet.mult.__getitem__, vs)).count(1)
@@ -669,24 +671,21 @@ def orbit_certificate(tower: FieldTower, algs: list, beta: int, gamma: int) -> d
 
     B and G are the F-matrices of multiplication in K by beta and gamma on
     (1, t, t^2).  (a) (B e_i)(B e_j) = G (e_i e_j) in each algebra of `algs`, on
-    the 9 basis pairs; by bilinearity then A(Bv) = G(Av) for every v, and so for
-    every power of B.  (b) The walk of <e_0, e_1> under B first returns after
-    q^2+q+1 steps, so it visits every plane of F^3 (and B is invertible).
+    the 9 basis pairs (`autotopism_counterexample`); by bilinearity then
+    A(Bv) = G(Av) for every v, and so for every power of B.  (b) The walk of
+    <e_0, e_1> under B first returns after q^2+q+1 steps, so it visits every
+    plane of F^3 (and B is invertible).
     Raises RuntimeError when either fails; returns the report's "orbit" block.
     """
     K, fld, q = tower.ext, tower.base, tower.q
     basis = (1, q, q * q)
-    b_cols, g_cols = ([K.coeffs(K.mul(k, t)) for t in basis] for k in (beta, gamma))
-    b_rows, g_rows = tuple(zip(*b_cols)), tuple(zip(*g_cols))
-    pairs = 0
+    b_rows, g_rows = (tuple(zip(*(K.coeffs(K.mul(k, t)) for t in basis))) for k in (beta, gamma))
     for alg in algs:
-        for i in range(3):
-            for j in range(3):
-                if alg.mulvec(b_cols[i], b_cols[j]) != mat_vec(fld, g_rows,
-                                                              alg.mulvec(UNIT[i], UNIT[j])):
-                    raise RuntimeError(f"(B e_{i})(B e_{j}) != G (e_{i} e_{j}) for beta = "
-                                       f"{format_triple(tower, beta)}: not an autotopism")
-                pairs += 1
+        bad = autotopism_counterexample(alg, alg, b_rows, b_rows, g_rows)
+        if bad is not None:
+            i, j = bad
+            raise RuntimeError(f"(B e_{i})(B e_{j}) != G (e_{i} e_{j}) for beta = "
+                               f"{format_triple(tower, beta)}: not an autotopism")
     size = q * q + q + 1
     start, _ = rref_rows(fld, UNIT[:2])
     plane, steps = start, 0
@@ -699,7 +698,7 @@ def orbit_certificate(tower: FieldTower, algs: list, beta: int, gamma: int) -> d
         walk = f"back after {steps} steps" if plane == start else f"not back after {steps} steps"
         raise RuntimeError(f"<e_0, e_1> is {walk} of beta = {format_triple(tower, beta)}, "
                            f"not after {size}: the planes are not one orbit")
-    return {"generator": format_triple(tower, beta), "autotopism_pairs_checked": pairs,
+    return {"generator": format_triple(tower, beta), "autotopism_pairs_checked": 9 * len(algs),
             "plane_orbit": steps}
 
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..algebra3 import Algebra3, basis_products, left_mul_matrix, right_mul_matrix
+from ..algebra3 import Algebra3, basis_products, left_mul_matrix, mulvec, right_mul_matrix
 from ..gf import Field
-from ..linalg import Subspace, cross, intersect, kernel_rows, rref_rows
+from ..linalg import Subspace, cross, echelon_bases, intersect, kernel_rows, rref_rows
 
 Vec3 = tuple[int, int, int]
 
@@ -104,7 +104,7 @@ def construct_two_dim_partner(alg: Algebra3, v: PairVector, x2: Vec3) -> PairVec
     x2 = tuple(x2)
     if not any(cross(fld, v.x, x2)):
         raise ValueError("replacement first coordinate must be independent of x")
-    rhs = alg.mulvec(x2, v.y)
+    rhs = mulvec(alg, x2, v.y)
     y2 = solve3(fld, left_mul_matrix(alg, v.x).rows, rhs)
     return PairVector(x2, y2)
 
@@ -116,13 +116,5 @@ def plane_representatives(fld: Field) -> list[PairVector]:
     all ordered bases of a fixed plane, so these q^2+q+1 vectors meet every
     nondegenerate GL2 orbit.
     """
-    q = fld.order
-    reps = []
-    for a in range(q):
-        for b in range(q):
-            reps.append(PairVector((1, 0, a), (0, 1, b)))
-    for a in range(q):
-        reps.append(PairVector((1, a, 0), (0, 0, 1)))
-    reps.append(PairVector((0, 1, 0), (0, 0, 1)))
-    return reps
+    return [PairVector(*rows) for rows in echelon_bases(fld.order, 3, 2)]
 

@@ -18,8 +18,8 @@ from operator import add, itemgetter
 from ..algebra3 import (Algebra3, IsotopyClass, TwistedFieldSpec, basis_products, isotopy_class,
                         to_structure_constants)
 from ..gf import Field
-from ..linalg import (cross, decode_vector, f3_vectors, identity_rows, image_table, kernel_rows,
-                      unit_row, vec_index)
+from ..linalg import (cross, decode_vector, echelon_bases, f3_vectors, identity_rows, image_table,
+                      kernel_rows, unit_row, vec_index)
 from .spaces import NONDEGENERATE, PairVector, intersection_dim, plane_representatives
 
 TYPE_CHECKING = False
@@ -277,22 +277,13 @@ def _classes(keys, count: int) -> list[array]:
 
 
 def _row_spaces(q: int):
-    """(rank, rows) for each subspace of F^4: its RREF rows, zero-padded to two.
-
-    Enumerated pivot pattern by pattern, so each subspace comes once:
-    1 + (q^4-1)/(q-1) + (q^2+1)(q^2+q+1) of them.
+    """(rank, rows) for each subspace of F^4 of dimension at most 2: its RREF rows
+    (`echelon_bases`), zero-padded to two.  1 + (q^4-1)/(q-1) + (q^2+1)(q^2+q+1)
+    of them.
     """
     for rank in range(3):
-        for pivots in itertools.combinations(range(4), rank):
-            free = [(i, j) for i, p in enumerate(pivots)
-                    for j in range(p + 1, 4) if j not in pivots]
-            for values in itertools.product(range(q), repeat=len(free)):
-                rows = [[0] * 4, [0] * 4]
-                for i, p in enumerate(pivots):
-                    rows[i][p] = 1
-                for (i, j), a in zip(free, values):
-                    rows[i][j] = a
-                yield rank, rows
+        for rows in echelon_bases(q, 4, rank):
+            yield rank, rows + ((0,) * 4,) * (2 - rank)
 
 
 def verify_normal_forms(fld: Field) -> Verdict:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from itertools import combinations, product
 
 from .gf import Field
 
@@ -149,7 +150,7 @@ def kernel_rows(fld: Field, rows, ncols: int) -> tuple[Row, ...]:
     return out
 
 
-def intersect_rows(fld: Field, rows1, pivots1, rows2) -> tuple[Row, ...]:
+def intersect_rows(fld: Field, rows1, rows2) -> tuple[Row, ...]:
     """RREF basis of (row space 1) intersect (row space 2).
 
     Computed from the kernel of the stacked coefficient system: coefficient
@@ -216,7 +217,7 @@ def kernel(m: MatF) -> Subspace:
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     if s1.ambient != s2.ambient:
         raise ValueError("ambient dimension mismatch")
-    rows = intersect_rows(s1.field, s1.basis, _pivots_of(s1.basis), s2.basis)
+    rows = intersect_rows(s1.field, s1.basis, s2.basis)
     return Subspace(s1.field, s1.ambient, rows)
 
 
@@ -237,6 +238,22 @@ def _dot(fld: Field, r, v) -> int:
 
 def identity_rows(n: int) -> tuple[Row, ...]:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def echelon_bases(q: int, n: int, k: int):
+    """The RREF basis rows of every k-dim subspace of GF(q)^n, each once.
+
+    Pivot pattern by pattern (`itertools.combinations` order), and within a
+    pattern the free entries, row by row, count up as base-q digits with the
+    first one slowest.
+    """
+    for pivots in combinations(range(n), k):
+        free = [(i, j) for i, p in enumerate(pivots) for j in range(p + 1, n) if j not in pivots]
+        for values in product(range(q), repeat=len(free)):
+            rows = [[1 if j == p else 0 for j in range(n)] for p in pivots]
+            for (i, j), a in zip(free, values):
+                rows[i][j] = a
+            yield tuple(map(tuple, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ Basis products, indices mod 3 throughout:
     phi(alpha_i, beta_{i+1}) = gamma_{i+2}
     phi(alpha_i, beta_{i+2}) = d_{i+1} * gamma_{i+1}
 
-with d_i nonzero and d = d0*d1*d2 != -1.  U, V, W stay distinct spaces; a
-coordinate vector carries its space tag and mixing tags is a usage error.
+with d_i nonzero and d = d0*d1*d2 != -1.  `SplitAlbertSpec.tensor` is written
+from these three rules, and phi, L_x and R_y are the `algebra3` contraction of
+it.  U, V, W stay distinct spaces; a coordinate vector carries its space tag
+and mixing tags is a usage error.
 
 A twisted field (K, mu) lands here after scalar extension: on K^3 the product
 is nu(xi, eta)_i = xi_i*eta_{i+1} - c_i*xi_{i+1}*eta_i with c_i = c^(sigma^i),
@@ -21,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .algebra3 import TwistedFieldSpec, mu as twisted_mu
+from .algebra3 import (TwistedFieldSpec, autotopism_counterexample, left_mul_matrix, mulvec,
+                       right_mul_matrix, mu as twisted_mu)
 from .gf import Field, FieldTower
-from .linalg import MatF, identity_rows, mat_vec
+from .linalg import MatF, mat_vec
 
 Vec3 = tuple[int, int, int]
 
@@ -48,10 +51,11 @@ class SplitAlbertSpec:
                 raise ValueError("split Albert constants must be nonzero")
         if self.d_product == self.field.neg(1):
             raise ValueError("d0*d1*d2 = -1 is excluded")
-        unit = identity_rows(3)
-        tensor = tuple(tuple(phi(self, TriVector("U", a), TriVector("V", b)).coords
-                             for b in unit) for a in unit)
-        object.__setattr__(self, "tensor", tensor)
+        tensor = [[[0, 0, 0] for _ in range(3)] for _ in range(3)]
+        for i in range(3):  # the basis rules of the module docstring
+            tensor[i][m3(i + 1)][m3(i + 2)] = 1
+            tensor[i][m3(i + 2)][m3(i + 1)] = self.d[m3(i + 1)]
+        object.__setattr__(self, "tensor", tuple(tuple(map(tuple, p)) for p in tensor))
 
     @property
     def d_product(self) -> int:
@@ -84,45 +88,17 @@ def _want(vec: TriVector, space: str) -> Vec3:
 
 def phi(spec: SplitAlbertSpec, u: TriVector, v: TriVector) -> TriVector:
     """Bilinear extension of the basis table."""
-    x = _want(u, "U")
-    y = _want(v, "V")
-    fld = spec.field
-    out = [0, 0, 0]
-    for a in range(3):
-        if not x[a]:
-            continue
-        b1 = m3(a + 1)
-        if y[b1]:
-            out[m3(a + 2)] = fld.add(out[m3(a + 2)], fld.mul(x[a], y[b1]))
-        b2 = m3(a + 2)
-        if y[b2]:
-            coef = fld.mul(spec.d[m3(a + 1)], fld.mul(x[a], y[b2]))
-            out[m3(a + 1)] = fld.add(out[m3(a + 1)], coef)
-    return TriVector("W", (out[0], out[1], out[2]))
+    return TriVector("W", mulvec(spec, _want(u, "U"), _want(v, "V")))
 
 
 def lmat(spec: SplitAlbertSpec, x_vec: TriVector) -> MatF:
     """Matrix of L_x: V -> W; det = (1+d) x0 x1 x2."""
-    x = _want(x_vec, "U")
-    fld = spec.field
-    d0, d1, d2 = spec.d
-    return MatF(fld, (
-        (0, fld.mul(d0, x[2]), x[1]),
-        (x[2], 0, fld.mul(d1, x[0])),
-        (fld.mul(d2, x[1]), x[0], 0),
-    ))
+    return left_mul_matrix(spec, _want(x_vec, "U"))
 
 
 def rmat(spec: SplitAlbertSpec, y_vec: TriVector) -> MatF:
     """Matrix of R_y: U -> W; det = (1+d) y0 y1 y2."""
-    y = _want(y_vec, "V")
-    fld = spec.field
-    d0, d1, d2 = spec.d
-    return MatF(fld, (
-        (0, y[2], fld.mul(d0, y[1])),
-        (fld.mul(d1, y[2]), 0, y[0]),
-        (y[1], fld.mul(d2, y[0]), 0),
-    ))
+    return right_mul_matrix(spec, _want(y_vec, "V"))
 
 
 def rmat_inv(spec: SplitAlbertSpec, y_vec: TriVector) -> MatF:
@@ -179,17 +155,9 @@ class BilinearIso:
     h: tuple
 
     def check_on_basis(self) -> None:
-        fld = self.src.field
-        for a in range(3):
-            for b in range(3):
-                u = TriVector("U", tuple(1 if i == a else 0 for i in range(3)))
-                v = TriVector("V", tuple(1 if i == b else 0 for i in range(3)))
-                lhs = mat_vec(fld, self.h, phi(self.src, u, v).coords)
-                fu = TriVector("U", mat_vec(fld, self.f, u.coords))
-                gv = TriVector("V", mat_vec(fld, self.g, v.coords))
-                rhs = phi(self.dst, fu, gv).coords
-                if tuple(lhs) != tuple(rhs):
-                    raise RuntimeError(f"isomorphism fails on basis pair ({a},{b})")
+        bad = autotopism_counterexample(self.src, self.dst, self.f, self.g, self.h)
+        if bad is not None:
+            raise RuntimeError(f"isomorphism fails on basis pair ({bad[0]},{bad[1]})")
 
 
 def _diag(entries: Vec3) -> tuple:

@@ -1,5 +1,6 @@
-"""Kernels the tests use as references: dense matrix products and inverses, and the
-inventory before its column layout.  No code in `src/` calls them."""
+"""Kernels the tests use as references: dense matrix products and inverses, the split
+Albert map written out from its basis rules, and the inventory before its column layout.
+No code in `src/` calls them."""
 
 from __future__ import annotations
 
@@ -36,6 +37,25 @@ def mat_inv(fld, a):
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
     return tuple(r[n:] for r in rows)
+
+
+def reference_phi(spec, x, y):
+    """phi(x, y) for coordinate vectors x in U and y in V, summed term by term from the
+    basis rules phi(alpha_a, beta_{a+1}) = gamma_{a+2} and
+    phi(alpha_a, beta_{a+2}) = d_{a+1} gamma_{a+1}, without the structure tensor."""
+    fld = spec.field
+    out = [0, 0, 0]
+    for a in range(3):
+        if not x[a]:
+            continue
+        b1 = (a + 1) % 3
+        if y[b1]:
+            out[(a + 2) % 3] = fld.add(out[(a + 2) % 3], fld.mul(x[a], y[b1]))
+        b2 = (a + 2) % 3
+        if y[b2]:
+            coef = fld.mul(spec.d[(a + 1) % 3], fld.mul(x[a], y[b2]))
+            out[(a + 1) % 3] = fld.add(out[(a + 1) % 3], coef)
+    return (out[0], out[1], out[2])
 
 
 @dataclass

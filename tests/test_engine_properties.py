@@ -9,6 +9,7 @@ import pytest
 from twistfield.algebra3 import (
     TwistedFieldSpec,
     left_mul_matrix,
+    mulvec,
     pick_c_by_norm,
     to_structure_constants,
 )
@@ -163,13 +164,13 @@ def test_two_dim_planes_biject_q3(alg3, inv3):
     for v in nondeg_vectors(fld):
         base_rows, base_pivots = rref_rows(fld, pair_rows(alg3, v.x, v.y))
         mv_rows, _ = rref_rows(fld, (
-            tuple(alg3.mulvec(v.x, v.x)) + tuple(alg3.mulvec(v.x, v.y)),
-            tuple(alg3.mulvec(v.y, v.x)) + tuple(alg3.mulvec(v.y, v.y)),
+            tuple(mulvec(alg3, v.x, v.x)) + tuple(mulvec(alg3, v.x, v.y)),
+            tuple(mulvec(alg3, v.y, v.x)) + tuple(mulvec(alg3, v.y, v.y)),
         ))
         planes = set()
         for rec in inv3.spaces:
             if len(rec.rows) - added_rank(fld, base_rows, base_pivots, rec.rows) == 2:
-                meet = intersect_rows(fld, base_rows, base_pivots, rec.rows)
+                meet = intersect_rows(fld, base_rows, rec.rows)
                 assert meet not in planes  # distinct spaces give distinct planes
                 planes.add(meet)
         assert len(planes) == q * q + q
@@ -206,8 +207,8 @@ def _trichotomy_samples(spec, rng, count):
             continue
         # v' with a' v' = a v
         try:
-            x2 = solve3(fld, left_mul_matrix(alg, a2).rows, alg.mulvec(a, v.x))
-            y2 = solve3(fld, left_mul_matrix(alg, a2).rows, alg.mulvec(a, v.y))
+            x2 = solve3(fld, left_mul_matrix(alg, a2).rows, mulvec(alg, a, v.x))
+            y2 = solve3(fld, left_mul_matrix(alg, a2).rows, mulvec(alg, a, v.y))
         except ValueError:
             continue
         v2 = PairVector(x2, y2)
@@ -217,7 +218,7 @@ def _trichotomy_samples(spec, rng, count):
         assert same_a_line == same_space
         if same_a_line:
             continue
-        av = tuple(alg.mulvec(a, v.x)) + tuple(alg.mulvec(a, v.y))
+        av = tuple(mulvec(alg, a, v.x)) + tuple(mulvec(alg, a, v.y))
         if commutative:
             in_plane = len(rref_rows(fld, (v.x, v.y, a2))[0]) == 2
             if in_plane:

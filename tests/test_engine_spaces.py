@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from twistfield.algebra3 import right_mul_matrix
+from twistfield.algebra3 import mulvec, right_mul_matrix
 from twistfield.engine.spaces import (
     DEGENERATE,
     NONDEGENERATE,
@@ -201,12 +201,12 @@ def test_two_dim_partner_planes_agree(alg3):
         v2 = construct_two_dim_partner(alg3, v, x2)
         _, meet = intersection_dim(alg3, v, v2)
         lhs = Subspace(F, 6, rref_rows(F, [
-            alg3.mulvec(v2.x, v.x) + alg3.mulvec(v2.x, v.y),
-            alg3.mulvec(v2.y, v.x) + alg3.mulvec(v2.y, v.y),
+            mulvec(alg3, v2.x, v.x) + mulvec(alg3, v2.x, v.y),
+            mulvec(alg3, v2.y, v.x) + mulvec(alg3, v2.y, v.y),
         ])[0])
         rhs = Subspace(F, 6, rref_rows(F, [
-            alg3.mulvec(v.x, v2.x) + alg3.mulvec(v.x, v2.y),
-            alg3.mulvec(v.y, v2.x) + alg3.mulvec(v.y, v2.y),
+            mulvec(alg3, v.x, v2.x) + mulvec(alg3, v.x, v2.y),
+            mulvec(alg3, v.y, v2.x) + mulvec(alg3, v.y, v2.y),
         ])[0])
         assert meet == lhs == rhs
 

@@ -9,7 +9,7 @@ import pytest
 
 from twistfield import gf, splitalbert
 from twistfield.algebra3 import TwistedFieldSpec, det3, pick_c_by_norm, valid_c_values
-from twistfield.linalg import identity_rows, mat_vec, rank, MatF, rref_rows
+from twistfield.linalg import f3_vectors, identity_rows, mat_vec, rank, MatF, rref_rows
 from twistfield.splitalbert import (
     SplitAlbertSpec,
     TriVector,
@@ -30,7 +30,7 @@ from twistfield.splitalbert import (
     splitting_counterexample,
 )
 
-from reference_kernels import mat_mul
+from reference_kernels import mat_mul, reference_phi
 
 F3 = gf.Field.of_order(3)
 F5 = gf.Field.of_order(5)
@@ -99,6 +99,32 @@ def test_phi_agrees_with_lmat_and_rmat():
             w = phi(spec, U(u), V(v)).coords
             assert w == tuple(mat_vec(F3, lmat(spec, U(u)).rows, v))
             assert w == tuple(mat_vec(F3, rmat(spec, V(v)).rows, u))
+
+
+def first_and_last_valid_d(fld):
+    q = fld.order
+    ds = [d for d in itertools.product(range(1, q), repeat=3)
+          if fld.mul(d[0], fld.mul(d[1], d[2])) != fld.neg(1)]
+    return ds[0], ds[-1]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_tensor_phi_lmat_rmat_match_the_basis_rules(q):
+    # the tensor is written from the rules and phi, L_x, R_y contract it; reference_phi
+    # sums the rules term by term: every pair at q=3, basis and mixed vectors above
+    fld = gf.Field.of_order(q)
+    vecs = f3_vectors(q) if q == 3 else BASIS + list(f3_vectors(q)[::7])
+    for d in first_and_last_valid_d(fld):
+        spec = spec_with(fld, d)
+        assert spec.tensor == tuple(tuple(reference_phi(spec, a, b) for b in BASIS)
+                                    for a in BASIS)
+        rmats = {v: rmat(spec, V(v)).rows for v in vecs}
+        for u in vecs:
+            lu = lmat(spec, U(u)).rows
+            for v in vecs:
+                want = reference_phi(spec, u, v)
+                assert phi(spec, U(u), V(v)).coords == want, (d, u, v)
+                assert mat_vec(fld, lu, v) == want == mat_vec(fld, rmats[v], u), (d, u, v)
 
 
 def test_lmat_template_at_alpha0():
@@ -259,6 +285,14 @@ def test_scale_isomorphism_intertwines_gf3():
             scale_isomorphism(spec, r, s)
 
 
+def test_wrong_h_fails_the_isomorphism_check():
+    spec = spec_with(F5, (1, 2, 3))
+    _, iso = cyclic_isomorphism(spec)
+    bad = dataclasses.replace(iso, h=tuple(tuple(F5.mul(2, c) for c in row) for row in iso.h))
+    with pytest.raises(RuntimeError, match=r"isomorphism fails on basis pair \(0,1\)"):
+        bad.check_on_basis()
+
+
 def test_scale_isomorphism_rejects_zero():
     with pytest.raises(ValueError):
         scale_isomorphism(spec_with(F5, (1, 2, 3)), (0, 1, 1), (1, 1, 1))
@@ -384,9 +418,9 @@ def test_nonlinear_frobenius_table_is_refused(tower3):
         split_twisted_field(TwistedFieldSpec(tower, 2))
 
 
-def test_nu_matches_phi_on_basis(comm3):
-    # the one place the W-relabeling gamma_i = e_{i+1} is pinned
-    stf = split_twisted_field(comm3)
+def test_nu_matches_phi_on_basis():
+    # the one place the W-relabeling gamma_i = e_{i+1} is pinned; phi contracts over K
+    stf = split_twisted_field(TwistedFieldSpec(tabulated_tower(3), 2))  # comm3's c = -1
     for ei in BASIS:
         for ej in BASIS:
             assert nu_product(stf, ei, ej) == nu_via_phi(stf, ei, ej)

@@ -1,4 +1,6 @@
-"""The package stays pure standard library: numpy and the like are never imported."""
+"""Lints on the package source: pure standard library (numpy and the like are never
+imported), no unused or cross-module private imports, no unreferenced definitions, and
+one reader of the structure tensor."""
 
 from __future__ import annotations
 
@@ -6,7 +8,8 @@ import ast
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "twistfield"
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "twistfield"
 
 
 def absolute_imports():
@@ -97,3 +100,78 @@ def private_imports(package=PACKAGE):
 def test_no_private_names_cross_modules():
     # a name another module needs is public; a private one stays in its module
     assert list(private_imports()) == []
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def referenced_names(node):
+    """The names `node` itself refers to: a name, an attribute, an imported name, or a
+    string that is one identifier (as `monkeypatch.setattr` and `getattr` take them)."""
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.alias):
+        yield node.name
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if node.value.isidentifier():
+            yield node.value
+
+
+CALLER_ROOTS = (REPO / "src", REPO / "tests", REPO / "bench")
+
+
+def unreferenced_definitions(package=PACKAGE, roots=CALLER_ROOTS):
+    """(location, name) for every top-level function or class of the package that no file
+    under `roots` names outside the definition itself.  Dunder names are exempt."""
+    refs: dict[str, set] = {}
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            for top in ast.parse(path.read_text(), filename=str(path)).body:
+                owner = top.name if isinstance(top, DEFINITIONS) else None
+                for node in ast.walk(top):
+                    for name in referenced_names(node):
+                        refs.setdefault(name, set()).add((path, owner))
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            name = getattr(node, "name", "")
+            if not isinstance(node, DEFINITIONS) or name.startswith("__") and name.endswith("__"):
+                continue
+            if not refs.get(name, set()) - {(path, name)}:
+                yield f"{path.relative_to(package)}:{node.lineno} {name}"
+
+
+def test_every_definition_is_referenced():
+    # a function or class nothing names is dead code; tests and bench/ count as callers
+    assert list(unreferenced_definitions()) == []
+
+
+def test_unreferenced_lint_skips_self_references(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def loop(n):\n"
+        "    return loop(n - 1) if n else 0\n"
+        "def used():\n"
+        "    return 1\n"
+        "class Kept:\n"
+        "    pass\n"
+        "def __getattr__(name):\n"
+        "    return used\n")
+    (tmp_path / "test_mod.py").write_text("import mod\nmod.Kept()\n")
+    found = list(unreferenced_definitions(tmp_path, roots=(tmp_path,)))
+    assert found == ["mod.py:1 loop"]
+
+
+def tensor_reads(package=PACKAGE):
+    """The location of every read of an attribute named `tensor` in the package."""
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "tensor" \
+                    and isinstance(node.ctx, ast.Load):
+                yield f"{path.relative_to(package)}:{node.lineno}"
+
+
+def test_only_algebra3_reads_the_structure_tensor():
+    # one contraction: every product goes through algebra3.basis_products
+    reads = list(tensor_reads())
+    assert reads and all(where.startswith("algebra3.py:") for where in reads), reads
