@@ -13,7 +13,7 @@ from array import array
 from dataclasses import dataclass, field as dc_field
 
 from .gf import Field, FieldTower
-from .linalg import MatF, f3_vectors, identity_rows, image_table, kernel_rows, mat_vec
+from .linalg import Row, f3_vectors, identity_rows, image_table, kernel_rows, mat_vec
 
 Vec3 = tuple[int, int, int]
 Tensor = tuple[tuple[tuple[int, int, int], ...], ...]
@@ -190,14 +190,14 @@ def mulvec(alg, a: Vec3, b: Vec3) -> Vec3:
     return (out[0], out[1], out[2])
 
 
-def left_mul_matrix(alg, a: Vec3) -> MatF:
+def left_mul_matrix(alg, a: Vec3) -> tuple[Row, ...]:
     """Matrix of x -> a*x in the standard basis; its columns are a*e_j."""
-    return MatF(alg.field, tuple(zip(*(mulvec(alg, a, e) for e in identity_rows(3)))))
+    return tuple(zip(*(mulvec(alg, a, e) for e in identity_rows(3))))
 
 
-def right_mul_matrix(alg, b: Vec3) -> MatF:
+def right_mul_matrix(alg, b: Vec3) -> tuple[Row, ...]:
     """Matrix of x -> x*b in the standard basis; its columns are e_i*b."""
-    return MatF(alg.field, tuple(zip(*basis_products(alg, b))))
+    return tuple(zip(*basis_products(alg, b)))
 
 
 def autotopism_counterexample(src, dst, f, g, h) -> tuple[int, int] | None:
@@ -229,9 +229,9 @@ def is_division(alg: Algebra3) -> bool:
     """det(L_a) != 0 and det(R_a) != 0 for every nonzero a, exhaustively."""
     fld = alg.field
     for a in f3_vectors(fld.order)[1:]:
-        if det3(fld, left_mul_matrix(alg, a).rows) == 0:
+        if det3(fld, left_mul_matrix(alg, a)) == 0:
             return False
-        if det3(fld, right_mul_matrix(alg, a).rows) == 0:
+        if det3(fld, right_mul_matrix(alg, a)) == 0:
             return False
     return True
 

@@ -314,6 +314,8 @@ def cmd_census(args) -> int:
     c = resolve_c(tower, args)
     spec = TwistedFieldSpec(tower, c)
     if args.scan_all:
+        if args.v:
+            print("note: census --scan-all ignores --v", file=sys.stderr)
         report = census.scan_orbit(spec, workers=args.workers)
         return emit(args, header_for(tower, c), report.to_json_dict(), report.match)
     if not args.v:

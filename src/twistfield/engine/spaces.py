@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from ..algebra3 import Algebra3, basis_products, left_mul_matrix, mulvec, right_mul_matrix
 from ..gf import Field
-from ..linalg import Subspace, cross, echelon_bases, intersect, kernel_rows, rref_rows
+from ..linalg import Subspace, cross, echelon_bases, intersect_rows, kernel_rows, rref_rows
 
 Vec3 = tuple[int, int, int]
 
@@ -58,8 +58,8 @@ def av_subspace(alg: Algebra3, v: PairVector) -> Subspace:
 
 
 def intersection_dim(alg: Algebra3, v: PairVector, v2: PairVector) -> tuple[int, Subspace]:
-    meet = intersect(av_subspace(alg, v), av_subspace(alg, v2))
-    return meet.dim, meet
+    rows = intersect_rows(alg.field, av_subspace(alg, v).basis, av_subspace(alg, v2).basis)
+    return len(rows), Subspace(alg.field, 6, rows)
 
 
 def solution_space(alg: Algebra3, v: PairVector, v2: PairVector) -> Subspace:
@@ -74,8 +74,8 @@ def solution_space(alg: Algebra3, v: PairVector, v2: PairVector) -> Subspace:
             raise ValueError("solution space requires regular (nonzero) vectors")
     rows = []
     for left, right in ((v.x, v2.x), (v.y, v2.y)):
-        rl = right_mul_matrix(alg, left).rows
-        rr = right_mul_matrix(alg, right).rows
+        rl = right_mul_matrix(alg, left)
+        rr = right_mul_matrix(alg, right)
         for k in range(3):
             rows.append(tuple(rl[k]) + tuple(fld.neg(c) for c in rr[k]))
     return Subspace(fld, 6, kernel_rows(fld, rows, 6))
@@ -105,7 +105,7 @@ def construct_two_dim_partner(alg: Algebra3, v: PairVector, x2: Vec3) -> PairVec
     if not any(cross(fld, v.x, x2)):
         raise ValueError("replacement first coordinate must be independent of x")
     rhs = mulvec(alg, x2, v.y)
-    y2 = solve3(fld, left_mul_matrix(alg, v.x).rows, rhs)
+    y2 = solve3(fld, left_mul_matrix(alg, v.x), rhs)
     return PairVector(x2, y2)
 
 

@@ -245,7 +245,7 @@ def _graph_keys(spec: SplitAlbertSpec, regs: list) -> tuple[array, list[array]]:
     # per vector: the tables of R_x and R_x^T, and getters of the columns and rows of R_x^{-1}
     tables, tables_t, inv_cols, inv_rows = [], [], [], []
     for x in regs:
-        rows = rmat(spec, TriVector("V", x)).rows
+        rows = rmat(spec, TriVector("V", x))
         for out, inverse, images in ((tables, inv_cols, zip(*rows)), (tables_t, inv_rows, rows)):
             table = array("H", image_table(fld, images))
             if not all(e in table for e in e_idx):

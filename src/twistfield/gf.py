@@ -4,8 +4,10 @@ Elements of a field of order n are plain integers 0..n-1.  The base-p digits of
 the integer, little-endian, are the coefficients of the element in the power
 basis of the modulus root.  A tower extension K = F[t]/(f) uses base-q digits
 instead, each digit being an F-element index, so a K element is the triple
-(a0, a1, a2) with index a0 + a1*q + a2*q^2.  Iteration order everywhere is
-ascending index order, starting at 0.
+(a0, a1, a2) with index a0 + a1*q + a2*q^2.  Both are the index codec of
+`linalg` (`vec_index`, `decode_vector`), so an element's index is the vector
+index of its coefficients.  Iteration order everywhere is ascending index
+order, starting at 0.
 
 All arithmetic is schoolbook polynomial arithmetic modulo the defining
 polynomial.  A base field GF(q), built from a :class:`FieldSpec`, memoizes its
@@ -19,6 +21,8 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
+
+from .linalg import decode_vector, vec_index
 
 SUPPORTED_Q = (3, 4, 5, 7, 8, 9)
 
@@ -114,8 +118,9 @@ class FieldSpec:
         if any(not (0 <= c < self.p) for c in self.modulus):
             raise ValueError("modulus coefficients must be reduced mod p")
         if 2 <= self.m <= 3:
-            for a in range(self.p):
-                if _int_poly_eval(self.modulus, a, self.p) == 0:
+            prime = Field.of_order(self.p)
+            for a in prime.elements():
+                if _poly_eval(prime, self.modulus, a) == 0:
                     raise ValueError(f"modulus has root {a} in GF({self.p})")
         elif self.m > 3:
             raise ValueError("degrees above 3 are out of scope")
@@ -124,36 +129,17 @@ class FieldSpec:
         return {"p": self.p, "m": self.m, "modulus_coeffs": list(self.modulus)}
 
 
-def _int_poly_eval(coeffs: tuple[int, ...], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def _digits(idx: int, base: int, width: int) -> list[int]:
-    out = []
-    for _ in range(width):
-        out.append(idx % base)
-        idx //= base
-    return out
-
-
 def default_field_spec(q: int) -> FieldSpec:
-    """The deterministic presentation of GF(q): lex-least monic irreducible.
+    """The deterministic presentation of GF(q): the `rootless_monic` of degree m over GF(p).
 
-    The scan runs over coefficient tuples (a_{m-1}, ..., a_1, a_0) in ascending
-    lexicographic order, so the first hit for GF(4) is u^2+u+1, for GF(8) is
-    u^3+u+1 and for GF(9) is u^2+1.
+    The first hit for GF(4) is u^2+u+1, for GF(8) is u^3+u+1 and for GF(9) is
+    u^2+1.
     """
     p, m = factor_prime_power(q)
     if m == 1:
         return FieldSpec(p, 1, (0, 1))
-    for idx in range(p**m):
-        coeffs = tuple(_digits(idx, p, m)) + (1,)
-        if all(_int_poly_eval(coeffs, a, p) for a in range(p)):
-            return FieldSpec(p, m, coeffs)  # raises for m > 3, where no root is not enough
-    raise RuntimeError(f"no irreducible polynomial of degree {m} over GF({p})")
+    # FieldSpec raises for m > 3, where no root is not enough for irreducibility
+    return FieldSpec(p, m, rootless_monic(Field.of_order(p), m))
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +191,8 @@ class Field:
         if modulus[-1] != 1:
             raise ValueError("extension modulus must be monic")
         deg = len(modulus) - 1
-        if deg <= 3:
-            for a in self.elements():
-                if _poly_eval(self, modulus, a) == 0:
-                    raise ValueError("extension modulus has a root in the base field")
+        if deg <= 3 and not all(_poly_eval(self, modulus, a) for a in self.elements()):
+            raise ValueError("extension modulus has a root in the base field")
         return Field(self, modulus, var)
 
     # -- tables -------------------------------------------------------------
@@ -217,16 +201,16 @@ class Field:
         if self.subfield is None:
             return a * b % self.p
         q = self.subfield.order
-        prod = _poly_mul_mod(self.subfield, _digits(a, q, self.deg_over_sub),
-                             _digits(b, q, self.deg_over_sub), self.modulus)
-        return _undigits(prod, q)
+        prod = _poly_mul_mod(self.subfield, decode_vector(q, a, self.deg_over_sub),
+                             decode_vector(q, b, self.deg_over_sub), self.modulus)
+        return vec_index(q, prod)
 
     def _slow_add(self, a: int, b: int) -> int:
         if self.subfield is None:
             return (a + b) % self.p
         q = self.subfield.order
-        da, db = _digits(a, q, self.deg_over_sub), _digits(b, q, self.deg_over_sub)
-        return _undigits([self.subfield.add(x, y) for x, y in zip(da, db)], q)
+        da, db = decode_vector(q, a, self.deg_over_sub), decode_vector(q, b, self.deg_over_sub)
+        return vec_index(q, [self.subfield.add(x, y) for x, y in zip(da, db)])
 
     def _build_tables(self) -> None:
         n = self.order
@@ -235,7 +219,7 @@ class Field:
         else:
             q = self.subfield.order
             self.neg_t = [
-                _undigits([self.subfield.neg(d) for d in _digits(a, q, self.deg_over_sub)], q)
+                vec_index(q, [self.subfield.neg(d) for d in decode_vector(q, a, self.deg_over_sub)])
                 for a in range(n)
             ]
         if self.spec is not None:
@@ -315,7 +299,7 @@ class Field:
         self.check(a)
         base = self.subfield.order if self.subfield is not None else self.p
         width = self.deg_over_sub if self.subfield is not None else 1
-        return tuple(_digits(a, base, width))
+        return decode_vector(base, a, width)
 
     def from_coeffs(self, coeffs) -> int:
         base = self.subfield.order if self.subfield is not None else self.p
@@ -326,7 +310,7 @@ class Field:
         for c in cs:
             if not 0 <= c < base:
                 raise ValueError(f"coefficient {c} out of range for base {base}")
-        return _undigits(cs, base)
+        return vec_index(base, cs)
 
     def prime_coeffs(self, a: int) -> tuple[int, ...]:
         """Digits of `a` over the prime field (length = total degree)."""
@@ -336,17 +320,10 @@ class Field:
         while f is not None and f.subfield is not None:
             m *= f.deg_over_sub
             f = f.subfield
-        return tuple(_digits(a, self.p, m))
+        return decode_vector(self.p, a, m)
 
     def __repr__(self) -> str:
         return f"GF({self.order})"
-
-
-def _undigits(digits, base: int) -> int:
-    acc = 0
-    for d in reversed(list(digits)):
-        acc = acc * base + d
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +369,7 @@ def parse_elem(fld: Field, text: str) -> int:
             raise ValueError(f"power {k} too large in element literal {text!r}")
         c = int(const or coef or 1)
         coeffs[k] = (coeffs[k] + (-c if sign == "-" else c)) % fld.p
-    return _undigits(coeffs, fld.p)
+    return vec_index(fld.p, coeffs)
 
 
 def format_triple(tower: "FieldTower", x: int) -> str:
@@ -415,21 +392,19 @@ def parse_triple(tower: "FieldTower", text: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def find_cubic_modulus(base: Field) -> tuple[int, int, int, int]:
-    """Lexicographically least monic cubic over `base` with no root in `base`.
+def rootless_monic(base: Field, deg: int) -> tuple[int, ...]:
+    """The first monic polynomial of degree `deg` over `base` with no root in `base`.
 
-    Scan order: coefficient tuples (a2, a1, a0) of t^3 + a2 t^2 + a1 t + a0,
-    each running through element indices ascending, a2 most significant.  Over
+    The coefficients (a_0, ..., a_{deg-1}) of t^deg + ... + a_1 t + a_0 run
+    through `decode_vector` index order, a_{deg-1} slowest.  For cubics over
     GF(2) this yields t^3+t+1; over GF(3) it yields t^3+2t+1.
     """
     q = base.order
-    for a2 in range(q):
-        for a1 in range(q):
-            for a0 in range(q):
-                coeffs = (a0, a1, a2, 1)
-                if all(_poly_eval(base, coeffs, x) != 0 for x in range(q)):
-                    return coeffs
-    raise RuntimeError("no rootless monic cubic found")  # impossible over a finite field
+    for idx in range(q**deg):
+        coeffs = decode_vector(q, idx, deg) + (1,)
+        if all(_poly_eval(base, coeffs, x) for x in base.elements()):
+            return coeffs
+    raise RuntimeError(f"no rootless monic of degree {deg} over {base!r}")  # none for deg 1
 
 
 @dataclass
@@ -451,7 +426,7 @@ class FieldTower:
     def build(q_or_field, f: tuple[int, ...] | None = None) -> "FieldTower":
         base = q_or_field if isinstance(q_or_field, Field) else Field.of_order(q_or_field)
         if f is None:
-            f = find_cubic_modulus(base)
+            f = rootless_monic(base, 3)
         f = tuple(f)
         ext = base.extension(f, var="t")
         tower = FieldTower(base, ext, f)

@@ -1,13 +1,16 @@
 """Deterministic exact linear algebra over GF(q).
 
-Vectors are tuples of element indices, matrices are tuples of row tuples.
-Reduced row-echelon form is the canonical representative of a subspace, so
-structural equality of :class:`Subspace` values is subspace equality and the
-basis tuple doubles as a hash key for census bookkeeping.
+Vectors are tuples of element indices, and a matrix is a tuple of row tuples
+(`Row`), the one form every matrix constructor returns.  Reduced row-echelon
+form is the canonical representative of a subspace, so structural equality of
+:class:`Subspace` values is subspace equality and the basis tuple doubles as a
+hash key for census bookkeeping.
 
 Where a whole space is swept, a vector is one integer: the F^3 index of v is
 v_0 + q v_1 + q^2 v_2, and the F^6 index of (x, y) is idx(x) + q^3 idx(y),
-that is sum v_j q^j in both cases (`vec_index`, `decode_vector`).
+that is sum v_j q^j in both cases (`vec_index`, `decode_vector`).  `gf` uses
+the same codec for its elements, so the index of x in K = GF(q^3) is the F^3
+index of its coordinates over (1, t, t^2).
 """
 
 from __future__ import annotations
@@ -16,35 +19,11 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import combinations, product
 
-from .gf import Field
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only; gf imports this module's codec
+    from .gf import Field
 
 Row = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class MatF:
-    """A rows x cols matrix over a finite field, row-major."""
-
-    field: Field = dc_field(compare=False)
-    rows: tuple[Row, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        if self.rows:
-            w = len(self.rows[0])
-            if any(len(r) != w for r in self.rows):
-                raise ValueError("ragged rows")
-            for r in self.rows:
-                for c in r:
-                    self.field.check(c)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
 
 
 @dataclass(frozen=True)
@@ -67,7 +46,7 @@ class Subspace:
 
 
 # ---------------------------------------------------------------------------
-# row-level core (used directly by the census fast paths)
+# row kernels
 # ---------------------------------------------------------------------------
 
 
@@ -176,49 +155,6 @@ def intersect_rows(fld: Field, rows1, rows2) -> tuple[Row, ...]:
         vecs.append(tuple(vec))
     out, _ = rref_rows(fld, vecs)
     return out
-
-
-# ---------------------------------------------------------------------------
-# public wrappers
-# ---------------------------------------------------------------------------
-
-
-def rref(m: MatF) -> tuple[MatF, int, tuple[int, ...]]:
-    """Reduced row-echelon form, rank and pivot columns; idempotent."""
-    rows, pivots = rref_rows(m.field, m.rows)
-    padded = rows + tuple(tuple([0] * m.ncols) for _ in range(m.nrows - len(rows)))
-    return MatF(m.field, padded), len(rows), pivots
-
-
-def rank(m: MatF) -> int:
-    return len(rref_rows(m.field, m.rows)[0])
-
-
-def span(fld: Field, ambient: int, vectors) -> Subspace:
-    vectors = list(vectors)
-    for v in vectors:
-        if len(v) != ambient:
-            raise ValueError(f"vector of length {len(v)} in ambient dimension {ambient}")
-    rows, _ = rref_rows(fld, vectors)
-    return Subspace(fld, ambient, rows)
-
-
-def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
-    if s1.ambient != s2.ambient:
-        raise ValueError("ambient dimension mismatch")
-    rows, _ = rref_rows(s1.field, list(s1.basis) + list(s2.basis))
-    return Subspace(s1.field, s1.ambient, rows)
-
-
-def kernel(m: MatF) -> Subspace:
-    return Subspace(m.field, m.ncols, kernel_rows(m.field, m.rows, m.ncols))
-
-
-def intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    if s1.ambient != s2.ambient:
-        raise ValueError("ambient dimension mismatch")
-    rows = intersect_rows(s1.field, s1.basis, s2.basis)
-    return Subspace(s1.field, s1.ambient, rows)
 
 
 def mat_vec(fld: Field, a, v) -> Row:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 from .algebra3 import (TwistedFieldSpec, autotopism_counterexample, left_mul_matrix, mulvec,
                        right_mul_matrix, mu as twisted_mu)
 from .gf import Field, FieldTower
-from .linalg import MatF, mat_vec
+from .linalg import Row, mat_vec
 
 Vec3 = tuple[int, int, int]
 
@@ -91,17 +91,17 @@ def phi(spec: SplitAlbertSpec, u: TriVector, v: TriVector) -> TriVector:
     return TriVector("W", mulvec(spec, _want(u, "U"), _want(v, "V")))
 
 
-def lmat(spec: SplitAlbertSpec, x_vec: TriVector) -> MatF:
+def lmat(spec: SplitAlbertSpec, x_vec: TriVector) -> tuple[Row, ...]:
     """Matrix of L_x: V -> W; det = (1+d) x0 x1 x2."""
     return left_mul_matrix(spec, _want(x_vec, "U"))
 
 
-def rmat(spec: SplitAlbertSpec, y_vec: TriVector) -> MatF:
+def rmat(spec: SplitAlbertSpec, y_vec: TriVector) -> tuple[Row, ...]:
     """Matrix of R_y: U -> W; det = (1+d) y0 y1 y2."""
     return right_mul_matrix(spec, _want(y_vec, "V"))
 
 
-def rmat_inv(spec: SplitAlbertSpec, y_vec: TriVector) -> MatF:
+def rmat_inv(spec: SplitAlbertSpec, y_vec: TriVector) -> tuple[Row, ...]:
     """Closed-form inverse of rmat; requires y regular."""
     y = _want(y_vec, "V")
     if not y_vec.regular:
@@ -114,7 +114,7 @@ def rmat_inv(spec: SplitAlbertSpec, y_vec: TriVector) -> MatF:
     def cell(v: int) -> int:
         return fld.mul(s, v)
 
-    rows = (
+    return (
         (cell(fld.neg(fld.mul(d2, fld.mul(y[0], fld.mul(i1, i2))))),
          cell(fld.mul(fld.mul(d0, d2), i2)),
          cell(i1)),
@@ -125,7 +125,6 @@ def rmat_inv(spec: SplitAlbertSpec, y_vec: TriVector) -> MatF:
          cell(i0),
          cell(fld.neg(fld.mul(d1, fld.mul(y[2], fld.mul(i0, i1)))))),
     )
-    return MatF(fld, rows)
 
 
 def char_poly_ratio(spec: SplitAlbertSpec, y_vec: TriVector, yp_vec: TriVector) -> tuple[int, int, int]:

@@ -385,6 +385,15 @@ def test_scan_all_takes_workers_without_a_note(capsys):
     assert code == 0 and err == ""
 
 
+def test_scan_all_notes_ignored_v(capsys):
+    argv = ["census", "--scan-all", "--q", "3", "--norm-target", "-1"]
+    code, out, err = run_cli(capsys, *argv, "--v", "[1,0,0],[0,1,0]")
+    assert err == "note: census --scan-all ignores --v\n"
+    plain_code, plain, plain_err = run_cli(capsys, *argv)
+    assert code == plain_code == 0 and plain_err == ""
+    assert strip_runtimes(json.loads(out)) == strip_runtimes(json.loads(plain))
+
+
 def test_reports_reconstruct_from_json(capsys):
     from twistfield.engine.census import CensusReport
 

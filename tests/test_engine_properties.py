@@ -207,8 +207,8 @@ def _trichotomy_samples(spec, rng, count):
             continue
         # v' with a' v' = a v
         try:
-            x2 = solve3(fld, left_mul_matrix(alg, a2).rows, mulvec(alg, a, v.x))
-            y2 = solve3(fld, left_mul_matrix(alg, a2).rows, mulvec(alg, a, v.y))
+            x2 = solve3(fld, left_mul_matrix(alg, a2), mulvec(alg, a, v.x))
+            y2 = solve3(fld, left_mul_matrix(alg, a2), mulvec(alg, a, v.y))
         except ValueError:
             continue
         v2 = PairVector(x2, y2)

@@ -72,8 +72,8 @@ def test_pair_rows_match_right_mul_stack(alg3, alg4):
              for v in (PairVector((1, 2, 0), (0, 1, 1)), PairVector((2, 0, 1), (1, 1, 1)),
                        PairVector((0, 0, 0), (1, 0, 2)))]
     for alg, v in cases:
-        rx = right_mul_matrix(alg, v.x).rows
-        ry = right_mul_matrix(alg, v.y).rows
+        rx = right_mul_matrix(alg, v.x)
+        ry = right_mul_matrix(alg, v.y)
         rows = pair_rows(alg, v.x, v.y)
         for i in range(3):
             stacked_col = tuple(rx[k][i] for k in range(3)) + tuple(ry[k][i] for k in range(3))

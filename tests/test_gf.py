@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twistfield import gf
+from twistfield.linalg import f3_vectors, vec_index
 
 
 def field_orders_small():
@@ -103,13 +104,19 @@ def test_elements_order_and_count():
 
 def test_find_cubic_modulus_gf2():
     F2 = gf.Field.of_order(2)
-    assert gf.find_cubic_modulus(F2) == (1, 1, 0, 1)  # t^3 + t + 1
+    assert gf.rootless_monic(F2, 3) == (1, 1, 0, 1)  # t^3 + t + 1
 
 
-def test_find_cubic_modulus_gf3_pinned():
-    # regression constant for the documented (a2, a1, a0) scan: t^3 + 2t + 1
-    F3 = gf.Field.of_order(3)
-    assert gf.find_cubic_modulus(F3) == (1, 2, 0, 1)
+# every report header prints the tower modulus; at q = 3 it is t^3 + 2t + 1
+PINNED_CUBICS = {3: (1, 2, 0, 1), 4: (2, 0, 0, 1), 5: (1, 1, 0, 1),
+                 7: (2, 0, 0, 1), 8: (2, 1, 0, 1), 9: (3, 1, 0, 1)}
+
+
+@pytest.mark.parametrize("q", gf.SUPPORTED_Q)
+def test_find_cubic_modulus_gf3_pinned(q):
+    # regression constants for the documented scan (a_2 slowest) at every supported q
+    assert gf.rootless_monic(gf.Field.of_order(q), 3) == PINNED_CUBICS[q]
+    assert gf.FieldTower.build(q).f == PINNED_CUBICS[q]
 
 
 def test_find_cubic_modulus_gf3_oracle():
@@ -122,13 +129,13 @@ def test_find_cubic_modulus_gf3_oracle():
         for a2 in range(3) for a1 in range(3) for a0 in range(3)
         if not has_root(a0, a1, a2)
     )
-    assert gf.find_cubic_modulus(gf.Field.of_order(3)) == first
+    assert gf.rootless_monic(gf.Field.of_order(3), 3) == first
 
 
 @pytest.mark.parametrize("q", field_orders_small())
 def test_cubic_modulus_has_no_root(q):
     F = gf.Field.of_order(q)
-    f = gf.find_cubic_modulus(F)
+    f = gf.rootless_monic(F, 3)
     for a in F.elements():
         acc = 0
         for c in reversed(f):
@@ -142,6 +149,16 @@ def test_default_field_specs():
     assert gf.default_field_spec(9).modulus == (1, 0, 1)
     with pytest.raises(ValueError):
         gf.factor_prime_power(6)
+
+
+@pytest.mark.parametrize("q", gf.SUPPORTED_Q)
+def test_k_index_is_the_f3_index(q):
+    # K and F^3 share one index codec; orbit_certificate reads K.coeffs rows as F^3 vectors
+    K = gf.FieldTower.build(q).ext
+    vecs = f3_vectors(q)
+    for x in K.elements():
+        assert K.coeffs(x) == vecs[x]
+        assert K.from_coeffs(vecs[x]) == vec_index(q, vecs[x]) == x
 
 
 def test_field_spec_validation():

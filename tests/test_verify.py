@@ -319,7 +319,7 @@ def reference_theorem_3_1(spec):
     skey_pool, mkey_pool = {}, {}
     skey = [[0] * r for _ in range(r)]
     mkey = [[0] * r for _ in range(r)]
-    rmats = [splitalbert.rmat(spec, TriVector("V", v)).rows for v in regs]
+    rmats = [splitalbert.rmat(spec, TriVector("V", v)) for v in regs]
     rinvs = [mat_inv(fld, m) for m in rmats]
     for i in range(r):
         for j in range(r):
@@ -415,8 +415,8 @@ def test_graph_keys_partition_pairs_as_rref_keys(q):
         rref_pool, product_pool = {}, {}
         rref_keys = [rref_pool.setdefault(rref_rows(fld, pair_rows(spec, x, y)), len(rref_pool))
                      for x in regs for y in regs]
-        rmats = [rmat(spec, TriVector("V", v)).rows for v in regs]
-        rinvs = [rmat_inv(spec, TriVector("V", v)).rows for v in regs]
+        rmats = [rmat(spec, TriVector("V", v)) for v in regs]
+        rinvs = [rmat_inv(spec, TriVector("V", v)) for v in regs]
         product_keys = [[product_pool.setdefault(mat_mul(fld, rinvs[k], rmats[i]), len(product_pool))
                          for k in range(len(regs))] for i in range(len(regs))]
         assert list(skey) == rref_keys  # ids by first occurrence: equal lists, equal partitions
