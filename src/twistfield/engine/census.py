@@ -13,7 +13,7 @@ index, the position of each v' in that order (`space_of`), and the left
 multiplication and division tables of A.  A `SpaceRec` is built only when a
 report or witness reads `spaces`.  The census reports and the Theorem A and B
 verifiers all read this one sweep: A checks the fiber column against
-`space_of`, B takes its dimensions from the kernel below.
+`space_of`, B runs the kernel below on the one certified representative.
 
 The census kernel (`meet_all`) makes no rank test.  A is a division algebra, so
 each nonzero w in Av meet Av' is a'v' for exactly one a', and
@@ -27,20 +27,21 @@ mismatch) when it fails: every row a != 0 of the multiplication table is a
 permutation (built with the inventory), every multiplicity is 1, q+1 or
 q^2+q+1, and every space met is met on its whole fiber with a single d.
 
-`census --scan-all` checks one v and covers all (q^3-1)(q^3-q) nondegenerate
-ones by symmetry (`scan_orbit`).  For beta in K^x, mu(beta a, beta x) =
-beta beta^sigma mu(a, x), so with B, G the F-matrices of multiplication by
-beta and gamma = beta beta^sigma, A(Bv) = G(Av); the commutative isotope that
-`plane_algebra` may return, x o y = (T x) y with T in K, inherits this.  A
-frame change P in GL2(F), (x, y) -> (p x + r y, s x + u y), gives A(Pv) = P(Av)
-by bilinearity.  Both act on v' too, preserving every dim(Av meet Av'), every
-fiber and kind, the lines of Av and the base plane, and the span conditions;
-K^x/F^x is transitive on the q^2+q+1 planes of F^3 (Singer, Trans. AMS 43,
-1938) and GL2(F) on the ordered bases of each, so the nondegenerate v form
-one orbit.  The run checks the K^x half (`orbit_certificate`: the identity
-on the basis pairs, and a walk of <e_0, e_1> through every plane); the GL2
-half is bilinearity.  The span conditions are stated for p x' + r y' at every
-point [p:r] of P^1(F), not for x' and y' alone: x -> x + y mixes the two
+`census --scan-all` and Theorem B check one v and cover all (q^3-1)(q^3-q)
+nondegenerate ones by symmetry (`certified_orbit`).  For beta in K^x,
+mu(beta a, beta x) = beta beta^sigma mu(a, x), so with B, G the F-matrices
+of multiplication by beta and gamma = beta beta^sigma, A(Bv) = G(Av); the
+commutative isotope that `plane_algebra` may return, x o y = (T x) y with T
+in K, inherits this.  A frame change P in GL2(F),
+(x, y) -> (p x + r y, s x + u y), gives A(Pv) = P(Av) by bilinearity.  Both
+act on v' too, preserving every dim(Av meet Av'), every fiber and kind, the
+lines of Av and the base plane, and the span conditions; K^x/F^x is
+transitive on the q^2+q+1 planes of F^3 (Singer, Trans. AMS 43, 1938) and
+GL2(F) on the ordered bases of each, so the nondegenerate v form one orbit.
+The run checks the K^x half (`orbit_certificate`: the identity on the basis
+pairs, and a walk of <e_0, e_1> through every plane); the GL2 half is
+bilinearity.  The span conditions are stated for p x' + r y' at every point
+[p:r] of P^1(F), not for x' and y' alone: x -> x + y mixes the two
 coordinates, so the narrower test would hold at v without holding on its
 orbit.  A passing tally also shows that each nondegenerate fiber is F^x v',
 so a space's least-index vector stands for all of its vectors.
@@ -97,6 +98,7 @@ class SpaceRec:
 
 KINDS = (NONDEGENERATE, DEGENERATE)  # the values of the `kind` column
 UNIT = identity_rows(3)
+REPRESENTATIVE = PairVector(UNIT[0], UNIT[1])  # the v of certified_orbit, where its walk starts
 
 
 class SpaceRecords(Sequence):
@@ -702,37 +704,44 @@ def orbit_certificate(tower: FieldTower, algs: list, beta: int, gamma: int) -> d
             "plane_orbit": steps}
 
 
-def scan_orbit(spec: TwistedFieldSpec, *, workers: int = 1) -> CensusReport:
-    """`scan_all_nondegenerate`'s verdict, lines included, from the one representative
-    v = (e_0, e_1).
+def certified_orbit(spec: TwistedFieldSpec) -> tuple[Algebra3, IsotopyClass, Algebra3, dict]:
+    """(algebra, class, `plane_algebra`, report "orbit" block) of `spec`, the symmetry checked.
 
-    K^x x GL2(F) acts on A^2 by v -> Bv, with A(Bv) = G(Av), and v -> Pv, with
-    A(Pv) = P(Av).  It is transitive on the nondegenerate v, and every check of
-    the scan (tally, complement, span, lines) is invariant under it; the span
-    check is, because it tests p x' + r y' at every point [p:r] of P^1(F)
-    (module docstring).  So one v decides them all, once `orbit_certificate`
-    has checked the K^x half for beta = `singer_element` and gamma =
-    beta beta^sigma: the identity on the basis pairs, and a walk of <e_0, e_1>
-    through all q^2+q+1 planes.  The GL2 half is bilinearity.
-    `vectors_checked` is then plane_orbit (q^2-1)(q^2-q).  When the
-    representative fails any check, this returns the exhaustive report instead
-    (`workers` processes), with its mismatches and witnesses.
+    `orbit_certificate` checks the K^x half of the action of K^x x GL2(F) on
+    A^2 (module docstring) in the algebra and its plane algebra, for
+    beta = `singer_element` and gamma = beta beta^sigma; the GL2 half is
+    bilinearity.  REPRESENTATIVE then stands for all plane_orbit (q^2-1)(q^2-q)
+    nondegenerate v.  RuntimeError when the certificate fails.
     """
-    t0 = time.perf_counter()
     tower = spec.tower
-    q = tower.q
     alg = to_structure_constants(spec)
-    cls = isotopy_class(spec)
     plane_alg = plane_algebra(alg)
     beta = singer_element(tower)
     gamma = tower.ext.mul(beta, tower.frob_t[beta])
     orbit = orbit_certificate(tower, [alg] if plane_alg is alg else [alg, plane_alg],
                               beta, gamma)
-    idx = vec_index(q, (1, 0, 0, 0, 1, 0))  # v = (e_0, e_1), the start of the certificate's walk
+    return alg, isotopy_class(spec), plane_alg, {**orbit, "vectors_profiled": 1}
+
+
+def scan_orbit(spec: TwistedFieldSpec, *, workers: int = 1) -> CensusReport:
+    """`scan_all_nondegenerate`'s verdict, lines included, from the one representative
+    of `certified_orbit`.
+
+    Every check of the scan (tally, complement, span, lines) is invariant under
+    the certified action; the span check is, because it tests p x' + r y' at
+    every point [p:r] of P^1(F) (module docstring).  So one v decides them all,
+    and `vectors_checked` is plane_orbit (q^2-1)(q^2-q).  When the
+    representative fails any check, this returns the exhaustive report instead
+    (`workers` processes), with its mismatches and witnesses.
+    """
+    t0 = time.perf_counter()
+    alg, cls, plane_alg, orbit = certified_orbit(spec)
+    q = alg.field.order
+    idx = vec_index(q, REPRESENTATIVE.flat)
     checked, mismatches = _scan_vectors(alg, build_inventory(alg), cls, plane_alg, idx, idx + 1)
     if checked != 1:
         raise RuntimeError(f"the representative {decode_vector(q, idx)} was not profiled")
     if mismatches:
         return scan_all_nondegenerate(alg, algebra_class=cls, workers=workers)
-    return _scan_report(q, cls, {"mode": "orbit", "orbit": {**orbit, "vectors_profiled": 1}},
+    return _scan_report(q, cls, {"mode": "orbit", "orbit": orbit},
                         orbit["plane_orbit"] * (q * q - 1) * (q * q - q), [], t0)

@@ -15,8 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from operator import add, itemgetter
 
-from ..algebra3 import (Algebra3, IsotopyClass, TwistedFieldSpec, basis_products, isotopy_class,
-                        to_structure_constants)
+from ..algebra3 import Algebra3, IsotopyClass, TwistedFieldSpec, basis_products
 from ..gf import Field
 from ..linalg import (cross, decode_vector, echelon_bases, f3_vectors, identity_rows, image_table,
                       kernel_rows, unit_row, vec_index)
@@ -89,47 +88,37 @@ def verify_theorem_A(alg: Algebra3, inventory: AvInventory | None = None) -> Ver
 def verify_theorem_B(tf: TwistedFieldSpec, inventory: AvInventory | None = None) -> Verdict:
     """Two-dim intersections exist iff the algebra is commutative-isotopic.
 
-    v runs over one representative per coordinate plane, v' over every distinct
-    Av'; a dim-2 pair forces both vectors nondegenerate and simultaneous GL2
-    frame changes preserve intersection dimensions, so this covers all pairs.
-    The dimensions come from the census kernel (`census.meet_all`).  `checked`
-    counts, per representative, the spaces in inventory order up to the first
-    dim-2 one, or all of them; each witness is cross-checked directly.
+    A dim-2 pair forces both vectors nondegenerate, and the symmetry that
+    `census.certified_orbit` checks keeps every dim(Av meet Av') and carries
+    its one representative v to every nondegenerate vector.  So the census
+    kernel (`census.meet_all`) at that v decides; `checked` counts the v it
+    covers, and the witness, the least-position dim-2 space, is cross-checked.
     """
-    from .census import build_inventory, meet_all
+    from .census import REPRESENTATIVE, build_inventory, certified_orbit, meet_all
 
     t0 = time.perf_counter()
-    alg = to_structure_constants(tf)
-    cls = isotopy_class(tf)
-    fld = alg.field
+    alg, cls, _, orbit = certified_orbit(tf)
+    q = alg.field.order
     if inventory is None:
         inventory = build_inventory(alg)
-    expect_witness = cls is IsotopyClass.COMMUTATIVE_ISOTOPIC
-    hits = []
-    checked = 0
-    for v in plane_representatives(fld):
-        two_dim = [pos for d, pos in meet_all(inventory, v).hits if d == 2]
-        if not two_dim:
-            checked += len(inventory.spaces)
-            continue
-        pos = min(two_dim)
-        checked += pos + 1
-        rep = inventory.spaces[pos].rep
+    v = REPRESENTATIVE
+    two_dim = [pos for d, pos in meet_all(inventory, v).hits if d == 2]
+    witnesses = []
+    if two_dim:
+        rep = inventory.rep(min(two_dim))
         v2 = PairVector(rep[:3], rep[3:])
-        dim_check, _ = intersection_dim(alg, v, v2)
-        if dim_check != 2:
+        if intersection_dim(alg, v, v2)[0] != 2:
             raise RuntimeError("fast sweep disagrees with direct intersection")
-        hits.append({"v": v.to_json(), "v2": v2.to_json()})
-        if expect_witness:
-            break
-    passed = bool(hits) == expect_witness
+        witnesses.append({"v": v.to_json(), "v2": v2.to_json()})
+    expect_witness = cls is IsotopyClass.COMMUTATIVE_ISOTOPIC
     return Verdict(
         name="theorem-B",
-        passed=passed,
-        checked=checked,
-        witnesses=hits[:3],
-        details={"q": fld.order, "algebra_class": cls.value,
-                 "expected": "witness" if expect_witness else "no dim-2 pairs"},
+        passed=bool(witnesses) == expect_witness,
+        checked=orbit["plane_orbit"] * (q * q - 1) * (q * q - q),
+        witnesses=witnesses,
+        details={"q": q, "algebra_class": cls.value,
+                 "expected": "witness" if expect_witness else "no dim-2 pairs",
+                 "mode": "orbit", "orbit": orbit},
         runtime_ms=(time.perf_counter() - t0) * 1000,
     )
 
@@ -219,7 +208,7 @@ def verify_split_theorem_3_1(spec: SplitAlbertSpec) -> Verdict:
         passed=not witnesses,
         checked=r**4,
         witnesses=witnesses,
-        details={"mode": "exhaustive", "q": q, "d": list(spec.d)},
+        details={"mode": "exhaustive", "q": q},
         runtime_ms=(time.perf_counter() - t0) * 1000,
     )
 
@@ -447,7 +436,6 @@ def search_theorem_7_2_analogue(spec: SplitAlbertSpec) -> Verdict:
         witnesses=hits,
         details={
             "q": q,
-            "d": list(spec.d),
             "d_product": spec.d_product,
             "admissible_quadruples": admissible,
             "two_dim_hits": two_dim,

@@ -162,7 +162,7 @@ def test_criterion_5_theorem_B(tower3, tower4, tower5, comm3):
         verdict = verify_theorem_B(TwistedFieldSpec(tower5, pick_c_by_norm(tower5, target)))
         ok = ok and verdict.passed and not verdict.witnesses
     report("criterion 5: dim-2 witness at q=3/q=5 commutative; zero dim-2 pairs "
-           "across full sweeps at q=4 (all c) and q=5 noncommutative",
+           "orbit-certified at q=4 (all c) and q=5 noncommutative",
            ok, f"{time.perf_counter() - t0:.1f}s")
 
 

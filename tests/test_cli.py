@@ -355,12 +355,22 @@ def test_scan_all_in_orbit_mode_at_q7_and_q9(capsys, q, target):
     assert report["parameters"]["orbit"]["plane_orbit"] == q * q + q + 1
 
 
+def test_theorem_b_at_q9_from_the_certified_representative(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "B", "--q", "9", "--norm-target", "u")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["passed"] is True and report["details"]["mode"] == "orbit"
+    assert report["details"]["orbit"]["plane_orbit"] == 91
+    assert report["checked"] == (9**3 - 1) * (9**3 - 9)
+
+
 def test_corrupted_orbit_certificate_is_internal(capsys, monkeypatch):
     monkeypatch.setattr(census, "singer_element", lambda tower: 1)  # beta = 1 fixes every plane
-    code, out, err = run_cli(capsys, "census", "--scan-all", "--q", "3", "--norm-target", "-1")
-    assert code == cli.EXIT_INTERNAL == 3
-    assert "not one orbit" in json.loads(out)["error"]
-    assert "Traceback" in err
+    for argv in (["census", "--scan-all"], ["verify", "--theorem", "B"]):
+        code, out, err = run_cli(capsys, *argv, "--q", "3", "--norm-target", "-1")
+        assert code == cli.EXIT_INTERNAL == 3
+        assert "not one orbit" in json.loads(out)["error"]
+        assert "Traceback" in err
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -124,7 +124,10 @@ CALLER_ROOTS = (REPO / "src", REPO / "tests", REPO / "bench")
 
 def unreferenced_definitions(package=PACKAGE, roots=CALLER_ROOTS):
     """(location, name) for every top-level function or class of the package that no file
-    under `roots` names outside the definition itself.  Dunder names are exempt."""
+    under `roots` names outside the definition itself.  Dunder names are exempt.
+
+    A bare name counts in the defining module only: another file that uses the name
+    imports it, and that import counts.  Attributes and identifier strings count anywhere."""
     refs: dict[str, set] = {}
     for root in roots:
         for path in sorted(root.rglob("*.py")):
@@ -132,13 +135,15 @@ def unreferenced_definitions(package=PACKAGE, roots=CALLER_ROOTS):
                 owner = top.name if isinstance(top, DEFINITIONS) else None
                 for node in ast.walk(top):
                     for name in referenced_names(node):
-                        refs.setdefault(name, set()).add((path, owner))
+                        refs.setdefault(name, set()).add((path, owner, isinstance(node, ast.Name)))
     for path in sorted(package.rglob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
             name = getattr(node, "name", "")
             if not isinstance(node, DEFINITIONS) or name.startswith("__") and name.endswith("__"):
                 continue
-            if not refs.get(name, set()) - {(path, name)}:
+            counted = {(where, owner) for where, owner, bare in refs.get(name, ())
+                       if not bare or where == path}
+            if not counted - {(path, name)}:
                 yield f"{path.relative_to(package)}:{node.lineno} {name}"
 
 
@@ -147,9 +152,9 @@ def test_every_definition_is_referenced():
     assert list(unreferenced_definitions()) == []
 
 
-# Definitions that only tests or bench/ name.  The lint matches by name, so a definition
-# whose name src/ also uses for a local variable never shows up here: the linalg wrappers
-# rank, span and kernel never did.
+# Definitions that only tests or bench/ name.  A bare name counts outside the defining
+# module only where it is imported, so a local variable or a test helper that shares a
+# definition's name does not hide it (the linalg wrappers rank, span and kernel once were).
 TEST_ONLY_DEFINITIONS = {
     # paper statements the acceptance criteria check (ROADMAP keep list)
     "char_poly_ratio", "scale_isomorphism", "cyclic_isomorphism", "reversal_isomorphism",
@@ -177,10 +182,16 @@ def test_unreferenced_lint_skips_self_references(tmp_path):
         "class Kept:\n"
         "    pass\n"
         "def __getattr__(name):\n"
-        "    return used\n")
-    (tmp_path / "test_mod.py").write_text("import mod\nmod.Kept()\n")
+        "    return used\n"
+        "def shadowed():\n"
+        "    return 2\n")
+    # a local variable elsewhere that shares a dead function's name is not a reference to it
+    (tmp_path / "test_mod.py").write_text(
+        "import mod\n"
+        "mod.Kept()\n"
+        "total = sum(shadowed for shadowed in range(3))\n")
     found = list(unreferenced_definitions(tmp_path, roots=(tmp_path,)))
-    assert found == ["mod.py:1 loop"]
+    assert found == ["mod.py:1 loop", "mod.py:9 shadowed"]
 
 
 def tensor_reads(package=PACKAGE):
