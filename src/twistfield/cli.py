@@ -179,7 +179,7 @@ def header_for(tower: FieldTower, c: int | None = None, d=None) -> dict:
     base = tower.base
     head = {
         "q": base.order,
-        "field": base.spec.to_json() if base.spec else None,
+        "field": base.spec.to_json(),
         "tower_modulus": [format_elem(base, x) for x in tower.f],
     }
     if c is not None:

@@ -10,10 +10,11 @@ index of its coefficients.  Iteration order everywhere is ascending index
 order, starting at 0.
 
 All arithmetic is schoolbook polynomial arithmetic modulo the defining
-polynomial.  A base field GF(q), built from a :class:`FieldSpec`, memoizes its
-arithmetic into full tables, which the census and verifier kernels read; a
-cubic extension K = GF(q^3), built by `Field.extension`, computes each
-operation on demand.  No discrete-log shortcuts.
+polynomial.  A base field GF(q), built by `Field.of_order` from its
+`default_field_spec`, memoizes its arithmetic into full tables, which the
+census and verifier kernels read; the cubic extension K = GF(q^3), built by
+`FieldTower.build` through `Field.extension`, computes each operation on
+demand.  No discrete-log shortcuts.
 """
 
 from __future__ import annotations
@@ -25,17 +26,6 @@ from dataclasses import dataclass, field as dc_field
 from .linalg import decode_vector, vec_index
 
 SUPPORTED_Q = (3, 4, 5, 7, 8, 9)
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
@@ -109,7 +99,11 @@ class FieldSpec:
     modulus: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
+        try:
+            prime = factor_prime_power(self.p)[1] == 1
+        except ValueError:  # p < 2, or not a prime power
+            prime = False
+        if not prime:
             raise ValueError(f"characteristic must be prime, got {self.p}")
         if self.m < 1:
             raise ValueError(f"degree must be >= 1, got {self.m}")
@@ -148,80 +142,70 @@ def default_field_spec(q: int) -> FieldSpec:
 
 
 class Field:
-    """GF(p^m) with integer-indexed elements.
+    """GF(p^m) with integer-indexed elements: one digit field.
 
-    Built either directly from a :class:`FieldSpec` (chain over the prime
-    field), with table-backed operations, or as an extension of another Field
-    by a monic irreducible polynomial with coefficients in that field, with
-    untabulated ones (`add_t`, `sub_t`, `mul_t` and `inv_t` are None).
+    An element is `width` digits base `digit_base` over `subfield` (the
+    prime field is width 1, base p, over no subfield) and `prime_width`
+    digits base p over the prime field.  `of_order` builds GF(q) from its
+    spec, tabulated; `extension` builds K = GF(q^3) over it, untabulated
+    (`add_t`, `sub_t`, `mul_t` and `inv_t` are None).  A field is tabulated
+    exactly when `of_order` built it, that is, when it has a spec.
     """
 
-    def __init__(self, subfield: "Field | None", modulus: tuple[int, ...], var: str,
+    def __init__(self, subfield: "Field | None", modulus: tuple[int, ...],
                  spec: FieldSpec | None = None):
         self.subfield = subfield
         self.modulus = modulus
-        self.var = var
         self.spec = spec
-        if subfield is None:
-            # prime field: modulus is (0, 1), i.e. plain t
-            self.p = spec.p if spec else 0
-            self.deg_over_sub = 1
-            self.order = self.p
-        else:
-            self.p = subfield.p
-            self.deg_over_sub = len(modulus) - 1
-            self.order = subfield.order**self.deg_over_sub
+        self.var = "t" if spec is None else "u"
+        self.p = spec.p if subfield is None else subfield.p
+        self.digit_base = self.p if subfield is None else subfield.order
+        self.width = len(modulus) - 1
+        self.prime_width = self.width * (1 if subfield is None else subfield.prime_width)
+        self.order = self.digit_base**self.width
         self._build_tables()
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def from_spec(spec: FieldSpec, var: str = "u") -> "Field":
-        if spec.m == 1:
-            return Field(None, (0, 1), var, spec=spec)
-        prime = Field.from_spec(FieldSpec(spec.p, 1, (0, 1)), var)
-        return Field(prime, spec.modulus, var, spec=spec)
-
-    @staticmethod
     def of_order(q: int) -> "Field":
-        return Field.from_spec(default_field_spec(q))
+        spec = default_field_spec(q)
+        return Field(Field.of_order(spec.p) if spec.m > 1 else None, spec.modulus, spec)
 
-    def extension(self, modulus: tuple[int, ...], var: str = "t") -> "Field":
+    def extension(self, modulus: tuple[int, ...]) -> "Field":
         """Extension of this field by a monic polynomial given as element indices."""
         if modulus[-1] != 1:
             raise ValueError("extension modulus must be monic")
         deg = len(modulus) - 1
         if deg <= 3 and not all(_poly_eval(self, modulus, a) for a in self.elements()):
             raise ValueError("extension modulus has a root in the base field")
-        return Field(self, modulus, var)
+        return Field(self, modulus)
 
     # -- tables -------------------------------------------------------------
 
     def _slow_mul(self, a: int, b: int) -> int:
         if self.subfield is None:
             return a * b % self.p
-        q = self.subfield.order
-        prod = _poly_mul_mod(self.subfield, decode_vector(q, a, self.deg_over_sub),
-                             decode_vector(q, b, self.deg_over_sub), self.modulus)
+        q, w = self.digit_base, self.width
+        prod = _poly_mul_mod(self.subfield, decode_vector(q, a, w), decode_vector(q, b, w),
+                             self.modulus)
         return vec_index(q, prod)
 
     def _slow_add(self, a: int, b: int) -> int:
         if self.subfield is None:
             return (a + b) % self.p
-        q = self.subfield.order
-        da, db = decode_vector(q, a, self.deg_over_sub), decode_vector(q, b, self.deg_over_sub)
-        return vec_index(q, [self.subfield.add(x, y) for x, y in zip(da, db)])
+        q, w = self.digit_base, self.width
+        return vec_index(q, [self.subfield.add(x, y)
+                             for x, y in zip(decode_vector(q, a, w), decode_vector(q, b, w))])
 
     def _build_tables(self) -> None:
         n = self.order
         if self.subfield is None:
             self.neg_t = [(-a) % n for a in range(n)]
         else:
-            q = self.subfield.order
-            self.neg_t = [
-                vec_index(q, [self.subfield.neg(d) for d in decode_vector(q, a, self.deg_over_sub)])
-                for a in range(n)
-            ]
+            q, w = self.digit_base, self.width
+            self.neg_t = [vec_index(q, [self.subfield.neg(d) for d in decode_vector(q, a, w)])
+                          for a in range(n)]
         if self.spec is not None:
             self.add_t = [[self._slow_add(a, b) for b in range(n)] for a in range(n)]
             self.mul_t = [[self._slow_mul(a, b) for b in range(n)] for a in range(n)]
@@ -296,31 +280,20 @@ class Field:
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Digits of `a` over the immediate subfield (prime field if none)."""
-        self.check(a)
-        base = self.subfield.order if self.subfield is not None else self.p
-        width = self.deg_over_sub if self.subfield is not None else 1
-        return decode_vector(base, a, width)
+        return decode_vector(self.digit_base, self.check(a), self.width)
 
     def from_coeffs(self, coeffs) -> int:
-        base = self.subfield.order if self.subfield is not None else self.p
-        width = self.deg_over_sub if self.subfield is not None else 1
         cs = list(coeffs)
-        if len(cs) != width:
-            raise ValueError(f"expected {width} coefficients, got {len(cs)}")
+        if len(cs) != self.width:
+            raise ValueError(f"expected {self.width} coefficients, got {len(cs)}")
         for c in cs:
-            if not 0 <= c < base:
-                raise ValueError(f"coefficient {c} out of range for base {base}")
-        return vec_index(base, cs)
+            if not 0 <= c < self.digit_base:
+                raise ValueError(f"coefficient {c} out of range for base {self.digit_base}")
+        return vec_index(self.digit_base, cs)
 
     def prime_coeffs(self, a: int) -> tuple[int, ...]:
         """Digits of `a` over the prime field (length = total degree)."""
-        self.check(a)
-        m = 1
-        f: Field | None = self
-        while f is not None and f.subfield is not None:
-            m *= f.deg_over_sub
-            f = f.subfield
-        return decode_vector(self.p, a, m)
+        return decode_vector(self.p, self.check(a), self.prime_width)
 
     def __repr__(self) -> str:
         return f"GF({self.order})"
@@ -362,7 +335,7 @@ def parse_elem(fld: Field, text: str) -> int:
     term = rf"(?:([0-9]*){re.escape(fld.var)}(?:\^([0-9]+))?|([0-9]+))"
     if re.fullmatch(rf"[+-]?{term}(?:[+-]{term})*", text) is None:
         raise ValueError(f"expected terms like 2u^2+u+1 or -1, got {text!r}")
-    coeffs = [0] * len(fld.prime_coeffs(0))
+    coeffs = [0] * fld.prime_width
     for sign, coef, power, const in re.findall(rf"([+-]?){term}", text):
         k = 0 if const else int(power or 1)
         if k >= len(coeffs):
@@ -423,12 +396,12 @@ class FieldTower:
     norm_t: list[int] = dc_field(repr=False, default=None)
 
     @staticmethod
-    def build(q_or_field, f: tuple[int, ...] | None = None) -> "FieldTower":
-        base = q_or_field if isinstance(q_or_field, Field) else Field.of_order(q_or_field)
+    def build(q: int, f: tuple[int, ...] | None = None) -> "FieldTower":
+        base = Field.of_order(q)
         if f is None:
             f = rootless_monic(base, 3)
         f = tuple(f)
-        ext = base.extension(f, var="t")
+        ext = base.extension(f)
         tower = FieldTower(base, ext, f)
         tower._build_tables()
         return tower

@@ -26,7 +26,7 @@ from twistfield.algebra3 import (
     valid_c_values,
 )
 from twistfield.engine.spaces import pair_rows
-from twistfield.linalg import mat_vec
+from twistfield.linalg import f3_vectors, mat_vec
 from twistfield.splitalbert import SplitAlbertSpec, TriVector, phi, rmat
 
 # q=3, c=2, f = t^3 - t - 1: structure constants computed once from the mini
@@ -240,6 +240,8 @@ def test_norm_one_c_is_not_division(tower3):
             found = True
             break
     assert found
+    # the right multiplications, which is_division no longer reads, are singular too
+    assert any(det3(F, right_mul_matrix(alg, a)) == 0 for a in f3_vectors(3)[1:])
 
 
 def test_field_product_is_division(tower3):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twistfield import gf
-from twistfield.linalg import f3_vectors, vec_index
+from twistfield.linalg import decode_vector, f3_vectors, vec_index
 
 
 def field_orders_small():
@@ -161,9 +161,32 @@ def test_k_index_is_the_f3_index(q):
         assert K.from_coeffs(vecs[x]) == vec_index(q, vecs[x]) == x
 
 
+@pytest.mark.parametrize("q", gf.SUPPORTED_Q)
+def test_digit_views_at_every_level(q):
+    # the prime subfield, GF(q) and K = GF(q^3): width 1, m and 3 digits, 3m prime digits
+    tower = gf.FieldTower.build(q)
+    F, K = tower.base, tower.ext
+    p, m = gf.factor_prime_power(q)
+    levels = [(F, m, m), (K, 3, 3 * m)]
+    if m > 1:
+        levels.insert(0, (F.subfield, 1, 1))
+    for fld, width, total in levels:
+        step = 7 if fld is K and q > 5 else 1
+        for x in range(0, fld.order, step):
+            digits = fld.coeffs(x)
+            assert len(digits) == width
+            assert fld.from_coeffs(digits) == x
+            assert fld.prime_coeffs(x) == decode_vector(p, x, total)
+            if fld is K:
+                assert fld.prime_coeffs(x) == sum((F.prime_coeffs(d) for d in digits), ())
+
+
 def test_field_spec_validation():
     with pytest.raises(ValueError):
         gf.FieldSpec(4, 1, (0, 1))  # p not prime
+    for p in (1, 6, 9):  # below 2, not a prime power, a prime square
+        with pytest.raises(ValueError, match="characteristic must be prime"):
+            gf.FieldSpec(p, 1, (0, 1))
     with pytest.raises(ValueError):
         gf.FieldSpec(3, 2, (1, 0, 2))  # not monic
     with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """Lints on the package source: pure standard library (numpy and the like are never
-imported), no unused or cross-module private imports, no unreferenced definitions, and
-one reader of the structure tensor."""
+imported), no unused or cross-module private imports, no unreferenced definitions,
+one reader of the structure tensor and one module that builds fields."""
 
 from __future__ import annotations
 
@@ -207,3 +207,31 @@ def test_only_algebra3_reads_the_structure_tensor():
     # one contraction: every product goes through algebra3.basis_products
     reads = list(tensor_reads())
     assert reads and all(where.startswith("algebra3.py:") for where in reads), reads
+
+
+FIELD_BUILDERS = {"Field", "FieldSpec", "of_order", "extension"}
+
+
+def field_constructions(package=PACKAGE):
+    """The location of every call, outside gf.py, of a name or attribute in FIELD_BUILDERS."""
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "gf.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in FIELD_BUILDERS:
+                    yield f"{path.relative_to(package)}:{node.lineno} {name}"
+
+
+def test_only_gf_builds_fields(tmp_path):
+    # one way to build a field: every other module gets its fields from FieldTower.build
+    assert list(field_constructions()) == []
+    # and the lint sees a stray construction
+    (tmp_path / "gf.py").write_text("def f():\n    return Field(None, (0, 1))\n")
+    (tmp_path / "mod.py").write_text(
+        "from gf import Field, FieldTower\n"
+        "tower = FieldTower.build(3)\n"
+        "prime = Field(None, (0, 1))\n")
+    assert list(field_constructions(tmp_path)) == ["mod.py:3 Field"]
