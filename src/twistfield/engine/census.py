@@ -308,10 +308,6 @@ class CensusReport:
     def to_json_dict(self) -> dict:
         return {**vars(self), "runtime_ms": round(self.runtime_ms, 3)}  # in field order
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "CensusReport":
-        return cls(**payload)
-
     def csv_rows(self) -> list[dict]:
         rows = []
         obs_v = self.observed["vectors"]

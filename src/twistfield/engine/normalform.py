@@ -5,9 +5,11 @@ Jordan block), III/IV the switched versions, V the (E11, E22) pair, VI/VII the
 pairs supported on the top row / left column with residual entries verbatim.
 Over a finite field a pair with G0 invertible may have an irreducible
 characteristic polynomial for G0^{-1} G1; those get the extra tag I* with the
-companion-matrix representative (I, [[0, -det], [1, tr]]).  A switched pair
-never needs the analogue: a singular 2x2 matrix always has eigenvalues
-{0, trace} in the field.
+companion-matrix representative (I, [[0, -det], [1, tr]]).  `template` is the
+one table of these representatives; `pair_normal_form` computes only the tag,
+its params and (P, Q).  III/IV are I/II of the exchanged pair (G1, G0), and a
+switched pair never needs an analogue of I*: a singular 2x2 matrix always has
+eigenvalues {0, trace} in the field.
 
 The tag is invariant under (G0, G1) -> (P G0, P G1), P in GL2: det(P G) =
 det P det G keeps which matrix is invertible, (P G0)^{-1} (P G1) = G0^{-1} G1
@@ -30,6 +32,7 @@ Mat2 = tuple[tuple[int, int], tuple[int, int]]
 ID2: Mat2 = ((1, 0), (0, 1))
 E11: Mat2 = ((1, 0), (0, 0))
 E22: Mat2 = ((0, 0), (0, 1))
+ZERO: Mat2 = ((0, 0), (0, 0))
 
 
 def det2(fld: Field, m: Mat2) -> int:
@@ -44,8 +47,7 @@ def mul2(fld: Field, a: Mat2, b: Mat2) -> Mat2:
 
 
 def inv2(fld: Field, m: Mat2) -> Mat2:
-    d = det2(fld, m)
-    s = fld.inv(d)
+    s = fld.inv(det2(fld, m))
     return (
         (fld.mul(s, m[1][1]), fld.mul(s, fld.neg(m[0][1]))),
         (fld.mul(s, fld.neg(m[1][0])), fld.mul(s, m[0][0])),
@@ -63,7 +65,7 @@ class PairNormalForm:
 
 
 def _eigen_split(fld: Field, m: Mat2):
-    """Roots in F of X^2 - tr X + det, or None."""
+    """(roots in F of X^2 - tr X + det, tr, det) for m's trace tr and determinant det."""
     tr = fld.add(m[0][0], m[1][1])
     det = det2(fld, m)
     roots = [x for x in fld.elements()
@@ -78,8 +80,7 @@ def _eigenvector(fld: Field, m: Mat2, lam: int) -> tuple[int, int]:
         v = (a[0][1], fld.neg(a[0][0]))
     else:
         v = (a[1][1], fld.neg(a[1][0]))
-    lead = v[0] if v[0] else v[1]
-    s = fld.inv(lead)
+    s = fld.inv(v[0] if v[0] else v[1])
     return (fld.mul(s, v[0]), fld.mul(s, v[1]))
 
 
@@ -91,18 +92,18 @@ def _apply2(fld: Field, m: Mat2, v) -> tuple[int, int]:
 
 
 def _similarity_to_normal(fld: Field, m: Mat2):
-    """(rep, tag, params, S) with S^{-1} m S = rep."""
+    """(tag, params, S) with S^{-1} m S the block of `template(fld, tag, params)`: tag
+    I (diagonal), II (lower Jordan) or I* (companion)."""
     roots, tr, det = _eigen_split(fld, m)
     if len(roots) == 2:
         lam, mu_ = roots
         s1 = _eigenvector(fld, m, lam)
         s2 = _eigenvector(fld, m, mu_)
-        S = ((s1[0], s2[0]), (s1[1], s2[1]))
-        return ((lam, 0), (0, mu_)), "diag", (lam, mu_), S
+        return "I", (lam, mu_), ((s1[0], s2[0]), (s1[1], s2[1]))
     if len(roots) == 1:
         lam = roots[0]
         if m == ((lam, 0), (0, lam)):
-            return ((lam, 0), (0, lam)), "diag", (lam, lam), ID2
+            return "I", (lam, lam), ID2
         # lower Jordan block: columns s1 with (m - lam) s1 != 0, then s2 = (m - lam) s1
         shifted = ((fld.sub(m[0][0], lam), m[0][1]), (m[1][0], fld.sub(m[1][1], lam)))
         for cand in ((1, 0), (0, 1)):
@@ -110,13 +111,10 @@ def _similarity_to_normal(fld: Field, m: Mat2):
             if s2 != (0, 0):
                 s1 = cand
                 break
-        S = ((s1[0], s2[0]), (s1[1], s2[1]))
-        return ((lam, 0), (1, lam)), "jordan", (lam,), S
+        return "II", (lam,), ((s1[0], s2[0]), (s1[1], s2[1]))
     # irreducible characteristic polynomial: companion form on the basis (w, m w)
-    s1 = (1, 0)
-    s2 = _apply2(fld, m, s1)
-    S = ((s1[0], s2[0]), (s1[1], s2[1]))
-    return ((0, fld.neg(det)), (1, tr)), "companion", (det, tr), S
+    s2 = _apply2(fld, m, (1, 0))
+    return "I*", (det, tr), ((1, s2[0]), (0, s2[1]))
 
 
 def _reduce_rank1(fld: Field, a: Mat2) -> tuple[Mat2, Mat2]:
@@ -142,26 +140,49 @@ def _reduce_rank1(fld: Field, a: Mat2) -> tuple[Mat2, Mat2]:
     return P, Q
 
 
+def template(fld: Field, tag: str, params: tuple[int, ...]):
+    """The representative pair of `tag` with `params`, or None for a tag not in the list.
+
+    I, II and I* are (I, block) and III, IV are (block, I), the block diag(lam, mu),
+    the lower Jordan block of lam or the companion of (det, tr); V is (E11, E22); VI is
+    ((a0, a1), 0), ((b0, b1), 0) on the top rows and VII the same on the left columns.
+    """
+    if tag in ("I", "III"):
+        lam, mu_ = params
+        block = ((lam, 0), (0, mu_))
+    elif tag in ("II", "IV"):
+        (lam,) = params
+        block = ((lam, 0), (1, lam))
+    elif tag == "I*":
+        det, tr = params
+        block = ((0, fld.neg(det)), (1, tr))
+    elif tag == "V":
+        return E11, E22
+    elif tag in ("VI", "VII"):
+        a0, a1, b0, b1 = params
+        if tag == "VI":
+            return ((a0, a1), (0, 0)), ((b0, b1), (0, 0))
+        return ((a0, 0), (a1, 0)), ((b0, 0), (b1, 0))
+    else:
+        return None
+    return (block, ID2) if tag in ("III", "IV") else (ID2, block)
+
+
 def pair_normal_form(fld: Field, g0: Mat2, g1: Mat2) -> PairNormalForm:
     g0 = tuple(tuple(r) for r in g0)
     g1 = tuple(tuple(r) for r in g1)
-    if det2(fld, g0) != 0:
-        m = mul2(fld, inv2(fld, g0), g1)
-        rep1, kind, params, S = _similarity_to_normal(fld, m)
-        Sinv = inv2(fld, S)
-        P = mul2(fld, Sinv, inv2(fld, g0))
-        tag = {"diag": "I", "jordan": "II", "companion": "I*"}[kind]
-        form = PairNormalForm(fld, tag, params, (ID2, rep1), P, S)
-    elif det2(fld, g1) != 0:
-        m = mul2(fld, inv2(fld, g1), g0)
-        rep0, kind, params, S = _similarity_to_normal(fld, m)
-        if kind == "companion":
-            raise RuntimeError("singular matrix with irreducible characteristic polynomial")
-        Sinv = inv2(fld, S)
-        P = mul2(fld, Sinv, inv2(fld, g1))
-        tag = {"diag": "III", "jordan": "IV"}[kind]
-        form = PairNormalForm(fld, tag, params, (rep0, ID2), P, S)
-    elif g0 != ((0, 0), (0, 0)):
+    if det2(fld, g0) != 0 or det2(fld, g1) != 0:
+        # III/IV are I/II of the exchanged pair (G1, G0)
+        switched = det2(fld, g0) == 0
+        a, b = (g1, g0) if switched else (g0, g1)
+        a_inv = inv2(fld, a)
+        tag, params, Q = _similarity_to_normal(fld, mul2(fld, a_inv, b))
+        if switched:
+            if tag == "I*":
+                raise RuntimeError("singular matrix with irreducible characteristic polynomial")
+            tag = {"I": "III", "II": "IV"}[tag]
+        P = mul2(fld, inv2(fld, Q), a_inv)
+    elif g0 != ZERO:
         P, Q = _reduce_rank1(fld, g0)
         b = mul2(fld, mul2(fld, P, g1), Q)
         if b[1][1]:
@@ -170,59 +191,35 @@ def pair_normal_form(fld: Field, g0: Mat2, g1: Mat2) -> PairNormalForm:
                 # row0 -= (b01/b11) row1 keeps E11 (its second row is zero)
                 P = mul2(fld, ((1, fld.neg(fld.mul(b[0][1], s))), (0, 1)), P)
             if b[1][0]:
-                Q = mul2(fld, Q, ((1, 0), (fld.neg(fld.mul(b[1][0], s)), 0 + 1)))
+                Q = mul2(fld, Q, ((1, 0), (fld.neg(fld.mul(b[1][0], s)), 1)))
             P = mul2(fld, ((1, 0), (0, s)), P)
-            b = mul2(fld, mul2(fld, P, g1), Q)
-            if b != E22:
+            if mul2(fld, mul2(fld, P, g1), Q) != E22:
                 raise RuntimeError("V-normalization failed")
-            form = PairNormalForm(fld, "V", (), (E11, E22), P, Q)
+            tag, params = "V", ()
         elif b[1][0] == 0:
-            form = PairNormalForm(fld, "VI", (1, 0, b[0][0], b[0][1]), (E11, b), P, Q)
+            tag, params = "VI", (1, 0, b[0][0], b[0][1])
         elif b[0][1] == 0:
-            form = PairNormalForm(fld, "VII", (1, 0, b[0][0], b[1][0]), (E11, b), P, Q)
+            tag, params = "VII", (1, 0, b[0][0], b[1][0])
         else:
             raise RuntimeError("singular matrix with b12*b21 != 0")
-    elif g1 != ((0, 0), (0, 0)):
+    elif g1 != ZERO:
         P, Q = _reduce_rank1(fld, g1)
-        zero = ((0, 0), (0, 0))
-        form = PairNormalForm(fld, "VI", (0, 0, 1, 0), (zero, E11), P, Q)
+        tag, params = "VI", (0, 0, 1, 0)
     else:
-        zero = ((0, 0), (0, 0))
-        form = PairNormalForm(fld, "VI", (0, 0, 0, 0), (zero, zero), ID2, ID2)
+        tag, params, P, Q = "VI", (0, 0, 0, 0), ID2, ID2
 
-    left0 = mul2(fld, mul2(fld, form.p_mat, g0), form.q_mat)
-    left1 = mul2(fld, mul2(fld, form.p_mat, g1), form.q_mat)
+    form = PairNormalForm(fld, tag, params, template(fld, tag, params), P, Q)
+    left0 = mul2(fld, mul2(fld, P, g0), Q)
+    left1 = mul2(fld, mul2(fld, P, g1), Q)
     if (left0, left1) != form.rep:
         raise RuntimeError("normal form verification failed")
-    if det2(fld, form.p_mat) == 0 or det2(fld, form.q_mat) == 0:
+    if det2(fld, P) == 0 or det2(fld, Q) == 0:
         raise RuntimeError("singular change of basis")
     return form
 
 
 def template_matches(fld: Field, form: PairNormalForm) -> bool:
-    """Does the stored representative have the printed shape of its tag?"""
-    a, b = form.rep
-    tag = form.tag
-    if tag == "I":
-        lam, mu_ = form.params
-        return a == ID2 and b == ((lam, 0), (0, mu_))
-    if tag == "II":
-        (lam,) = form.params
-        return a == ID2 and b == ((lam, 0), (1, lam))
-    if tag == "I*":
-        det, tr = form.params
-        roots, _, _ = _eigen_split(fld, b)
-        return a == ID2 and b == ((0, fld.neg(det)), (1, tr)) and not roots
-    if tag == "III":
-        lam, mu_ = form.params
-        return b == ID2 and a == ((lam, 0), (0, mu_))
-    if tag == "IV":
-        (lam,) = form.params
-        return b == ID2 and a == ((lam, 0), (1, lam))
-    if tag == "V":
-        return a == E11 and b == E22
-    if tag == "VI":
-        return a[1] == (0, 0) and b[1] == (0, 0)
-    if tag == "VII":
-        return a[0][1] == 0 and a[1][1] == 0 and b[0][1] == 0 and b[1][1] == 0
-    return False
+    """Is the stored representative `template(fld, form.tag, form.params)`, with an
+    I* block that has no root in F?  False for a tag not in the list."""
+    return form.rep == template(fld, form.tag, form.params) and (
+        form.tag != "I*" or not _eigen_split(fld, form.rep[1])[0])

@@ -39,10 +39,6 @@ class Verdict:
     def to_json_dict(self) -> dict:
         return {**vars(self), "runtime_ms": round(self.runtime_ms, 3)}  # in field order
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "Verdict":
-        return cls(**payload)
-
 
 def verify_theorem_A(alg: Algebra3, inventory: AvInventory | None = None) -> Verdict:
     """Av = Av' iff Fv = Fv', over all nondegenerate vectors.

@@ -411,7 +411,7 @@ def test_reports_reconstruct_from_json(capsys):
                            "--v", "[1,0,0],[0,1,0]")
     assert code == 0
     payload = json.loads(out)
-    report = CensusReport.from_json_dict(payload["report"])
+    report = CensusReport(**payload["report"])
     assert report.to_json_dict() == payload["report"]
     assert report.parameters["Av"]["ambient"] == 6
 
@@ -419,7 +419,7 @@ def test_reports_reconstruct_from_json(capsys):
                            "--norm-target", "-1")
     assert code == 0
     payload = json.loads(out)
-    verdict = Verdict.from_json_dict(payload["report"])
+    verdict = Verdict(**payload["report"])
     assert verdict.to_json_dict() == payload["report"]
 
 

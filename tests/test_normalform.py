@@ -107,3 +107,21 @@ def test_equivalence_is_witnessed():
     left0 = mul2(F3, mul2(F3, form.p_mat, g0), form.q_mat)
     left1 = mul2(F3, mul2(F3, form.p_mat, g1), form.q_mat)
     assert (left0, left1) == form.rep
+
+
+@pytest.mark.parametrize("fld, count", [(F2, 60), (F3, 1584)], ids=["GF2", "GF3"])
+def test_singular_g0_is_the_exchanged_invertible_case(fld, count):
+    # with det G0 = 0 != det G1, (G0, G1) is (G1, G0) read with III for I and IV for II
+    mats = all_mats(fld)
+    singular = [g for g in mats if det2(fld, g) == 0]
+    invertible = [g for g in mats if det2(fld, g) != 0]
+    switched = {"I": "III", "II": "IV"}
+    for g0 in singular:
+        for g1 in invertible:
+            form = pair_normal_form(fld, g0, g1)
+            exchanged = pair_normal_form(fld, g1, g0)
+            assert form.tag == switched[exchanged.tag], (g0, g1)
+            assert form.params == exchanged.params
+            assert form.rep == exchanged.rep[::-1]
+            assert (form.p_mat, form.q_mat) == (exchanged.p_mat, exchanged.q_mat)
+    assert len(singular) * len(invertible) == count

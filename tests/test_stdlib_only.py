@@ -122,29 +122,46 @@ def referenced_names(node):
 CALLER_ROOTS = (REPO / "src", REPO / "tests", REPO / "bench")
 
 
+def definitions(tree):
+    """(qualified name, node) for every top-level function or class of `tree`, and for
+    every function (method or property) in a top-level class body."""
+    for top in tree.body:
+        if isinstance(top, DEFINITIONS):
+            yield top.name, top
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{top.name}.{node.name}", node
+
+
 def unreferenced_definitions(package=PACKAGE, roots=CALLER_ROOTS):
-    """(location, name) for every top-level function or class of the package that no file
-    under `roots` names outside the definition itself.  Dunder names are exempt.
+    """(location, qualified name) for every top-level function or class and every method
+    of the package that no file under `roots` names outside the definition itself.
+    Dunder names are exempt.
 
     A bare name counts in the defining module only: another file that uses the name
     imports it, and that import counts.  Attributes and identifier strings count anywhere."""
     refs: dict[str, set] = {}
     for root in roots:
         for path in sorted(root.rglob("*.py")):
-            for top in ast.parse(path.read_text(), filename=str(path)).body:
-                owner = top.name if isinstance(top, DEFINITIONS) else None
-                for node in ast.walk(top):
-                    for name in referenced_names(node):
-                        refs.setdefault(name, set()).add((path, owner, isinstance(node, ast.Name)))
+            tree = ast.parse(path.read_text(), filename=str(path))
+            # the innermost definition around each node; a method's nodes come after its class's
+            owner = {id(node): qualname for qualname, top in definitions(tree)
+                     for node in ast.walk(top)}
+            for node in ast.walk(tree):
+                for name in referenced_names(node):
+                    refs.setdefault(name, set()).add(
+                        (path, owner.get(id(node)), isinstance(node, ast.Name)))
     for path in sorted(package.rglob("*.py")):
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
-            name = getattr(node, "name", "")
-            if not isinstance(node, DEFINITIONS) or name.startswith("__") and name.endswith("__"):
+        for qualname, node in definitions(ast.parse(path.read_text(), filename=str(path))):
+            if node.name.startswith("__") and node.name.endswith("__"):
                 continue
-            counted = {(where, owner) for where, owner, bare in refs.get(name, ())
-                       if not bare or where == path}
-            if not counted - {(path, name)}:
-                yield f"{path.relative_to(package)}:{node.lineno} {name}"
+            # a reference inside the definition, or inside one of its methods, is its own
+            outside = [where for where, o, bare in refs.get(node.name, ())
+                       if (not bare or where == path)
+                       and not (where == path and f"{o}.".startswith(f"{qualname}."))]
+            if not outside:
+                yield f"{path.relative_to(package)}:{node.lineno} {qualname}"
 
 
 def test_every_definition_is_referenced():
@@ -165,12 +182,15 @@ TEST_ONLY_DEFINITIONS = {
     # bench/layers.py times it until the benchmark drops it (ROADMAP item 1)
     "added_rank",
 }
+# Methods that only tests name: FieldTower.frobenius keeps its ext.check ValueError guard
+# (ROADMAP keep list), and Subspace.contains is the membership test of the linalg tests.
+TEST_ONLY_METHODS = {"FieldTower.frobenius", "Subspace.contains"}
 
 
 def test_test_only_definitions_are_pinned():
-    # a src/ definition that nothing in src/ names is either on this list or dead weight
+    # a src/ definition that nothing in src/ names is either on these lists or dead weight
     found = {where.split()[-1] for where in unreferenced_definitions(PACKAGE, roots=(PACKAGE,))}
-    assert found == TEST_ONLY_DEFINITIONS
+    assert found == TEST_ONLY_DEFINITIONS | TEST_ONLY_METHODS
 
 
 def test_unreferenced_lint_skips_self_references(tmp_path):
@@ -180,7 +200,13 @@ def test_unreferenced_lint_skips_self_references(tmp_path):
         "def used():\n"
         "    return 1\n"
         "class Kept:\n"
-        "    pass\n"
+        "    def __init__(self):\n"
+        "        self.size = 0\n"
+        "    def grow(self):\n"
+        "        return self.grow() if self.size else self.size\n"
+        "    @property\n"
+        "    def full(self):\n"
+        "        return Kept()\n"
         "def __getattr__(name):\n"
         "    return used\n"
         "def shadowed():\n"
@@ -188,10 +214,11 @@ def test_unreferenced_lint_skips_self_references(tmp_path):
     # a local variable elsewhere that shares a dead function's name is not a reference to it
     (tmp_path / "test_mod.py").write_text(
         "import mod\n"
-        "mod.Kept()\n"
+        "mod.Kept().full\n"
         "total = sum(shadowed for shadowed in range(3))\n")
     found = list(unreferenced_definitions(tmp_path, roots=(tmp_path,)))
-    assert found == ["mod.py:1 loop", "mod.py:9 shadowed"]
+    # nor is a method's call to itself; the dunder __init__ is exempt
+    assert found == ["mod.py:1 loop", "mod.py:8 Kept.grow", "mod.py:15 shadowed"]
 
 
 def tensor_reads(package=PACKAGE):
