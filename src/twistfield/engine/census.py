@@ -2,18 +2,17 @@
 
 The sweep over v' happens once per algebra and makes no rank test.  A is a
 division algebra, so for x' != 0 Av' is the graph {(w, T w)} of
-T = R_{y'} R_{x'}^-1, with RREF rows (e_j | a_j y') where a_j x' = e_j; for
-x' = 0 it is 0 + A.  One serial pass reads each a_j(x') off the left
-multiplication table (RuntimeError if some e_j is missing) and keys each v'
-by one int, k_0 + n k_1 + n^2 k_2 with k_j the index of a_j y' and n = q^3,
-or -1 when x' = 0 (vectors of F^3 and F^6 are handled as indices, see the
-`linalg` module docstring).  The inventory is columns: arrays of the key,
-fiber size, least index and kind of each distinct space in order of least
-index, the position of each v' in that order (`space_of`), and the left
-multiplication and division tables of A.  A `SpaceRec` is built only when a
-report or witness reads `spaces`.  The census reports and the Theorem A and B
-verifiers all read this one sweep: A checks the fiber column against
-`space_of`, B runs the kernel below on the one certified representative.
+T = R_{y'} R_{x'}^-1; for x' = 0 it is 0 + A.  One serial pass keys each v'
+by the key of T, read off the left multiplication table by
+`linalg.graph_keys` (RuntimeError if some R_{x'} misses an e_j), or by -1 when
+x' = 0 (vectors, maps and keys as in the `linalg` module docstring).  The
+inventory is columns: arrays of the key, fiber size, least index and kind of
+each distinct space in order of least index, the position of each v' in that
+order (`space_of`), and the left multiplication and division tables of A.  A
+`SpaceRec` is built only when a report or witness reads `spaces`.  The census
+reports and the Theorem A and B verifiers all read this one sweep: A checks
+the fiber column against `space_of`, B runs the kernel below on the one
+certified representative.
 
 The census kernel (`meet_all`) makes no rank test.  A is a division algebra, so
 each nonzero w in Av meet Av' is a'v' for exactly one a', and
@@ -56,7 +55,6 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from operator import add, itemgetter
 
 from ..algebra3 import (
     Algebra3,
@@ -70,8 +68,8 @@ from ..algebra3 import (
     to_structure_constants,
 )
 from ..gf import Field, FieldTower, format_triple
-from ..linalg import (Subspace, cross, decode_vector, f3_vectors, identity_rows, mat_vec,
-                      rref_rows, unit_row, vec_index)
+from ..linalg import (Subspace, cross, decode_vector, f3_vectors, graph_keys, identity_rows,
+                      mat_vec, rref_rows, unit_row, vec_index)
 from .spaces import (
     DEGENERATE,
     NONDEGENERATE,
@@ -199,45 +197,35 @@ def parallel_map(fn, chunks: list, workers: int, init: tuple) -> list:
 def build_inventory(alg: Algebra3, workers: int = 1) -> AvInventory:
     """The columns of every distinct Av' (v' != 0), in order of least index, read off `mul`.
 
-    One serial pass keys each v' by one int (module docstring) and records a
-    space's least index as it assigns the space an id; the fibers are counted
-    off `space_of` once the key dict is gone.  `workers` is checked and
-    otherwise unused; it stays for the benchmark's per-layer run.
+    One serial pass keys each v' through `linalg.graph_keys` (module docstring)
+    and records a space's least index as it assigns the space an id; the fibers
+    are counted off `space_of` once the key dict is gone.  `workers` is checked
+    and otherwise unused; it stays for the benchmark's per-layer run.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     q = alg.field.order
     n = q**3
     mul, ldiv = left_division_tables(alg)
-    vecs = f3_vectors(q)
-    e_idx = [vec_index(q, e) for e in UNIT]
-    solve = []  # [a_0, a_1, a_2] with a_j x' = e_j, for x' = 1 .. n-1
-    for x in range(1, n):
-        col = mul[x::n]  # a -> a x'
-        if not all(e in col for e in e_idx):
-            raise RuntimeError(f"some e_j is not a*x for x = {vecs[x]}: not a division algebra")
-        solve.append([col.index(e) for e in e_idx])
-    take0, take1, take2 = (itemgetter(*a_j) for a_j in zip(*solve))
-    by_n, by_n2 = ([k * n**j for k in range(n)] for j in (1, 2))
+    # per y', the keys of R_{y'} R_{x'}^-1 for x' = 1 .. n-1, R_x the table a -> a x
+    keys = graph_keys(q, [mul[x::n] for x in range(1, n)], (mul[y::n] for y in range(n)),
+                      lambda i: f"some e_j is not a*x for x = {f3_vectors(q)[i + 1]}: "
+                                "not a division algebra")
     # indices run x' fastest, so a new id is a new least index
     ids: dict[int, int] = {}
     space_of = array("i", [-1])
     first = array("i")
-    for y in range(n):
-        col = mul[y::n]
+    for y, row in enumerate(keys):
         new = len(ids)
         block = [ids.setdefault(-1, len(ids))] if y else []
-        block += [ids.setdefault(k, len(ids)) for k in map(
-            add, map(add, take0(col), map(by_n.__getitem__, take1(col))),
-            map(by_n2.__getitem__, take2(col)))]
+        block += [ids.setdefault(k, len(ids)) for k in row]
         at = 0
         for pos in range(new, len(ids)):
             at = block.index(pos, at)
             first.append(len(space_of) + at)
         space_of.extend(block)
-    # v' is degenerate iff x' = 0 or y' = k x', that is T = k I, keyed by the indices of k e_j
-    degenerate = {-1} | {sum(vec_index(q, [k * c for c in e]) * n**j for j, e in enumerate(UNIT))
-                         for k in range(q)}
+    # v' is degenerate iff x' = 0 or y' = k x': T = k I, keyed k (1 + q n + q^2 n^2) (`graph_keys`)
+    degenerate = {-1} | {k * (1 + q * n + q * q * n * n) for k in range(q)}
     key = array("q", ids)
     del ids
     counts = Counter(space_of)

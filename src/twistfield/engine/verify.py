@@ -17,7 +17,7 @@ from operator import add, itemgetter
 
 from ..algebra3 import Algebra3, IsotopyClass, TwistedFieldSpec, basis_products
 from ..gf import Field
-from ..linalg import (cross, decode_vector, echelon_bases, f3_vectors, identity_rows, image_table,
+from ..linalg import (cross, decode_vector, echelon_bases, f3_vectors, graph_keys, image_table,
                       kernel_rows, unit_row, vec_index)
 from .spaces import NONDEGENERATE, PairVector, intersection_dim, plane_representatives
 
@@ -214,38 +214,26 @@ def _graph_keys(spec: SplitAlbertSpec, regs: list) -> tuple[array, list[array]]:
     mrow[i][k] of R_{x_k}^{-1} R_{x_i}, for the r vectors x_i of `regs`, as
     array('i') columns.
 
-    R_x a = phi(a, x), so for regular x, U(x, y) = {(R_x a | R_y a)} is the
-    graph of R_y R_x^{-1}, with RREF rows (e_m | R_y R_x^{-1} e_m).  skey is
-    the indices of R_y R_x^{-1} e_m: three lookups in the table of R_y
-    (`image_table`) at the columns R_x^{-1} e_m.  mkey is the rows of
-    R_{x_k}^{-1} R_{x_i}: three lookups in the table of R_{x_i}^T at the rows of
-    R_{x_k}^{-1}.  Both inverses are read off the tables with `.index`, so every
-    table is checked to reach e_0, e_1 and e_2; RuntimeError when one does not.
+    R_x a = phi(a, x), so for regular x, U(x_i, x_j) = {(R_{x_i} a | R_{x_j} a)}
+    is the graph of R_{x_i} R_{x_j}^{-1} over its second half, and skey keys
+    that map: `linalg.graph_keys` over the tables of R (`image_table`).  mrow
+    keys R_{x_k}^{-1} R_{x_i} by its transpose R_{x_i}^T (R_{x_k}^T)^{-1}:
+    `graph_keys` over the tables of R^T.  RuntimeError when some R_x is
+    singular, as `graph_keys` reads the inverses off the tables.
     """
     from ..splitalbert import TriVector, rmat
 
     fld = spec.field
-    q = fld.order
-    e_idx = [vec_index(q, e) for e in identity_rows(3)]
-    # per vector: the tables of R_x and R_x^T, and getters of the columns and rows of R_x^{-1}
-    tables, tables_t, inv_cols, inv_rows = [], [], [], []
-    for x in regs:
-        rows = rmat(spec, TriVector("V", x))
-        for out, inverse, images in ((tables, inv_cols, zip(*rows)), (tables_t, inv_rows, rows)):
-            table = array("H", image_table(fld, images))
-            if not all(e in table for e in e_idx):
-                raise RuntimeError(f"some e_j is not in the table of R_x, x = {x}: R_x is singular")
-            out.append(table)
-            inverse.append(itemgetter(*(table.index(e) for e in e_idx)))
-    skey_pool: dict[tuple, int] = {}
-    mkey_pool: dict[tuple, int] = {}
-    skey = array("i")
-    mrow = []
-    for cols, table_t in zip(inv_cols, tables_t):
-        skey.extend([skey_pool.setdefault(cols(table), len(skey_pool)) for table in tables])
-        mrow.append(array("i", [mkey_pool.setdefault(get(table_t), len(mkey_pool))
-                                for get in inv_rows]))
-    return skey, mrow
+    mats = [rmat(spec, TriVector("V", x)) for x in regs]
+    ids = []  # rows of key ids, over the tables of R (images: the columns), then of R^T
+    for images in ([list(zip(*rows)) for rows in mats], mats):
+        tables = [array("H", image_table(fld, im)) for im in images]
+        pool: dict[int, int] = {}
+        ids.append([array("i", [pool.setdefault(k, len(pool)) for k in keys])
+                    for keys in graph_keys(fld.order, tables, tables, lambda i: (
+                        f"some e_j is not in the table of R_x, x = {regs[i]}: R_x is singular"))])
+    skey_rows, mrow = ids
+    return array("i", itertools.chain.from_iterable(skey_rows)), mrow
 
 
 def _classes(keys, count: int) -> list[array]:

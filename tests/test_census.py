@@ -251,3 +251,21 @@ def test_worker_count_does_not_change_scan(alg3):
     d2.pop("runtime_ms")
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
     assert r1.match is True
+
+
+def test_spawn_pool_does_not_change_scan(alg3, monkeypatch):
+    # where fork is unavailable, parallel_map starts its pool by spawn; q^6 = 729 is two chunks
+    import multiprocessing
+
+    get_context, methods = multiprocessing.get_context, []
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: methods.append(method) or get_context(method))
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    cls = IsotopyClass.COMMUTATIVE_ISOTOPIC
+    d1, d2 = (scan_all_nondegenerate(alg3, algebra_class=cls, workers=w).to_json_dict()
+              for w in (1, 2))
+    d1.pop("runtime_ms")
+    d2.pop("runtime_ms")
+    assert methods == ["spawn"]
+    assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)

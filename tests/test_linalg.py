@@ -11,6 +11,7 @@ from twistfield.linalg import (
     cross,
     decode_vector,
     f3_vectors,
+    graph_keys,
     image_table,
     intersect_rows,
     kernel_rows,
@@ -233,3 +234,41 @@ def test_unit_row_is_the_line_representative(q):
         for k in range(1, q):
             assert unit_row(fld, tuple(fld.mul(k, c) for c in v)) == rep
 
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_graph_keys_are_the_rref_of_the_graph_rows(q):
+    fld = FIELDS[q]
+    rng = random.Random(q)
+    tables = []
+    while len(tables) < 30:
+        rows = [random_vector(rng, fld, 3) for _ in range(3)]
+        if len(rref_rows(fld, rows)[0]) == 3:
+            tables.append(image_table(fld, list(zip(*rows))))
+    # (X M, Y M) spans the graph of (X, Y), so the first 5 x 8 pairs are each keyed twice
+    m = tables[-1]
+    xs = tables[:5] + [[t[v] for v in m] for t in tables[:5]]
+    ys = tables[5:13] + [[t[v] for v in m] for t in tables[5:13]] + tables[13:29]
+    keys = list(graph_keys(q, xs, ys, str))
+    assert [len(row) for row in keys] == [len(xs)] * len(ys)
+    n, unit = q**3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    rrefs = {}
+    for y, row in zip(ys, keys):  # per Y, X fastest
+        for x, key in zip(xs, row):
+            graph = [decode_vector(q, x[q**j], 3) + decode_vector(q, y[q**j], 3) for j in range(3)]
+            rref = rref_rows(fld, graph)[0]
+            # the RREF rows are (e_j | Y X^-1 e_j), and k_j is the index of Y X^-1 e_j
+            assert rref == tuple(e + decode_vector(q, key // n**j % n, 3)
+                                 for j, e in enumerate(unit))
+            rrefs.setdefault(key, set()).add(rref)
+    assert all(len(r) == 1 for r in rrefs.values())  # equal keys, equal RREFs
+    assert len({r.pop() for r in rrefs.values()}) == len(rrefs) < len(xs) * len(ys)
+
+
+def test_graph_keys_name_the_first_singular_table():
+    fld = F3
+    invertible = image_table(fld, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    misses_e1 = image_table(fld, [(1, 0, 0), (0, 0, 0), (0, 0, 1)])  # e_0 and e_2 are hit
+    assert 1 in misses_e1 and 9 in misses_e1 and 3 not in misses_e1
+    with pytest.raises(RuntimeError, match="^table 2 is singular$"):
+        next(graph_keys(3, [invertible, invertible, misses_e1, misses_e1], [invertible],
+                        lambda i: f"table {i} is singular"))
