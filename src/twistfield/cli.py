@@ -2,7 +2,8 @@
 
 Exit codes: 0 = pass, 1 = counterexample or failed verdict, 2 = usage error,
 3 = internal error (a broken invariant or a bug: JSON {"error": ...} on stdout,
-the traceback on stderr).
+the traceback on stderr; or a reader that closed stdout before the report was
+written, which prints nothing more).
 Identical configuration produces byte-identical JSON except for the
 runtime_ms field, regardless of worker count.
 
@@ -50,6 +51,9 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
+V_HELP = 'base vector "[x0,x1,x2],[y0,y1,y2]"'
+
+
 class UsageError(Exception):
     pass
 
@@ -88,13 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="intersection-dimension census for a base vector")
     common(p)
-    p.add_argument("--v", help='base vector "[x0,x1,x2],[y0,y1,y2]"')
+    p.add_argument("--v", help=V_HELP)
     p.add_argument("--scan-all", action="store_true",
                    help="check every nondegenerate base vector against the closed forms")
 
     p = sub.add_parser("line-census", help="per-line census for a nondegenerate base vector")
     common(p)
-    p.add_argument("--v", required=False)
+    p.add_argument("--v", help=V_HELP + " (nondegenerate: x and y independent)")
     return parser
 
 
@@ -213,7 +217,7 @@ def render(payload: dict, fmt: str, csv_rows=None) -> str:
 def emit(args, header: dict, report: dict, ok: bool, csv_rows=None, **extra) -> int:
     """Print the command's payload in `args.format`; the exit code says whether it passed."""
     payload = {"command": args.command, "header": header, "report": report, **extra}
-    print(render(payload, args.format, csv_rows=csv_rows))
+    print(render(payload, args.format, csv_rows=csv_rows), flush=True)
     return EXIT_PASS if ok else EXIT_COUNTEREXAMPLE
 
 
@@ -323,8 +327,8 @@ def cmd_census(args) -> int:
     v = parse_pair_vector(tower, args.v)
     if spaces.classify(tower.base, v) == spaces.ZERO:
         raise UsageError("census base vector must be nonzero")
-    alg = to_structure_constants(spec)
-    report = census.per_vector_profile(alg, v, algebra_class=isotopy_class(spec))
+    tables = census.certified_tables(spec)
+    report = census.per_vector_profile(tables.alg, v, inventory=tables, algebra_class=tables.cls)
     return emit(args, header_for(tower, c), report.to_json_dict(), report.match,
                 csv_rows=report.csv_rows())
 
@@ -336,12 +340,11 @@ def cmd_line_census(args) -> int:
     c = resolve_c(tower, args)
     if not args.v:
         raise UsageError("line-census needs --v")
-    spec = TwistedFieldSpec(tower, c)
-    alg = to_structure_constants(spec)
     v = parse_pair_vector(tower, args.v)
     if spaces.classify(tower.base, v) != spaces.NONDEGENERATE:
         raise UsageError("line profile needs a nondegenerate base vector")
-    report = census.line_profile(alg, v, algebra_class=isotopy_class(spec))
+    tables = census.certified_tables(TwistedFieldSpec(tower, c))
+    report = census.line_profile(tables.alg, v, inventory=tables, algebra_class=tables.cls)
     return emit(args, header_for(tower, c), report.to_json_dict(), report.match)
 
 
@@ -368,6 +371,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:  # the reader closed stdout: the report is lost, not a verdict
+        import os
+
+        # what is still buffered would fail again at shutdown; let it go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INTERNAL
     except Exception as exc:  # a broken invariant or a bug, never a counterexample
         import traceback  # only on this path, so start-up does not load it
 

@@ -1,33 +1,40 @@
 """Censuses of dim(Av meet Av') over all v' in F^6, with closed-form predictions.
 
-The sweep over v' happens once per algebra and makes no rank test.  A is a
-division algebra, so for x' != 0 Av' is the graph {(w, T w)} of
-T = R_{y'} R_{x'}^-1; for x' = 0 it is 0 + A.  One serial pass keys each v'
-by the key of T, read off the left multiplication table by
-`linalg.graph_keys` (RuntimeError if some R_{x'} misses an e_j), or by -1 when
-x' = 0 (vectors, maps and keys as in the `linalg` module docstring).  The
-inventory is columns: arrays of the key, fiber size, least index and kind of
-each distinct space in order of least index, the position of each v' in that
-order (`space_of`), and the left multiplication and division tables of A.  A
-`SpaceRec` is built only when a report or witness reads `spaces`.  The census
-reports and the Theorem A and B verifiers all read this one sweep: A checks
-the fiber column against `space_of`, B runs the kernel below on the one
-certified representative.
+A is a division algebra, so for x' != 0 Av' is the graph {(w, T w)} of
+T = R_{y'} R_{x'}^-1; for x' = 0 it is 0 + A.  Av' is keyed by the key of T,
+read off the left multiplication table `mul` (X^-1 e_j off column x' by
+`linalg.unit_preimages`, RuntimeError if some R_{x'} misses an e_j, then one
+lookup per e_j), or by -1 when x' = 0 (vectors, maps and keys as in the
+`linalg` module docstring).
 
-The census kernel (`meet_all`) makes no rank test.  A is a division algebra, so
-each nonzero w in Av meet Av' is a'v' for exactly one a', and
+The census kernel (`meet_all`) makes no rank test and keys only the vectors
+it reaches.  Each nonzero w in Av meet Av' is a'v' for exactly one a', and
 (k^-1 a')(k v') = a'v'.  Letting w run over one generator a v of each of the
 q^2+q+1 lines of Av and a' over A minus 0, the vector v' = L_{a'}^-1 w is
-reached exactly (q^d - 1)/(q - 1) times, d = dim(Av meet Av').  The
-multiplicities give the vector tallies, `space_of` the space tallies, and a
-v' reached once lies on the line spanned by the generator that reached it.
-The run checks what the counting rests on, raising RuntimeError (never a
-mismatch) when it fails: every row a != 0 of the multiplication table is a
-permutation (built with the inventory), every multiplicity is 1, q+1 or
-q^2+q+1, and every space met is met on its whole fiber with a single d.
+reached exactly (q^d - 1)/(q - 1) times, d = dim(Av meet Av').  Every vector
+of a space that meets Av is reached, so the reached vectors, grouped by key,
+give each met space's whole fiber and its least index.  The dim-0 tallies are
+the `totals` of each kind less what was met, and a v' reached once lies on
+the line spanned by the generator that reached it.  The run checks what the
+counting rests on, raising RuntimeError (never a mismatch) when it fails:
+every row a != 0 of `mul` is a permutation (`left_division_tables`), every
+multiplicity is 1, q+1 or q^2+q+1, no key is met in two dimensions, and every
+space met holds its kind's vectors/spaces ratio of `totals`.
+
+The kernel reads `mul`, `ldiv` and `totals` off one of two values.
+`build_inventory` keys all q^6 v' in one pass and counts the totals: its
+columns (key, fiber size, least index and kind of each distinct space, in
+order of least index, and `space_of`, the position of each v') are what
+Theorem A, `global_counts` and the exhaustive references read; a `SpaceRec`
+is built only when `spaces` is read.  `certified_tables` keys nothing beyond
+the reach: with the orbit certified (below), every nondegenerate fiber has
+the size f of the fiber of A REPRESENTATIVE, so the nondegenerate totals are
+((q^3-1)(q^3-q), (q^3-1)(q^3-q)/f); by division the degenerate spaces are
+{(u, k u)} and 0 + A, q + 1 of them with q^3 - 1 vectors each.  `census --v`,
+`line-census`, `census --scan-all` and Theorem B run on these.
 
 `census --scan-all` and Theorem B check one v and cover all (q^3-1)(q^3-q)
-nondegenerate ones by symmetry (`certified_orbit`).  For beta in K^x,
+nondegenerate ones by the symmetry that `certified_tables` checks.  For beta in K^x,
 mu(beta a, beta x) = beta beta^sigma mu(a, x), so with B, G the F-matrices
 of multiplication by beta and gamma = beta beta^sigma, A(Bv) = G(Av); the
 commutative isotope that `plane_algebra` may return, x o y = (T x) y with T
@@ -55,6 +62,8 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from itertools import compress
+from operator import add
 
 from ..algebra3 import (
     Algebra3,
@@ -69,7 +78,7 @@ from ..algebra3 import (
 )
 from ..gf import Field, FieldTower, format_triple
 from ..linalg import (Subspace, cross, decode_vector, f3_vectors, graph_keys, identity_rows,
-                      mat_vec, rref_rows, unit_row, vec_index)
+                      mat_vec, rref_rows, unit_preimages, unit_row, vec_index)
 from .spaces import (
     DEGENERATE,
     NONDEGENERATE,
@@ -96,7 +105,7 @@ class SpaceRec:
 
 KINDS = (NONDEGENERATE, DEGENERATE)  # the values of the `kind` column
 UNIT = identity_rows(3)
-REPRESENTATIVE = PairVector(UNIT[0], UNIT[1])  # the v of certified_orbit, where its walk starts
+REPRESENTATIVE = PairVector(UNIT[0], UNIT[1])  # the v of certified_tables, where its walk starts
 
 
 class SpaceRecords(Sequence):
@@ -110,14 +119,15 @@ class SpaceRecords(Sequence):
 
     def __getitem__(self, pos: int) -> SpaceRec:
         inv = self.inventory
-        n = inv.field.order**3
-        key, vecs = inv.key[pos], f3_vectors(inv.field.order)
+        q = inv.field.order
+        n = q**3
+        key, vecs = inv.key[pos], f3_vectors(q)
         if key < 0:  # Av' = 0 + A
             rows, pivots = tuple((0, 0, 0) + e for e in UNIT), (3, 4, 5)
         else:
             rows, pivots = tuple(e + vecs[key // n**j % n] for j, e in enumerate(UNIT)), (0, 1, 2)
-        return SpaceRec(rows, pivots, KINDS[inv.kind[pos]], inv.fiber[pos], inv.rep(pos),
-                        inv.first[pos])
+        return SpaceRec(rows, pivots, KINDS[inv.kind[pos]], inv.fiber[pos],
+                        decode_vector(q, inv.first[pos]), inv.first[pos])
 
 
 @dataclass
@@ -145,11 +155,28 @@ class AvInventory:
     def spaces(self) -> SpaceRecords:
         return SpaceRecords(self)
 
-    def rep(self, pos: int) -> tuple:
-        """The least-index vector v' of space `pos`, as the coordinates (x', y')."""
-        q = self.field.order
-        y, x = divmod(self.first[pos], q**3)
-        return f3_vectors(q)[x] + f3_vectors(q)[y]
+    @property
+    def mode(self) -> dict:
+        """Where `totals` come from, for a report's parameters."""
+        return {"mode": "exhaustive"}
+
+
+@dataclass
+class CertifiedTables:
+    """What `meet_all` reads for a spec whose orbit is certified, with its algebra, class
+    and `plane_algebra` (`certified_tables`)."""
+
+    alg: Algebra3
+    cls: IsotopyClass
+    plane_alg: Algebra3
+    mode: dict  # {"mode": "orbit", "orbit": the report block of the certificate}
+    mul: array = dc_field(repr=False)
+    ldiv: array = dc_field(repr=False)
+    totals: dict = dc_field(repr=False)  # as AvInventory.totals, from the orbit's fiber size
+
+    @property
+    def field(self) -> Field:
+        return self.alg.field
 
 
 def index_chunks(total: int) -> list[tuple[int, int]]:
@@ -194,6 +221,19 @@ def parallel_map(fn, chunks: list, workers: int, init: tuple) -> list:
         return pool.map(_worker_call, chunks)
 
 
+def _singular_column(q: int):
+    """The RuntimeError message of `unit_preimages` for column x' = i + 1 of `mul`."""
+    return lambda i: f"some e_j is not a*x for x = {f3_vectors(q)[i + 1]}: not a division algebra"
+
+
+@lru_cache(maxsize=None)
+def _degenerate_keys(q: int) -> frozenset:
+    """The keys of the degenerate spaces: v' is degenerate iff x' = 0 (key -1) or
+    y' = k x', that is T = k I, keyed k (1 + q n + q^2 n^2) (`linalg` module docstring)."""
+    n = q**3
+    return frozenset([-1] + [k * (1 + q * n + q * q * n * n) for k in range(q)])
+
+
 def build_inventory(alg: Algebra3, workers: int = 1) -> AvInventory:
     """The columns of every distinct Av' (v' != 0), in order of least index, read off `mul`.
 
@@ -209,8 +249,7 @@ def build_inventory(alg: Algebra3, workers: int = 1) -> AvInventory:
     mul, ldiv = left_division_tables(alg)
     # per y', the keys of R_{y'} R_{x'}^-1 for x' = 1 .. n-1, R_x the table a -> a x
     keys = graph_keys(q, [mul[x::n] for x in range(1, n)], (mul[y::n] for y in range(n)),
-                      lambda i: f"some e_j is not a*x for x = {f3_vectors(q)[i + 1]}: "
-                                "not a division algebra")
+                      _singular_column(q))
     # indices run x' fastest, so a new id is a new least index
     ids: dict[int, int] = {}
     space_of = array("i", [-1])
@@ -224,12 +263,11 @@ def build_inventory(alg: Algebra3, workers: int = 1) -> AvInventory:
             at = block.index(pos, at)
             first.append(len(space_of) + at)
         space_of.extend(block)
-    # v' is degenerate iff x' = 0 or y' = k x': T = k I, keyed k (1 + q n + q^2 n^2) (`graph_keys`)
-    degenerate = {-1} | {k * (1 + q * n + q * q * n * n) for k in range(q)}
     key = array("q", ids)
     del ids
     counts = Counter(space_of)
     fiber = array("i", map(counts.__getitem__, range(len(key))))
+    degenerate = _degenerate_keys(q)
     kind = array("b", [k in degenerate for k in key])  # KINDS: 0 nondegenerate, 1 degenerate
     totals = {name: (sum(f for f, k in zip(fiber, kind) if k == i), kind.count(i))
               for i, name in enumerate(KINDS)}
@@ -341,55 +379,83 @@ class Meet:
     """What the kernel reads off for one base vector v."""
 
     gens: list  # (a x, a y) as F^3 indices, one generator a v per line of Av
-    reached: list  # reached[g]: the F^6 indices of L_{a'}^-1 gens[g], a' != 0
-    mult: Counter  # F^6 index of v' -> times reached, (q^d - 1)/(q - 1)
+    reached: list  # reached[g]: array of the F^6 indices of L_{a'}^-1 gens[g], a' != 0
+    mult: array  # mult[i]: times the v' of F^6 index i is reached, 0 or (q^d - 1)/(q - 1)
     vectors: dict  # DIM_KEYS -> vectors v'
     spaces: dict  # DIM_KEYS -> distinct spaces Av'
-    hits: list  # (d, position in inventory.spaces) for each space Av' with d in (1, 2)
+    hits: list  # (d, least F^6 index of Av') for each space Av' with d in (1, 2)
 
 
-def meet_all(inventory: AvInventory, v: PairVector) -> Meet:
-    """dim(Av meet Av') for every v', by (q^2+q+1)(q^3-1) table lookups (module docstring)."""
-    q = inventory.field.order
+def _reach(q: int, mul: array, ldiv: array, v: PairVector) -> tuple[list, list, array]:
+    """(gens, reached, mult) of `Meet` for v: (q^2+q+1)(q^3-1) lookups in `ldiv`.
+
+    `mult` holds two bytes per v' of F^6: 1.1 MB at q = 9, where a Counter of
+    the (q^2+q+1)(q^3-1) reached indices takes 4.5 MB.
+    """
     n = q**3
-    mul, ldiv, space_of = inventory.mul, inventory.ldiv, inventory.space_of
     ix, iy = vec_index(q, v.x), vec_index(q, v.y)
     gens = [(mul[a * n + ix], mul[a * n + iy]) for a in _points(q)]
-    reached = [[x + n * y for x, y in zip(ldiv[n + w1::n], ldiv[n + w2::n])]
+    reached = [array("i", map(add, ldiv[n + w1::n], map(n.__mul__, ldiv[n + w2::n])))
                for w1, w2 in gens]
-    mult: Counter = Counter()
+    mult = array("H", bytes(2 * n * n))
     for vs in reached:
-        mult.update(vs)
+        for vi in vs:
+            mult[vi] += 1
+    return gens, reached, mult
+
+
+def meet_all(tables: AvInventory | CertifiedTables, v: PairVector) -> Meet:
+    """dim(Av meet Av') for every v', keying only the v' reached (module docstring).
+
+    Reads `mul`, `ldiv` and `totals` of `tables`.
+    """
+    q = tables.field.order
+    n = q**3
+    mul = tables.mul
+    gens, reached, mult = _reach(q, mul, tables.ldiv, v)
+    # per x' = 1 .. n-1, a_j n with a_j x' = e_j: key(x', y') = sum n^j mul[a_j n + y']
+    solve = [None] + [[a * n for a in s] for s in
+                      unit_preimages(q, (mul[x::n] for x in range(1, n)), _singular_column(q))]
+    nn = n * n
     dim_of = {1: 1, q + 1: 2, q * q + q + 1: 3}
-    met: dict[int, list] = {}  # position of Av' -> [d, vectors v' reached]
-    for vi, m in mult.items():
+    met: dict[int, list] = {}  # key of Av' -> [d, vectors v' reached, least index]
+    # the reached v' in index order, so a space's first one is its least
+    for vi, m in zip(compress(range(nn), mult), filter(None, mult)):
         d = dim_of.get(m)
         if d is None:
             raise RuntimeError(f"v' index {vi} reached {m} times, not 1, q+1 or q^2+q+1")
-        pos = space_of[vi]
-        got = met.get(pos)
+        y, x = divmod(vi, n)
+        if x:
+            s0, s1, s2 = solve[x]
+            key = mul[s0 + y] + n * mul[s1 + y] + nn * mul[s2 + y]
+        else:
+            key = -1
+        got = met.get(key)
         if got is None:
-            met[pos] = [d, 1]
+            met[key] = [d, 1, vi]
         elif got[0] != d:
-            raise RuntimeError(f"space {pos} met in dimensions {got[0]} and {d}")
+            raise RuntimeError(f"space {key} met in dimensions {got[0]} and {d}")
         else:
             got[1] += 1
     vectors = dict.fromkeys(DIM_KEYS, 0)
     spaces = dict.fromkeys(DIM_KEYS, 0)
-    for kind, (n_vectors, n_spaces) in inventory.totals.items():
+    for kind, (n_vectors, n_spaces) in tables.totals.items():
         vectors["dim0_" + kind] = n_vectors
         spaces["dim0_" + kind] = n_spaces
-    fiber, kind = inventory.fiber, inventory.kind
+    degenerate = _degenerate_keys(q)
     hits = []
-    for pos, (d, count) in met.items():
-        if count != fiber[pos]:
-            raise RuntimeError(f"space {pos} met on {count} of its {fiber[pos]} vectors")
+    for key, (d, count, least) in met.items():
+        kind = KINDS[key in degenerate]
+        n_vectors, n_spaces = tables.totals[kind]
+        if count * n_spaces != n_vectors:
+            raise RuntimeError(f"space {key} met on {count} vectors, but the {n_spaces} {kind} "
+                               f"spaces hold {n_vectors}")
         vectors[f"dim{d}"] += count
         spaces[f"dim{d}"] += 1
-        vectors["dim0_" + KINDS[kind[pos]]] -= count
-        spaces["dim0_" + KINDS[kind[pos]]] -= 1
+        vectors["dim0_" + kind] -= count
+        spaces["dim0_" + kind] -= 1
         if d < 3:
-            hits.append((d, pos))
+            hits.append((d, least))
     return Meet(gens, reached, mult, vectors, spaces, hits)
 
 
@@ -424,9 +490,14 @@ def _group_lines(lines: dict) -> dict:
     return grouped
 
 
-def per_vector_profile(alg: Algebra3, v: PairVector, *, inventory: AvInventory | None = None,
+def per_vector_profile(alg: Algebra3, v: PairVector, *,
+                       inventory: AvInventory | CertifiedTables | None = None,
                        algebra_class: IsotopyClass | None = None) -> CensusReport:
-    """Tally dim(Av meet Av') over all q^6 vectors v', with closed-form predictions."""
+    """Tally dim(Av meet Av') over all q^6 vectors v', with closed-form predictions.
+
+    `inventory` is what `meet_all` reads (`build_inventory(alg)` when None);
+    its `mode` goes into the parameters.
+    """
     t0 = time.perf_counter()
     fld = alg.field
     kind = classify(fld, v)
@@ -445,7 +516,8 @@ def per_vector_profile(alg: Algebra3, v: PairVector, *, inventory: AvInventory |
     return CensusReport(
         parameters={"q": fld.order, "v": v.to_json(), "v_kind": kind,
                     "Av": av_subspace(alg, v).to_json(),
-                    "algebra_class": algebra_class.value if algebra_class else None},
+                    "algebra_class": algebra_class.value if algebra_class else None,
+                    **inventory.mode},
         observed={"vectors": vectors, "spaces": meet.spaces},
         predicted=predicted,
         match=match,
@@ -453,7 +525,8 @@ def per_vector_profile(alg: Algebra3, v: PairVector, *, inventory: AvInventory |
     )
 
 
-def complementary_space_count(alg: Algebra3, v: PairVector, *, inventory: AvInventory) -> int:
+def complementary_space_count(alg: Algebra3, v: PairVector, *,
+                              inventory: AvInventory | CertifiedTables) -> int:
     """Number of distinct Av' (v' nonzero) meeting Av trivially."""
     if classify(alg.field, v) == ZERO:
         raise ValueError("base vector must be nonzero")
@@ -485,9 +558,11 @@ def predicted_line_profile(q: int, algebra_class: IsotopyClass | None) -> dict |
     return None
 
 
-def line_profile(alg: Algebra3, v: PairVector, *, inventory: AvInventory | None = None,
+def line_profile(alg: Algebra3, v: PairVector, *,
+                 inventory: AvInventory | CertifiedTables | None = None,
                  algebra_class: IsotopyClass | None = None) -> CensusReport:
-    """For each line L inside Av: how many v' have Av meet Av' = L exactly."""
+    """For each line L inside Av: how many v' have Av meet Av' = L exactly
+    (`inventory` as in `per_vector_profile`)."""
     t0 = time.perf_counter()
     fld = alg.field
     q = fld.order
@@ -504,7 +579,7 @@ def line_profile(alg: Algebra3, v: PairVector, *, inventory: AvInventory | None 
         parameters={"q": q, "v": v.to_json(), "v_kind": NONDEGENERATE,
                     "Av": av_subspace(alg, v).to_json(),
                     "algebra_class": algebra_class.value if algebra_class else None,
-                    "granularity": "lines"},
+                    "granularity": "lines", **inventory.mode},
         observed=grouped,
         predicted=predicted,
         match=None if predicted is None else predicted == grouped,
@@ -566,7 +641,7 @@ def hit_span_conditions(frame: tuple, rep: tuple) -> bool:
     return any(cross(fld, w, w1))
 
 
-def _scan_vectors(alg: Algebra3, inventory: AvInventory, cls: IsotopyClass,
+def _scan_vectors(alg: Algebra3, inventory: AvInventory | CertifiedTables, cls: IsotopyClass,
                   plane_alg: Algebra3, start: int, end: int) -> tuple:
     """Check every nondegenerate v in [start, end), lines included.
 
@@ -594,7 +669,7 @@ def _scan_vectors(alg: Algebra3, inventory: AvInventory, cls: IsotopyClass,
             failed.append("tally")
         if meet.spaces["dim0_nondegenerate"] + meet.spaces["dim0_degenerate"] != pred_comp:
             failed.append("complement")
-        if not all(hit_span_conditions(frame, inventory.rep(pos)) for _, pos in meet.hits):
+        if not all(hit_span_conditions(frame, decode_vector(q, least)) for _, least in meet.hits):
             failed.append("span")
         if observed["lines"] != pred_lines:
             failed.append("lines")
@@ -688,14 +763,16 @@ def orbit_certificate(tower: FieldTower, algs: list, beta: int, gamma: int) -> d
             "plane_orbit": steps}
 
 
-def certified_orbit(spec: TwistedFieldSpec) -> tuple[Algebra3, IsotopyClass, Algebra3, dict]:
-    """(algebra, class, `plane_algebra`, report "orbit" block) of `spec`, the symmetry checked.
+def certified_tables(spec: TwistedFieldSpec) -> CertifiedTables:
+    """What `meet_all` reads for `spec`, with the totals that the checked symmetry gives.
 
     `orbit_certificate` checks the K^x half of the action of K^x x GL2(F) on
     A^2 (module docstring) in the algebra and its plane algebra, for
     beta = `singer_element` and gamma = beta beta^sigma; the GL2 half is
     bilinearity.  REPRESENTATIVE then stands for all plane_orbit (q^2-1)(q^2-q)
-    nondegenerate v.  RuntimeError when the certificate fails.
+    nondegenerate v, and each nondegenerate fiber has the size f of its fiber:
+    the v' reached q^2+q+1 times from it.  RuntimeError when the certificate
+    fails or f does not divide the nondegenerate vectors.
     """
     tower = spec.tower
     alg = to_structure_constants(spec)
@@ -704,12 +781,23 @@ def certified_orbit(spec: TwistedFieldSpec) -> tuple[Algebra3, IsotopyClass, Alg
     gamma = tower.ext.mul(beta, tower.frob_t[beta])
     orbit = orbit_certificate(tower, [alg] if plane_alg is alg else [alg, plane_alg],
                               beta, gamma)
-    return alg, isotopy_class(spec), plane_alg, {**orbit, "vectors_profiled": 1}
+    q = alg.field.order
+    n = q**3
+    mul, ldiv = left_division_tables(alg)
+    fiber = _reach(q, mul, ldiv, REPRESENTATIVE)[2].count(q * q + q + 1)
+    vectors = (n - 1) * (n - q)
+    if not fiber or vectors % fiber:
+        raise RuntimeError(f"the fiber of A v at v = {REPRESENTATIVE.to_json()} has {fiber} "
+                           f"vectors, which do not divide the {vectors} nondegenerate ones")
+    totals = {NONDEGENERATE: (vectors, vectors // fiber), DEGENERATE: ((n - 1) * (q + 1), q + 1)}
+    return CertifiedTables(alg, isotopy_class(spec), plane_alg,
+                           {"mode": "orbit", "orbit": {**orbit, "vectors_profiled": 1}},
+                           mul, ldiv, totals)
 
 
 def scan_orbit(spec: TwistedFieldSpec, *, workers: int = 1) -> CensusReport:
     """`scan_all_nondegenerate`'s verdict, lines included, from the one representative
-    of `certified_orbit`.
+    of `certified_tables`.
 
     Every check of the scan (tally, complement, span, lines) is invariant under
     the certified action; the span check is, because it tests p x' + r y' at
@@ -719,13 +807,14 @@ def scan_orbit(spec: TwistedFieldSpec, *, workers: int = 1) -> CensusReport:
     (`workers` processes), with its mismatches and witnesses.
     """
     t0 = time.perf_counter()
-    alg, cls, plane_alg, orbit = certified_orbit(spec)
+    tables = certified_tables(spec)
+    alg, cls = tables.alg, tables.cls
     q = alg.field.order
     idx = vec_index(q, REPRESENTATIVE.flat)
-    checked, mismatches = _scan_vectors(alg, build_inventory(alg), cls, plane_alg, idx, idx + 1)
+    checked, mismatches = _scan_vectors(alg, tables, cls, tables.plane_alg, idx, idx + 1)
     if checked != 1:
         raise RuntimeError(f"the representative {decode_vector(q, idx)} was not profiled")
     if mismatches:
         return scan_all_nondegenerate(alg, algebra_class=cls, workers=workers)
-    return _scan_report(q, cls, {"mode": "orbit", "orbit": orbit},
-                        orbit["plane_orbit"] * (q * q - 1) * (q * q - q), [], t0)
+    return _scan_report(q, cls, tables.mode,
+                        tables.mode["orbit"]["plane_orbit"] * (q * q - 1) * (q * q - q), [], t0)

@@ -85,23 +85,24 @@ def verify_theorem_B(tf: TwistedFieldSpec, inventory: AvInventory | None = None)
     """Two-dim intersections exist iff the algebra is commutative-isotopic.
 
     A dim-2 pair forces both vectors nondegenerate, and the symmetry that
-    `census.certified_orbit` checks keeps every dim(Av meet Av') and carries
+    `census.certified_tables` checks keeps every dim(Av meet Av') and carries
     its one representative v to every nondegenerate vector.  So the census
-    kernel (`census.meet_all`) at that v decides; `checked` counts the v it
-    covers, and the witness, the least-position dim-2 space, is cross-checked.
+    kernel (`census.meet_all`) at that v decides, on `census.certified_tables`
+    unless `inventory` is given; `checked` counts the v it covers, and the
+    witness, the least-index dim-2 space, is cross-checked.
     """
-    from .census import REPRESENTATIVE, build_inventory, certified_orbit, meet_all
+    from .census import REPRESENTATIVE, certified_tables, meet_all
 
     t0 = time.perf_counter()
-    alg, cls, _, orbit = certified_orbit(tf)
+    tables = certified_tables(tf)
+    alg, cls = tables.alg, tables.cls
     q = alg.field.order
-    if inventory is None:
-        inventory = build_inventory(alg)
     v = REPRESENTATIVE
-    two_dim = [pos for d, pos in meet_all(inventory, v).hits if d == 2]
+    meet = meet_all(tables if inventory is None else inventory, v)
+    two_dim = [least for d, least in meet.hits if d == 2]
     witnesses = []
     if two_dim:
-        rep = inventory.rep(min(two_dim))
+        rep = decode_vector(q, min(two_dim))
         v2 = PairVector(rep[:3], rep[3:])
         if intersection_dim(alg, v, v2)[0] != 2:
             raise RuntimeError("fast sweep disagrees with direct intersection")
@@ -110,11 +111,11 @@ def verify_theorem_B(tf: TwistedFieldSpec, inventory: AvInventory | None = None)
     return Verdict(
         name="theorem-B",
         passed=bool(witnesses) == expect_witness,
-        checked=orbit["plane_orbit"] * (q * q - 1) * (q * q - q),
+        checked=tables.mode["orbit"]["plane_orbit"] * (q * q - 1) * (q * q - q),
         witnesses=witnesses,
         details={"q": q, "algebra_class": cls.value,
                  "expected": "witness" if expect_witness else "no dim-2 pairs",
-                 "mode": "orbit", "orbit": orbit},
+                 **tables.mode},
         runtime_ms=(time.perf_counter() - t0) * 1000,
     )
 

@@ -265,20 +265,30 @@ def image_table(fld: Field, images) -> list[int]:
     return out
 
 
-def graph_keys(q: int, xs, ys, singular):
-    """Per table Y of `ys`, the list of keys of Y X^-1 over the tables X of `xs`.
+def unit_preimages(q: int, xs, singular) -> list[list[int]]:
+    """Per table X of `xs` (`image_table`), the indices of X^-1 e_0, X^-1 e_1, X^-1 e_2.
 
-    Tables are F^3 index tables of linear maps (`image_table`), two or more in
-    `xs`, and keys are as in the module docstring.  X^-1 e_j is read off each X
-    with `.index`; RuntimeError(singular(i)) when the i-th X misses some e_j.
+    Each is read off X with `.index` (e_j has index q^j); RuntimeError(singular(i))
+    when the i-th X misses some e_j.
     """
-    n = q**3
-    solve = []  # per X, the indices of X^-1 e_j (e_j has index q^j)
+    solve = []
     for i, table in enumerate(xs):
         try:
             solve.append([table.index(e) for e in (1, q, q * q)])
         except ValueError:
             raise RuntimeError(singular(i)) from None
+    return solve
+
+
+def graph_keys(q: int, xs, ys, singular):
+    """Per table Y of `ys`, the list of keys of Y X^-1 over the tables X of `xs`.
+
+    Tables are F^3 index tables of linear maps (`image_table`), two or more in
+    `xs`, and keys are as in the module docstring.  X^-1 e_j comes from
+    `unit_preimages`, with its RuntimeError(singular(i)).
+    """
+    n = q**3
+    solve = unit_preimages(q, xs, singular)
     take0, take1, take2 = (itemgetter(*a_j) for a_j in zip(*solve))
     by_n, by_n2 = ([k * n**j for k in range(n)] for j in (1, 2))
     for y in ys:

@@ -1,16 +1,17 @@
 """Kernels the tests use as references: dense matrix products and inverses, the split
-Albert map written out from its basis rules, and the inventory before its column layout.
-No code in `src/` calls them."""
+Albert map written out from its basis rules, the inventory before its column layout,
+and the census kernel that reads the inventory's columns.  No code in `src/` calls them."""
 
 from __future__ import annotations
 
+import dataclasses
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
 from twistfield.algebra3 import left_division_tables
-from twistfield.engine.census import SpaceRec
+from twistfield.engine.census import DIM_KEYS, KINDS, Meet, SpaceRec, _points
 from twistfield.engine.spaces import DEGENERATE, NONDEGENERATE
 from twistfield.linalg import decode_vector, f3_vectors, identity_rows, rref_rows, vec_index
 
@@ -109,3 +110,61 @@ def reference_build_inventory(alg):
     totals = {kind: (sum(r.fiber for r in spaces if r.kind == kind),
                      sum(r.kind == kind for r in spaces)) for kind in (NONDEGENERATE, DEGENERATE)}
     return ReferenceInventory(spaces, space_of, mul, ldiv, totals)
+
+
+def reference_meet_all(inventory, v):
+    """`census.meet_all` before it keyed the reached vectors: each v' is placed by the
+    inventory's `space_of`, and a met space's count is checked against its `fiber`
+    column.  Returns a `census.Meet` whose `mult` is a Counter of the reached indices and
+    whose hits are (d, position in inventory.spaces)."""
+    q = inventory.field.order
+    n = q**3
+    mul, ldiv, space_of = inventory.mul, inventory.ldiv, inventory.space_of
+    ix, iy = vec_index(q, v.x), vec_index(q, v.y)
+    gens = [(mul[a * n + ix], mul[a * n + iy]) for a in _points(q)]
+    reached = [[x + n * y for x, y in zip(ldiv[n + w1::n], ldiv[n + w2::n])]
+               for w1, w2 in gens]
+    mult: Counter = Counter()
+    for vs in reached:
+        mult.update(vs)
+    dim_of = {1: 1, q + 1: 2, q * q + q + 1: 3}
+    met: dict[int, list] = {}  # position of Av' -> [d, vectors v' reached]
+    for vi, m in mult.items():
+        d = dim_of.get(m)
+        if d is None:
+            raise RuntimeError(f"v' index {vi} reached {m} times, not 1, q+1 or q^2+q+1")
+        pos = space_of[vi]
+        got = met.get(pos)
+        if got is None:
+            met[pos] = [d, 1]
+        elif got[0] != d:
+            raise RuntimeError(f"space {pos} met in dimensions {got[0]} and {d}")
+        else:
+            got[1] += 1
+    vectors = dict.fromkeys(DIM_KEYS, 0)
+    spaces = dict.fromkeys(DIM_KEYS, 0)
+    for kind, (n_vectors, n_spaces) in inventory.totals.items():
+        vectors["dim0_" + kind] = n_vectors
+        spaces["dim0_" + kind] = n_spaces
+    fiber, kind = inventory.fiber, inventory.kind
+    hits = []
+    for pos, (d, count) in met.items():
+        if count != fiber[pos]:
+            raise RuntimeError(f"space {pos} met on {count} of its {fiber[pos]} vectors")
+        vectors[f"dim{d}"] += count
+        spaces[f"dim{d}"] += 1
+        vectors["dim0_" + KINDS[kind[pos]]] -= count
+        spaces["dim0_" + KINDS[kind[pos]]] -= 1
+        if d < 3:
+            hits.append((d, pos))
+    return Meet(gens, reached, mult, vectors, spaces, hits)
+
+
+def with_space_of(inventory, space_of):
+    """`inventory` with `space_of` replaced and its fiber column and totals counted from
+    it, as `census.build_inventory` counts them: a corrupted inventory that is consistent."""
+    counts = Counter(space_of)
+    fiber = array("i", (counts[pos] for pos in range(len(inventory.fiber))))
+    totals = {name: (sum(f for f, k in zip(fiber, inventory.kind) if k == i),
+                     inventory.kind.count(i)) for i, name in enumerate(KINDS)}
+    return dataclasses.replace(inventory, space_of=space_of, fiber=fiber, totals=totals)

@@ -6,6 +6,7 @@ import dataclasses
 import random
 import tracemalloc
 from array import array
+from collections import Counter
 
 import pytest
 
@@ -23,7 +24,9 @@ from twistfield.algebra3 import (
 from twistfield.engine import census
 from twistfield.engine.census import (
     DIM_KEYS,
+    REPRESENTATIVE,
     build_inventory,
+    certified_tables,
     index_chunks,
     line_profile,
     per_vector_profile,
@@ -33,10 +36,11 @@ from twistfield.engine.census import (
     scan_orbit,
 )
 from twistfield.engine.spaces import DEGENERATE, NONDEGENERATE, PairVector, classify, pair_rows
-from twistfield.gf import parse_triple
+from twistfield.engine.verify import verify_theorem_B
+from twistfield.gf import FieldTower, parse_triple
 from twistfield.linalg import Subspace, added_rank, decode_vector, intersect_rows, rref_rows
 
-from reference_kernels import reference_build_inventory
+from reference_kernels import reference_build_inventory, reference_meet_all, with_space_of
 
 V0 = PairVector((1, 0, 0), (0, 1, 0))
 
@@ -83,13 +87,12 @@ def assert_kernel_matches_reference(alg, inventory, plane_alg, v):
     meet = census.meet_all(inventory, v)
     assert meet.vectors == vectors, v
     assert meet.spaces == spaces, v
-    assert sorted((d, inventory.spaces[pos].first_index) for d, pos in meet.hits) == \
-        sorted((d, r.first_index) for d, r in hits), v
+    assert sorted(meet.hits) == sorted((d, r.first_index) for d, r in hits), v
     ref_lines = reference_lines(plane_alg, v, base_rows, hits)
     if classify(alg.field, v) == NONDEGENERATE:
         assert census._lines(plane_alg, v, meet) == ref_lines, v
     else:  # the base plane <x,y>v is not two-dimensional, and no v' meets Av in a line
-        assert 1 not in meet.mult.values() and ref_lines == {}, v
+        assert 1 not in meet.mult and ref_lines == {}, v
     return ref_lines
 
 
@@ -217,6 +220,69 @@ def test_line_witnesses_match_reference(alg3, inv3):
     ]
 
 
+# -- the keyed kernel against the position-based reference ---------------------------
+
+
+KEYED_VS = [V0, PairVector((1, 2, 0), (0, 1, 1)),  # nondegenerate
+            PairVector((1, 1, 0), (2, 2, 0)), PairVector((0, 0, 0), (0, 1, 1))]  # degenerate
+
+
+def assert_keyed_matches_reference(spec):
+    """`meet_all` on the certified tables and on the inventory against `reference_meet_all`:
+    tallies, hits (as least indices), lines and Theorem B's witness."""
+    tables = certified_tables(spec)
+    inv = build_inventory(tables.alg)
+    assert tables.totals == inv.totals
+    for v in KEYED_VS:
+        ref = reference_meet_all(inv, v)
+        ref_hits = sorted((d, inv.first[pos]) for d, pos in ref.hits)
+        for got in (census.meet_all(tables, v), census.meet_all(inv, v)):
+            assert (got.vectors, got.spaces) == (ref.vectors, ref.spaces), v
+            assert sorted(got.hits) == ref_hits, v
+            if classify(tables.field, v) == NONDEGENERATE:
+                assert census._lines(tables.plane_alg, v, got) == \
+                    census._lines(tables.plane_alg, v, ref), v
+    two_dim = [pos for d, pos in reference_meet_all(inv, REPRESENTATIVE).hits if d == 2]
+    rep = inv.spaces[min(two_dim)].rep if two_dim else None
+    want = [{"v": REPRESENTATIVE.to_json(), "v2": [list(rep[:3]), list(rep[3:])]}] if rep else []
+    assert verify_theorem_B(spec).witnesses == want
+    return bool(want)
+
+
+@pytest.mark.parametrize("which", ["tower3", "tower3_alt"])
+def test_keyed_kernel_matches_reference_for_every_c_q3(which, request):
+    tower = request.getfixturevalue(which)
+    assert all(assert_keyed_matches_reference(TwistedFieldSpec(tower, c))
+               for c in valid_c_values(tower))  # every c is commutative-isotopic at q=3
+
+
+@pytest.mark.parametrize("q", [4, 5, 7])
+def test_keyed_kernel_matches_reference(q, request):
+    """Two c per q, one of each class where both exist (q=4 has only the non-commutative)."""
+    tower = request.getfixturevalue("tower4") if q == 4 else (
+        request.getfixturevalue("tower5") if q == 5 else FieldTower.build(7))
+    if q == 4:
+        cs = valid_c_values(tower)[::41]
+    else:
+        cs = [pick_c_by_norm(tower, tower.base.neg(1)), pick_c_by_norm(tower, 2)]
+    witnesses = [assert_keyed_matches_reference(TwistedFieldSpec(tower, c)) for c in cs]
+    assert witnesses == ([False, False] if q == 4 else [True, False])
+
+
+def test_fiber_that_does_not_divide_raises_runtime_error(comm3, monkeypatch):
+    real = census._reach
+
+    def reach(q, mul, ldiv, v):  # three more v' met in dimension 3: a fiber of 5, 624 % 5 = 4
+        gens, reached, mult = real(q, mul, ldiv, v)
+        for vi in [i for i, m in enumerate(mult) if not m][:3]:
+            mult[vi] = q * q + q + 1
+        return gens, reached, mult
+
+    monkeypatch.setattr(census, "_reach", reach)
+    with pytest.raises(RuntimeError, match="do not divide the 624"):
+        certified_tables(comm3)
+
+
 # -- the tables and the inventory ----------------------------------------------------
 
 
@@ -288,6 +354,26 @@ def test_build_inventory_peak_memory_q5(tower5):
     bound = 1_500_000
     assert traced_peak(build_inventory, alg) < bound
     assert traced_peak(reference_build_inventory, alg) > bound
+
+
+def test_certified_census_peak_memory_q5(tower5):
+    """The tracemalloc peak of one certified census at q=5 stays under 0.45 MB.
+
+    Measured on the first c of norm 2: 0.33 MB for `certified_tables` and the
+    census at (e_0, e_1), of which the multiplicity count, two bytes per v' of
+    F^6, is 31 KB.  `build_inventory`, which keys every v', peaks at 0.59 MB;
+    the test checks that it stays above the bound, so no such keying is back.
+    """
+    spec = TwistedFieldSpec(tower5, pick_c_by_norm(tower5, 2))
+
+    def census_v(spec):
+        tables = certified_tables(spec)
+        per_vector_profile(tables.alg, V0, inventory=tables, algebra_class=tables.cls)
+
+    census_v(spec)  # fill the caches outside the trace
+    bound = 450_000
+    assert traced_peak(census_v, spec) < bound
+    assert traced_peak(build_inventory, to_structure_constants(spec)) > bound
 
 
 @pytest.mark.parametrize("which", ["q3", "q4"])
@@ -362,15 +448,29 @@ def test_missing_division_vector_raises_runtime_error(alg3, monkeypatch):
 
 
 def test_corrupted_space_of_raises_runtime_error(alg3, inv3):
+    # a v' with d = 1 counted in a degenerate space: the totals no longer give each
+    # met space its kind's vectors/spaces ratio
     meet = census.meet_all(inv3, V0)
-    vi = next(i for i, m in meet.mult.items() if m == 1)  # a v' with d = 1
-    other = next(i for i in range(len(inv3.spaces)) if i != inv3.space_of[vi])
+    vi = meet.mult.index(1)
+    other = next(i for i, k in enumerate(inv3.kind) if census.KINDS[k] == DEGENERATE)
     space_of = array("i", inv3.space_of)
     space_of[vi] = other
-    broken = dataclasses.replace(inv3, space_of=space_of)
-    with pytest.raises(RuntimeError):
+    broken = with_space_of(inv3, space_of)
+    assert broken.totals[NONDEGENERATE] == (623, 312)
+    with pytest.raises(RuntimeError, match="met on"):
         per_vector_profile(alg3, V0, inventory=broken,
                            algebra_class=IsotopyClass.COMMUTATIVE_ISOTOPIC)
+    with pytest.raises(RuntimeError, match="met on"):
+        reference_meet_all(broken, V0)
+
+
+def test_wrong_totals_raise_runtime_error(comm3):
+    tables = certified_tables(comm3)
+    vectors, spaces = tables.totals[NONDEGENERATE]
+    broken = dataclasses.replace(tables, totals={**tables.totals,
+                                                 NONDEGENERATE: (vectors, spaces + 1)})
+    with pytest.raises(RuntimeError, match="met on"):
+        census.meet_all(broken, V0)
 
 
 def test_wrong_multiplicity_raises_runtime_error(alg3, inv3):
@@ -381,6 +481,28 @@ def test_wrong_multiplicity_raises_runtime_error(alg3, inv3):
     ldiv[2 * n + w1], ldiv[2 * n + w2] = ldiv[n + w1], ldiv[n + w2]
     broken = dataclasses.replace(inv3, ldiv=ldiv)
     with pytest.raises(RuntimeError, match="reached"):
+        census.meet_all(broken, V0)
+
+
+def test_key_met_in_two_dimensions_raises_runtime_error(comm3):
+    # q more reaches of one d = 1 vector u, taken from q other d = 1 vectors: u is then
+    # reached q + 1 times, as in a dim-2 space, and the rest of its space once
+    q, n = 3, 27
+    tables = certified_tables(comm3)
+    meet = census.meet_all(tables, V0)
+    # an entry a n + w of ldiv is read for every generator with w among its coordinates
+    shared = Counter(w for gen in meet.gens for w in gen)
+    once = [(g, a) for g, vs in enumerate(meet.reached) for a, vi in enumerate(vs, 1)
+            if meet.mult[vi] == 1 and all(shared[w] == 1 for w in meet.gens[g])]
+    (g0, a0), moved = once[0], once[1:q + 1]
+    u = meet.reached[g0][a0 - 1]
+    ldiv = array("H", tables.ldiv)
+    for g, a in moved:
+        w1, w2 = meet.gens[g]
+        ldiv[a * n + w1], ldiv[a * n + w2] = u % n, u // n
+    broken = dataclasses.replace(tables, ldiv=ldiv)
+    assert census._reach(q, tables.mul, ldiv, V0)[2][u] == q + 1
+    with pytest.raises(RuntimeError, match="met in dimensions"):
         census.meet_all(broken, V0)
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -371,6 +372,55 @@ def test_corrupted_orbit_certificate_is_internal(capsys, monkeypatch):
         assert code == cli.EXIT_INTERNAL == 3
         assert "not one orbit" in json.loads(out)["error"]
         assert "Traceback" in err
+
+
+@pytest.mark.parametrize("broken", ["plane walk", "fiber"])
+@pytest.mark.parametrize("command", ["census", "line-census"])
+def test_failing_certificate_is_internal_for_census_v(capsys, monkeypatch, command, broken):
+    # the dim-0 totals come from the certified orbit, and there is no exhaustive fallback
+    if broken == "plane walk":
+        monkeypatch.setattr(census, "singer_element", lambda tower: 1)
+        message = "not one orbit"
+    else:  # every v' counted in the fiber of A v: a fiber of 728 does not divide 624
+        real = census._reach
+        monkeypatch.setattr(census, "_reach", lambda q, mul, ldiv, v: real(q, mul, ldiv, v)[:2] + (
+            array("H", [q * q + q + 1] * q**6),))
+        message = "do not divide"
+    code, out, err = run_cli(capsys, command, "--q", "3", "--norm-target", "-1",
+                             "--v", "[1,0,0],[0,1,0]")
+    assert code == cli.EXIT_INTERNAL == 3
+    assert message in json.loads(out)["error"]
+    assert "Traceback" in err
+
+
+def test_census_v_names_the_source_of_its_totals(capsys):
+    for command in ("census", "line-census"):
+        code, out, _ = run_cli(capsys, command, "--q", "3", "--norm-target", "-1",
+                               "--v", "[1,0,0],[0,1,0]")
+        assert code == 0
+        parameters = json.loads(out)["report"]["parameters"]
+        assert parameters["mode"] == "orbit" and parameters["orbit"]["plane_orbit"] == 13
+
+
+def test_closed_stdout_is_internal_without_a_traceback():
+    # the reader goes away before the report is written: exit 3, not a counterexample
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.Popen([sys.executable, "-m", "twistfield.cli", "census", "--v",
+                             "[1,0,0],[0,1,0]", "--q", "3", "--c", "[2,0,0]"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_INTERNAL == 3
+    assert err == ""
+
+
+def test_line_census_v_has_help(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["line-census", "--help"])
+    out = capsys.readouterr().out
+    assert '"[x0,x1,x2],[y0,y1,y2]"' in out and "nondegenerate" in out
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -3,7 +3,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from array import array
-from collections import Counter
 
 import pytest
 
@@ -39,7 +38,7 @@ from twistfield.linalg import (added_rank, cross, decode_vector, f3_vectors, ima
                                kernel_rows, rref_rows, vec_index)
 from twistfield.splitalbert import SplitAlbertSpec, TriVector, rmat, rmat_inv
 
-from reference_kernels import mat_inv, mat_mul
+from reference_kernels import mat_inv, mat_mul, with_space_of
 
 
 def test_theorem_A_q3_commutative_tensor(alg3):
@@ -257,27 +256,21 @@ def index3(w):
 
 
 def test_corrupted_inventory_is_never_a_verdict_for_B_and_a_witness_for_A(comm3, alg3, inv3):
-    # point the space of 2 v, v the first plane representative, at a degenerate space
+    # point the space of 2 v, v the first plane representative, at a degenerate space;
+    # the fibers and totals are counted from the corrupted space_of
     fld = alg3.field
     v = plane_representatives(fld)[0]
     broken = inv3.space_of[index3(v.flat)]
     other = next(i for i, rec in enumerate(inv3.spaces) if rec.kind == DEGENERATE)
     space_of = array("i", inv3.space_of)
     space_of[index3(tuple(fld.mul(2, c) for c in v.flat))] = other
-    bad = dataclasses.replace(inv3, space_of=space_of)
+    bad = with_space_of(inv3, space_of)
     with pytest.raises(RuntimeError, match="met on"):
         verify_theorem_B(comm3, inventory=bad)
     verdict = verify_theorem_A(alg3, inventory=bad)
     assert verdict.passed is False
     assert verdict.witnesses == [{"Av_key": [list(r) for r in inv3.spaces[broken].rows],
                                   "members": [(v.x, v.y)]}]
-
-
-def with_space_of(inventory, space_of):
-    """`inventory` with `space_of` replaced and its fiber column counted from it."""
-    counts = Counter(space_of)
-    fiber = array("i", (counts[pos] for pos in range(len(inventory.fiber))))
-    return dataclasses.replace(inventory, space_of=space_of, fiber=fiber)
 
 
 def test_theorem_A_checks_both_fiber_size_and_fiber_members(alg3, inv3):
