@@ -9,11 +9,10 @@ norm != 1.  Coordinatized over the power basis (1, t, t^2) of K it becomes an
 from __future__ import annotations
 
 import enum
-from array import array
 from dataclasses import dataclass, field as dc_field
 
 from .gf import Field, FieldTower
-from .linalg import Row, f3_vectors, identity_rows, image_table, kernel_rows, mat_vec
+from .linalg import Row, det3, f3_vectors, identity_rows, kernel_rows, mat_vec, points
 
 Vec3 = tuple[int, int, int]
 Tensor = tuple[tuple[tuple[int, int, int], ...], ...]
@@ -154,31 +153,6 @@ def basis_products(alg, b: Vec3) -> list[Vec3]:
     return rows
 
 
-def left_division_tables(alg: Algebra3) -> tuple[array, array]:
-    """Left multiplication and left division on F^3 indices (`linalg` module docstring).
-
-    With n = q^3, mul[a*n + x] is the index of a*x; for a != 0, ldiv[a*n + b]
-    is the x with a*x = b (row 0 is zeros).
-    Raises RuntimeError unless every row a != 0 of mul is a permutation: that
-    is the division certificate, since a*x = 0 then forces a = 0 or x = 0.
-    """
-    fld = alg.field
-    n = fld.order**3
-    vecs = f3_vectors(fld.order)
-    mul = array("H", bytes(2 * n * n))
-    for x in range(n):
-        # a*x = a0 (e_0 x) + a1 (e_1 x) + a2 (e_2 x), for a in index order
-        mul[x::n] = array("H", image_table(fld, basis_products(alg, vecs[x])))
-    ldiv = array("H", bytes(2 * n))
-    for a in range(1, n):
-        row = mul[a * n:(a + 1) * n]
-        if len(set(row)) != n:
-            raise RuntimeError(f"left multiplication by {vecs[a]} is not injective: "
-                               "not a division algebra")
-        ldiv += array("H", sorted(range(n), key=row.__getitem__))  # the inverse permutation
-    return mul, ldiv
-
-
 def mulvec(alg, a: Vec3, b: Vec3) -> Vec3:
     """a*b = sum_i a_i (e_i * b), for any `alg` that `basis_products` takes."""
     fld = alg.field
@@ -217,22 +191,16 @@ def autotopism_counterexample(src, dst, f, g, h) -> tuple[int, int] | None:
     return None
 
 
-def det3(fld: Field, rows) -> int:
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    t1 = fld.mul(a, fld.sub(fld.mul(e, i), fld.mul(f, h)))
-    t2 = fld.mul(b, fld.sub(fld.mul(d, i), fld.mul(f, g)))
-    t3 = fld.mul(c, fld.sub(fld.mul(d, h), fld.mul(e, g)))
-    return fld.add(fld.sub(t1, t2), t3)
-
-
 def is_division(alg: Algebra3) -> bool:
-    """det(L_a) != 0 for every nonzero a, exhaustively.
+    """det(L_a) != 0 for every nonzero a, checked at the q^2+q+1 points of P^2(F).
 
-    Then a*x = 0 forces a = 0 or x = 0, so every R_x with x != 0 is injective
-    too (finite dimension), and det(R_x) != 0 needs no second check.
+    det(L_{ka}) = k^3 det(L_a), so the points decide every nonzero a.  Then
+    a*x = 0 forces a = 0 or x = 0, so every R_x with x != 0 is injective too
+    (finite dimension), and det(R_x) != 0 needs no second check.
     """
     fld = alg.field
-    return all(det3(fld, left_mul_matrix(alg, a)) for a in f3_vectors(fld.order)[1:])
+    vecs = f3_vectors(fld.order)
+    return all(det3(fld, left_mul_matrix(alg, vecs[a])) for a in points(fld.order))
 
 
 # ---------------------------------------------------------------------------

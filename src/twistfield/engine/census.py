@@ -1,37 +1,38 @@
 """Censuses of dim(Av meet Av') over all v' in F^6, with closed-form predictions.
 
 A is a division algebra, so for x' != 0 Av' is the graph {(w, T w)} of
-T = R_{y'} R_{x'}^-1; for x' = 0 it is 0 + A.  Av' is keyed by the key of T,
-read off the left multiplication table `mul` (X^-1 e_j off column x' by
-`linalg.unit_preimages`, RuntimeError if some R_{x'} misses an e_j, then one
-lookup per e_j), or by -1 when x' = 0 (vectors, maps and keys as in the
-`linalg` module docstring).
+T = R_{y'} R_{x'}^-1; for x' = 0 it is 0 + A.  Av' is keyed by the key of T, or
+by -1 when x' = 0 (vectors, maps and keys as in the `linalg` module docstring).
 
-The census kernel (`meet_all`) makes no rank test and keys only the vectors
-it reaches.  Each nonzero w in Av meet Av' is a'v' for exactly one a', and
-(k^-1 a')(k v') = a'v'.  Letting w run over one generator a v of each of the
-q^2+q+1 lines of Av and a' over A minus 0, the vector v' = L_{a'}^-1 w is
-reached exactly (q^d - 1)/(q - 1) times, d = dim(Av meet Av').  Every vector
-of a space that meets Av is reached, so the reached vectors, grouped by key,
-give each met space's whole fiber and its least index.  The dim-0 tallies are
-the `totals` of each kind less what was met, and a v' reached once lies on
-the line spanned by the generator that reached it.  The run checks what the
-counting rests on, raising RuntimeError (never a mismatch) when it fails:
-every row a != 0 of `mul` is a permutation (`left_division_tables`), every
-multiplicity is 1, q+1 or q^2+q+1, no key is met in two dimensions, and every
-space met holds its kind's vectors/spaces ratio of `totals`.
+The census kernel (`meet_all`) makes no rank test and keys only the classes
+F^x v' it reaches.  Each nonzero w in Av meet Av' is a'v' for exactly one a',
+and L_{k a'}^-1 w = k^-1 L_{a'}^-1 w.  So with w over one generator a v of each
+of the q^2+q+1 lines of Av and a' over the q^2+q+1 points of P^2(F)
+(`linalg.points`), the class of v' = L_{a'}^-1 w is reached exactly
+(q^d - 1)/(q - 1) times, d = dim(Av meet Av').  A class stands for its q - 1
+vectors under its least index, v' scaled so that its last nonzero coordinate
+is 1 (so y' is a point or 0), and is keyed by the key of A(y', x'), Av' with
+its halves exchanged.  The reached classes, grouped by key, give each met
+space's whole fiber and least index; the dim-0 tallies are the `totals` of each
+kind less what was met, and a class reached once lies on the line of the
+generator that reached it.  The run checks what the counting rests on, raising
+RuntimeError (never a mismatch) when it fails: L_a and R_a are invertible at
+the points (`division_tables`), every multiplicity is 1, q+1 or q^2+q+1, no key
+is met in two dimensions, and every space met holds its kind's vectors/spaces
+ratio of `totals`.
 
-The kernel reads `mul`, `ldiv` and `totals` off one of two values.
-`build_inventory` keys all q^6 v' in one pass and counts the totals: its
-columns (key, fiber size, least index and kind of each distinct space, in
-order of least index, and `space_of`, the position of each v') are what
-Theorem A, `global_counts` and the exhaustive references read; a `SpaceRec`
-is built only when `spaces` is read.  `certified_tables` keys nothing beyond
-the reach: with the orbit certified (below), every nondegenerate fiber has
-the size f of the fiber of A REPRESENTATIVE, so the nondegenerate totals are
-((q^3-1)(q^3-q), (q^3-1)(q^3-q)/f); by division the degenerate spaces are
-{(u, k u)} and 0 + A, q + 1 of them with q^3 - 1 vectors each.  `census --v`,
-`line-census`, `census --scan-all` and Theorem B run on these.
+The kernel reads the `division` tables, built once per algebra, and the
+`totals` of one of two values.  `build_inventory` keys all q^6 v' in one pass
+and counts the totals: its columns (key, fiber size, least index and kind of
+each distinct space, in order of least index, and `space_of`, the position of
+each v') are what Theorem A, `global_counts` and the exhaustive references
+read; a `SpaceRec` is built only when `spaces` is read.  `certified_tables`
+keys nothing beyond the reach: with the orbit certified (below), every
+nondegenerate fiber has the size f of the fiber of A REPRESENTATIVE, so the
+nondegenerate totals are ((q^3-1)(q^3-q), (q^3-1)(q^3-q)/f); by division the
+degenerate spaces are {(u, k u)} and 0 + A, q + 1 of them with q^3 - 1 vectors
+each.  `census --v`, `line-census`, `census --scan-all` and Theorem B run on
+these.
 
 `census --scan-all` and Theorem B check one v and cover all (q^3-1)(q^3-q)
 nondegenerate ones by the symmetry that `certified_tables` checks.  For beta in K^x,
@@ -58,11 +59,11 @@ from __future__ import annotations
 import os
 import time
 from array import array
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from itertools import compress
+from itertools import chain
 from operator import add
 
 from ..algebra3 import (
@@ -71,14 +72,15 @@ from ..algebra3 import (
     TwistedFieldSpec,
     autotopism_counterexample,
     commutative_isotope,
+    basis_products,
     isotopy_class,
-    left_division_tables,
     mulvec,
     to_structure_constants,
 )
 from ..gf import Field, FieldTower, format_triple
-from ..linalg import (Subspace, cross, decode_vector, f3_vectors, graph_keys, identity_rows,
-                      mat_vec, rref_rows, unit_preimages, unit_row, vec_index)
+from ..linalg import (Subspace, cross, decode_vector, det3, f3_vectors, identity_rows,
+                      image_table, inverse_columns, mat_vec, points, rref_rows, scaling_table,
+                      unit_row, vec_index)
 from .spaces import (
     DEGENERATE,
     NONDEGENERATE,
@@ -101,6 +103,13 @@ class SpaceRec:
     fiber: int
     rep: tuple
     first_index: int
+
+
+# The kernel's tables of an algebra on F^3 indices (`division_tables`), with n = q^3,
+# P = q^2+q+1 and a the point at position p of `linalg.points`: linv[w * P + p] is
+# L_a^-1 w, keys[a][x] the key of A(a, x) (that of R_x R_a^-1), scale[k * n + y] is k y,
+# and lead[y] is k n for the k != 0 with k y a point (0 for y = 0).
+DivisionTables = namedtuple("DivisionTables", "linv keys scale lead")
 
 
 KINDS = (NONDEGENERATE, DEGENERATE)  # the values of the `kind` column
@@ -141,9 +150,8 @@ class AvInventory:
     kind: array = dc_field(repr=False)
     # space_of[i]: position of Av' for the v' of index i (-1 for v' = 0)
     space_of: array = dc_field(repr=False, compare=False)
-    # left multiplication and division on F^3 indices (algebra3.left_division_tables)
-    mul: array = dc_field(repr=False, compare=False)
-    ldiv: array = dc_field(repr=False, compare=False)
+    # what the kernel reads of the algebra, the tables the inventory is keyed off
+    division: DivisionTables = dc_field(repr=False, compare=False)
     # kind -> (vectors, spaces) of that kind
     totals: dict = dc_field(repr=False, compare=False)
 
@@ -170,8 +178,7 @@ class CertifiedTables:
     cls: IsotopyClass
     plane_alg: Algebra3
     mode: dict  # {"mode": "orbit", "orbit": the report block of the certificate}
-    mul: array = dc_field(repr=False)
-    ldiv: array = dc_field(repr=False)
+    division: DivisionTables = dc_field(repr=False)  # division_tables(alg)
     totals: dict = dc_field(repr=False)  # as AvInventory.totals, from the orbit's fiber size
 
     @property
@@ -221,11 +228,6 @@ def parallel_map(fn, chunks: list, workers: int, init: tuple) -> list:
         return pool.map(_worker_call, chunks)
 
 
-def _singular_column(q: int):
-    """The RuntimeError message of `unit_preimages` for column x' = i + 1 of `mul`."""
-    return lambda i: f"some e_j is not a*x for x = {f3_vectors(q)[i + 1]}: not a division algebra"
-
-
 @lru_cache(maxsize=None)
 def _degenerate_keys(q: int) -> frozenset:
     """The keys of the degenerate spaces: v' is degenerate iff x' = 0 (key -1) or
@@ -235,29 +237,27 @@ def _degenerate_keys(q: int) -> frozenset:
 
 
 def build_inventory(alg: Algebra3, workers: int = 1) -> AvInventory:
-    """The columns of every distinct Av' (v' != 0), in order of least index, read off `mul`.
-
-    One serial pass keys each v' through `linalg.graph_keys` (module docstring)
-    and records a space's least index as it assigns the space an id; the fibers
-    are counted off `space_of` once the key dict is gone.  `workers` is checked
-    and otherwise unused; it stays for the benchmark's per-layer run.
-    """
+    """The columns of every distinct Av' (v' != 0), in order of least index, and the
+    `division_tables` of `alg`, off which one serial pass keys each v', as
+    A(k a, y') = A(a, k^-1 y') for a point a.  It records a space's least index as
+    it assigns the space an id; the fibers are counted off `space_of` once the key
+    dict is gone.  `workers` is checked and otherwise unused; it stays for the
+    benchmark's per-layer run."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     q = alg.field.order
-    n = q**3
-    mul, ldiv = left_division_tables(alg)
-    # per y', the keys of R_{y'} R_{x'}^-1 for x' = 1 .. n-1, R_x the table a -> a x
-    keys = graph_keys(q, [mul[x::n] for x in range(1, n)], (mul[y::n] for y in range(n)),
-                      _singular_column(q))
+    division = division_tables(alg)
+    scale, lead = division.scale, division.lead
+    # per x' = k a, the keys of A(a, y) and the offset of k^-1 in scale
+    by_x = [(division.keys[scale[lead[x] + x]], lead[x]) for x in range(1, q**3)]
     # indices run x' fastest, so a new id is a new least index
     ids: dict[int, int] = {}
     space_of = array("i", [-1])
     first = array("i")
-    for y, row in enumerate(keys):
+    for y in range(q**3):
         new = len(ids)
         block = [ids.setdefault(-1, len(ids))] if y else []
-        block += [ids.setdefault(k, len(ids)) for k in row]
+        block += [ids.setdefault(keys[scale[k + y]], len(ids)) for keys, k in by_x]
         at = 0
         for pos in range(new, len(ids)):
             at = block.index(pos, at)
@@ -271,7 +271,7 @@ def build_inventory(alg: Algebra3, workers: int = 1) -> AvInventory:
     kind = array("b", [k in degenerate for k in key])  # KINDS: 0 nondegenerate, 1 degenerate
     totals = {name: (sum(f for f, k in zip(fiber, kind) if k == i), kind.count(i))
               for i, name in enumerate(KINDS)}
-    return AvInventory(alg, key, fiber, first, kind, space_of, mul, ldiv, totals)
+    return AvInventory(alg, key, fiber, first, kind, space_of, division, totals)
 
 
 # ---------------------------------------------------------------------------
@@ -368,75 +368,94 @@ class CensusReport:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _points(q: int) -> tuple[int, ...]:
-    """Indices of the q^2+q+1 vectors of F^3 whose first nonzero coordinate is 1."""
-    return tuple(i for i, v in enumerate(f3_vectors(q)) if i and next(c for c in v if c) == 1)
-
-
 @dataclass
 class Meet:
     """What the kernel reads off for one base vector v."""
 
     gens: list  # (a x, a y) as F^3 indices, one generator a v per line of Av
-    reached: list  # reached[g]: array of the F^6 indices of L_{a'}^-1 gens[g], a' != 0
-    mult: array  # mult[i]: times the v' of F^6 index i is reached, 0 or (q^d - 1)/(q - 1)
+    reached: list  # reached[g]: array of the classes L_{a'}^-1 gens[g], a' at the points
+    mult: Counter  # class -> times reached, (q^d - 1)/(q - 1); a class is its least F^6 index
     vectors: dict  # DIM_KEYS -> vectors v'
     spaces: dict  # DIM_KEYS -> distinct spaces Av'
     hits: list  # (d, least F^6 index of Av') for each space Av' with d in (1, 2)
 
 
-def _reach(q: int, mul: array, ldiv: array, v: PairVector) -> tuple[list, list, array]:
-    """(gens, reached, mult) of `Meet` for v: (q^2+q+1)(q^3-1) lookups in `ldiv`.
-
-    `mult` holds two bytes per v' of F^6: 1.1 MB at q = 9, where a Counter of
-    the (q^2+q+1)(q^3-1) reached indices takes 4.5 MB.
-    """
+def division_tables(alg: Algebra3) -> DivisionTables:
+    """The `DivisionTables` of `alg`, about 2 q^5 entries.  The certificate is
+    det L_a != 0 and det R_a != 0 at every point a, so at every a != 0 as
+    det L_{ka} = k^3 det L_a (RuntimeError otherwise).  L_a^-1 is the inverse
+    permutation of the table of L_a, and for a_j = R_a^-1 e_j = k b with b a
+    point (`linalg.inverse_columns`), y -> a_j y is k times the table of L_b."""
+    fld = alg.field
+    q = fld.order
     n = q**3
-    ix, iy = vec_index(q, v.x), vec_index(q, v.y)
-    gens = [(mul[a * n + ix], mul[a * n + iy]) for a in _points(q)]
-    reached = [array("i", map(add, ldiv[n + w1::n], map(n.__mul__, ldiv[n + w2::n])))
-               for w1, w2 in gens]
-    mult = array("H", bytes(2 * n * n))
-    for vs in reached:
-        for vi in vs:
-            mult[vi] += 1
+    vecs = f3_vectors(q)
+    scale = array("H", chain.from_iterable(scaling_table(fld, (k, k, k)) for k in range(q)))
+    lead = array("i", [0] + [n * fld.inv_t[next(c for c in reversed(y) if c)] for y in vecs[1:]])
+    # by_e[m]: the rows of a -> a e_m, so that a e_m = mat_vec(fld, by_e[m], a)
+    by_e = [tuple(zip(*basis_products(alg, e))) for e in UNIT]
+    l_tables, solve = {}, {}
+    for a in points(q):
+        l_cols = [mat_vec(fld, m, vecs[a]) for m in by_e]
+        r_inv = inverse_columns(fld, tuple(zip(*basis_products(alg, vecs[a]))))
+        if r_inv is None or not det3(fld, tuple(zip(*l_cols))):
+            raise RuntimeError(f"L_a or R_a is singular at a = {vecs[a]}: not a division algebra")
+        l_tables[a] = array("H", image_table(fld, l_cols))
+        # a_j = k b with b a point: k, its last nonzero coordinate, and b
+        solve[a] = [(next(c for c in reversed(a_j) if c), vec_index(q, a_j)) for a_j in r_inv]
+    by_n, by_nn = ([k * n**j for k in range(n)] for j in (1, 2))
+    keys = {}
+    for a, a_js in solve.items():
+        k0, k1, k2 = (map(scale[k * n:(k + 1) * n].__getitem__, l_tables[scale[lead[b] + b]])
+                      for k, b in a_js)
+        keys[a] = array("q", map(add, map(add, k0, map(by_n.__getitem__, k1)),
+                                 map(by_nn.__getitem__, k2)))
+    linv = [array("H", sorted(range(n), key=l_tables[a].__getitem__)) for a in points(q)]
+    return DivisionTables(array("H", chain.from_iterable(zip(*linv))), keys, scale, lead)
+
+
+def _reach(tables: AvInventory | CertifiedTables, v: PairVector) -> tuple[list, list, Counter]:
+    """(gens, reached, mult) of `Meet` for v: (q^2+q+1)^2 lookups in `linv`."""
+    alg, (linv, _, scale, lead) = tables.alg, tables.division
+    fld = alg.field
+    q = fld.order
+    n, size = q**3, q * q + q + 1
+    rx, ry = (image_table(fld, basis_products(alg, u)) for u in (v.x, v.y))
+    gens = [(rx[a], ry[a]) for a in points(q)]
+    reached = []
+    mult: Counter = Counter()
+    for w1, w2 in gens:
+        xs, ys = linv[w1 * size:(w1 + 1) * size], linv[w2 * size:(w2 + 1) * size]
+        # y' = 0 for all a' or for none, as w2 = 0 or not; scale by the last nonzero coordinate
+        ks = map(lead.__getitem__, ys if w2 else xs)
+        classes = array("i", [scale[k + x] + n * scale[k + y] for x, y, k in zip(xs, ys, ks)])
+        reached.append(classes)
+        mult.update(classes)
     return gens, reached, mult
 
 
 def meet_all(tables: AvInventory | CertifiedTables, v: PairVector) -> Meet:
-    """dim(Av meet Av') for every v', keying only the v' reached (module docstring).
-
-    Reads `mul`, `ldiv` and `totals` of `tables`.
-    """
+    """dim(Av meet Av') for every v', keying only the classes reached (module docstring):
+    reads the `division` tables and the `totals` of `tables`."""
     q = tables.field.order
     n = q**3
-    mul = tables.mul
-    gens, reached, mult = _reach(q, mul, tables.ldiv, v)
-    # per x' = 1 .. n-1, a_j n with a_j x' = e_j: key(x', y') = sum n^j mul[a_j n + y']
-    solve = [None] + [[a * n for a in s] for s in
-                      unit_preimages(q, (mul[x::n] for x in range(1, n)), _singular_column(q))]
-    nn = n * n
+    keys = tables.division.keys
+    gens, reached, mult = _reach(tables, v)
     dim_of = {1: 1, q + 1: 2, q * q + q + 1: 3}
-    met: dict[int, list] = {}  # key of Av' -> [d, vectors v' reached, least index]
-    # the reached v' in index order, so a space's first one is its least
-    for vi, m in zip(compress(range(nn), mult), filter(None, mult)):
-        d = dim_of.get(m)
-        if d is None:
-            raise RuntimeError(f"v' index {vi} reached {m} times, not 1, q+1 or q^2+q+1")
-        y, x = divmod(vi, n)
-        if x:
-            s0, s1, s2 = solve[x]
-            key = mul[s0 + y] + n * mul[s1 + y] + nn * mul[s2 + y]
-        else:
-            key = -1
-        got = met.get(key)
-        if got is None:
-            met[key] = [d, 1, vi]
-        elif got[0] != d:
-            raise RuntimeError(f"space {key} met in dimensions {got[0]} and {d}")
-        else:
-            got[1] += 1
+    least: dict[int, int] = {}  # key of Av' -> its first class reached, in index order
+    more: Counter = Counter()  # key of Av' -> its classes reached after the first
+    for ci in sorted(mult):
+        m = mult[ci]
+        if m not in dim_of:
+            raise RuntimeError(f"v' index {ci} reached {m} times, not 1, q+1 or q^2+q+1")
+        y, x = divmod(ci, n)
+        key = keys[y][x] if y else -1
+        first = least.setdefault(key, ci)
+        if first != ci:  # one more class of a space met before: its multiplicity must agree
+            if mult[first] != m:
+                raise RuntimeError(f"space {key} met in dimensions {dim_of[mult[first]]} "
+                                   f"and {dim_of[m]}")
+            more[key] += 1
     vectors = dict.fromkeys(DIM_KEYS, 0)
     spaces = dict.fromkeys(DIM_KEYS, 0)
     for kind, (n_vectors, n_spaces) in tables.totals.items():
@@ -444,7 +463,9 @@ def meet_all(tables: AvInventory | CertifiedTables, v: PairVector) -> Meet:
         spaces["dim0_" + kind] = n_spaces
     degenerate = _degenerate_keys(q)
     hits = []
-    for key, (d, count, least) in met.items():
+    for key, first in least.items():
+        d = dim_of[mult[first]]
+        count = (q - 1) * (1 + more[key])
         kind = KINDS[key in degenerate]
         n_vectors, n_spaces = tables.totals[kind]
         if count * n_spaces != n_vectors:
@@ -455,16 +476,16 @@ def meet_all(tables: AvInventory | CertifiedTables, v: PairVector) -> Meet:
         vectors["dim0_" + kind] -= count
         spaces["dim0_" + kind] -= 1
         if d < 3:
-            hits.append((d, least))
+            hits.append((d, first))
     return Meet(gens, reached, mult, vectors, spaces, hits)
 
 
 def _lines(plane_alg: Algebra3, v: PairVector, meet: Meet) -> dict[tuple, tuple[int, bool]]:
     """{line: (v' count, in base plane)} over the lines Av meet Av' of the dim-1 v'.
 
-    A v' reached once meets Av in the line of the generator that reached it.
-    The base plane is <x,y>v with products taken in `plane_alg`; its q+1 lines
-    are spanned by b v for b = y and b = x + k y.
+    A class reached once meets Av in the line of the generator that reached it
+    and stands for q - 1 vectors v'.  The base plane is <x,y>v with products taken
+    in `plane_alg`; its q+1 lines are spanned by b v for b = y and b = x + k y.
     """
     fld = plane_alg.field
     q = fld.order
@@ -474,8 +495,8 @@ def _lines(plane_alg: Algebra3, v: PairVector, meet: Meet) -> dict[tuple, tuple[
                       for k in range(q)]:
         plane.add(unit_row(fld, mulvec(plane_alg, b, v.x) + mulvec(plane_alg, b, v.y)))
     out = {}
-    for (w1, w2), vs in zip(meet.gens, meet.reached):
-        n = list(map(meet.mult.__getitem__, vs)).count(1)
+    for (w1, w2), classes in zip(meet.gens, meet.reached):
+        n = (q - 1) * list(map(meet.mult.__getitem__, classes)).count(1)
         if n:
             row = unit_row(fld, vecs[w1] + vecs[w2])
             out[(row,)] = (n, row in plane)
@@ -771,8 +792,8 @@ def certified_tables(spec: TwistedFieldSpec) -> CertifiedTables:
     beta = `singer_element` and gamma = beta beta^sigma; the GL2 half is
     bilinearity.  REPRESENTATIVE then stands for all plane_orbit (q^2-1)(q^2-q)
     nondegenerate v, and each nondegenerate fiber has the size f of its fiber:
-    the v' reached q^2+q+1 times from it.  RuntimeError when the certificate
-    fails or f does not divide the nondegenerate vectors.
+    q - 1 times the classes reached q^2+q+1 times from it.  RuntimeError when
+    the certificate fails or f does not divide the nondegenerate vectors.
     """
     tower = spec.tower
     alg = to_structure_constants(spec)
@@ -783,16 +804,17 @@ def certified_tables(spec: TwistedFieldSpec) -> CertifiedTables:
                               beta, gamma)
     q = alg.field.order
     n = q**3
-    mul, ldiv = left_division_tables(alg)
-    fiber = _reach(q, mul, ldiv, REPRESENTATIVE)[2].count(q * q + q + 1)
+    tables = CertifiedTables(alg, isotopy_class(spec), plane_alg,
+                             {"mode": "orbit", "orbit": {**orbit, "vectors_profiled": 1}},
+                             division_tables(alg), {})
+    fiber = (q - 1) * list(_reach(tables, REPRESENTATIVE)[2].values()).count(q * q + q + 1)
     vectors = (n - 1) * (n - q)
     if not fiber or vectors % fiber:
         raise RuntimeError(f"the fiber of A v at v = {REPRESENTATIVE.to_json()} has {fiber} "
                            f"vectors, which do not divide the {vectors} nondegenerate ones")
-    totals = {NONDEGENERATE: (vectors, vectors // fiber), DEGENERATE: ((n - 1) * (q + 1), q + 1)}
-    return CertifiedTables(alg, isotopy_class(spec), plane_alg,
-                           {"mode": "orbit", "orbit": {**orbit, "vectors_profiled": 1}},
-                           mul, ldiv, totals)
+    tables.totals = {NONDEGENERATE: (vectors, vectors // fiber),
+                     DEGENERATE: ((n - 1) * (q + 1), q + 1)}
+    return tables
 
 
 def scan_orbit(spec: TwistedFieldSpec, *, workers: int = 1) -> CensusReport:

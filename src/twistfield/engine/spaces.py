@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 from ..algebra3 import Algebra3, basis_products, left_mul_matrix, mulvec, right_mul_matrix
 from ..gf import Field
-from ..linalg import Subspace, cross, echelon_bases, intersect_rows, kernel_rows, rref_rows
+from ..linalg import (Subspace, cross, echelon_bases, intersect_rows, inverse_columns, kernel_rows,
+                      mat_vec, rref_rows)
 
 Vec3 = tuple[int, int, int]
 
@@ -82,12 +83,11 @@ def solution_space(alg: Algebra3, v: PairVector, v2: PairVector) -> Subspace:
 
 
 def solve3(fld: Field, mat_rows, rhs: Vec3) -> Vec3:
-    """Unique solution of a 3x3 invertible system."""
-    aug = [tuple(mat_rows[i]) + (rhs[i],) for i in range(3)]
-    red, pivots = rref_rows(fld, aug)
-    if len(red) != 3 or pivots != (0, 1, 2):
+    """Unique solution of a 3x3 invertible system: M^-1 rhs, by `linalg.inverse_columns`."""
+    cols = inverse_columns(fld, mat_rows)
+    if cols is None:
         raise ValueError("matrix is singular")
-    return tuple(r[3] for r in red)
+    return mat_vec(fld, tuple(zip(*cols)), rhs)
 
 
 def construct_two_dim_partner(alg: Algebra3, v: PairVector, x2: Vec3) -> PairVector:

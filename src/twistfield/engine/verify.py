@@ -18,7 +18,7 @@ from operator import add, itemgetter
 from ..algebra3 import Algebra3, IsotopyClass, TwistedFieldSpec, basis_products
 from ..gf import Field
 from ..linalg import (cross, decode_vector, echelon_bases, f3_vectors, graph_keys, image_table,
-                      kernel_rows, unit_row, vec_index)
+                      kernel_rows, scaling_table, unit_row, vec_index)
 from .spaces import NONDEGENERATE, PairVector, intersection_dim, plane_representatives
 
 TYPE_CHECKING = False
@@ -57,7 +57,7 @@ def verify_theorem_A(alg: Algebra3, inventory: AvInventory | None = None) -> Ver
     if inventory is None:
         inventory = build_inventory(alg)
     space_of = inventory.space_of
-    scales = [_scaling(fld, (k, k, k)) for k in range(1, q)]
+    scales = [scaling_table(fld, (k, k, k)) for k in range(1, q)]
     failed = []
     for pos, (fiber, first, kind) in enumerate(zip(inventory.fiber, inventory.first,
                                                    inventory.kind)):
@@ -451,9 +451,9 @@ def _torus_orbits(fld: Field, prods: list) -> list[tuple[PairVector, int]]:
     w = _primitive(fld)
     for t in ((w, 1, 1), (1, w, 1), (1, 1, w)):
         u = [fld.mul(t[(k + 1) % 3], t[(k + 2) % 3]) for k in range(3)]
-        move = _scaling(fld, t)
+        move = scaling_table(fld, t)
         for k, col in enumerate(prods):
-            image = _scaling(fld, [fld.div(c, t[k]) for c in u])
+            image = scaling_table(fld, [fld.div(c, t[k]) for c in u])
             if any(col[move[x]] != image[col[x]] for x in range(len(col))):
                 raise RuntimeError(f"phi(t.alpha_{k}, t.x) != u.phi(alpha_{k}, x) for t = {t}")
     torus = list(itertools.product(range(1, q), repeat=3))
@@ -475,8 +475,3 @@ def _primitive(fld: Field) -> int:
     """The least element generating F^x."""
     q = fld.order
     return next(w for w in range(1, q) if len({fld.pow(w, e) for e in range(q - 1)}) == q - 1)
-
-
-def _scaling(fld: Field, s) -> list[int]:
-    """The table of x -> (s_0 x_0, s_1 x_1, s_2 x_2) on F^3 indices."""
-    return image_table(fld, [tuple(c if k == j else 0 for k in range(3)) for j, c in enumerate(s)])

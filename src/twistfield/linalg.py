@@ -226,6 +226,14 @@ def f3_vectors(q: int) -> tuple[Row, ...]:
     return tuple(decode_vector(q, i, 3) for i in range(q**3))
 
 
+@lru_cache(maxsize=None)
+def points(q: int) -> tuple[int, ...]:
+    """Indices of the q^2+q+1 points of P^2(F): the vectors of F^3 whose last nonzero
+    coordinate, the most significant digit, is 1; so each is the least of its line."""
+    return tuple(i for i, v in enumerate(f3_vectors(q))
+                 if i and next(c for c in reversed(v) if c) == 1)
+
+
 def unit_row(fld: Field, row: Row) -> Row:
     """`row` scaled so that its first nonzero entry is 1: the RREF basis of its line.
 
@@ -244,6 +252,31 @@ def cross(fld: Field, a: Row, b: Row) -> Row:
     return (sub[mul[a[1]][b[2]]][mul[a[2]][b[1]]],
             sub[mul[a[2]][b[0]]][mul[a[0]][b[2]]],
             sub[mul[a[0]][b[1]]][mul[a[1]][b[0]]])
+
+
+def det3(fld: Field, rows) -> int:
+    """det M = r_0 . (r_1 x r_2) for the 3x3 matrix M with rows r_0, r_1, r_2."""
+    return _dot(fld, rows[0], cross(fld, rows[1], rows[2]))
+
+
+def scaling_table(fld: Field, s) -> list[int]:
+    """The `image_table` of x -> (s_0 x_0, s_1 x_1, s_2 x_2)."""
+    return image_table(fld, [tuple(c if k == j else 0 for k in range(3)) for j, c in enumerate(s)])
+
+
+def inverse_columns(fld: Field, rows) -> tuple[Row, Row, Row] | None:
+    """The columns of M^-1 for the 3x3 matrix M with these rows, or None when M is singular.
+
+    Column j is r_{j+1} x r_{j+2} / det M: M times it is det M in row j and a
+    triple product with a repeated row elsewhere.
+    """
+    r0, r1, r2 = rows
+    cols = (cross(fld, r1, r2), cross(fld, r2, r0), cross(fld, r0, r1))
+    det = _dot(fld, r0, cols[0])
+    if not det:
+        return None
+    scale = fld.mul_t[fld.inv_t[det]]
+    return tuple(tuple(scale[c] for c in col) for col in cols)
 
 
 def image_table(fld: Field, images) -> list[int]:
@@ -265,30 +298,20 @@ def image_table(fld: Field, images) -> list[int]:
     return out
 
 
-def unit_preimages(q: int, xs, singular) -> list[list[int]]:
-    """Per table X of `xs` (`image_table`), the indices of X^-1 e_0, X^-1 e_1, X^-1 e_2.
+def graph_keys(q: int, xs, ys, singular):
+    """Per table Y of `ys`, the list of keys of Y X^-1 over the tables X of `xs`.
 
-    Each is read off X with `.index` (e_j has index q^j); RuntimeError(singular(i))
-    when the i-th X misses some e_j.
+    Tables are F^3 index tables of linear maps (`image_table`), two or more in
+    `xs`, and keys are as in the module docstring.  X^-1 e_j is read off X with
+    `.index` (e_j has index q^j); RuntimeError(singular(i)) if the i-th X misses it.
     """
+    n = q**3
     solve = []
     for i, table in enumerate(xs):
         try:
             solve.append([table.index(e) for e in (1, q, q * q)])
         except ValueError:
             raise RuntimeError(singular(i)) from None
-    return solve
-
-
-def graph_keys(q: int, xs, ys, singular):
-    """Per table Y of `ys`, the list of keys of Y X^-1 over the tables X of `xs`.
-
-    Tables are F^3 index tables of linear maps (`image_table`), two or more in
-    `xs`, and keys are as in the module docstring.  X^-1 e_j comes from
-    `unit_preimages`, with its RuntimeError(singular(i)).
-    """
-    n = q**3
-    solve = unit_preimages(q, xs, singular)
     take0, take1, take2 = (itemgetter(*a_j) for a_j in zip(*solve))
     by_n, by_n2 = ([k * n**j for k in range(n)] for j in (1, 2))
     for y in ys:

@@ -1,6 +1,7 @@
 """Kernels the tests use as references: dense matrix products and inverses, the split
-Albert map written out from its basis rules, the inventory before its column layout,
-and the census kernel that reads the inventory's columns.  No code in `src/` calls them."""
+Albert map written out from its basis rules, the q^6 left multiplication and division
+tables, the inventory before its column layout, and the census kernel that reads the
+inventory's columns over those tables.  No code in `src/` calls them."""
 
 from __future__ import annotations
 
@@ -10,10 +11,11 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
-from twistfield.algebra3 import left_division_tables
-from twistfield.engine.census import DIM_KEYS, KINDS, Meet, SpaceRec, _points
+from twistfield.algebra3 import basis_products
+from twistfield.engine.census import DIM_KEYS, KINDS, SpaceRec
 from twistfield.engine.spaces import DEGENERATE, NONDEGENERATE
-from twistfield.linalg import decode_vector, f3_vectors, identity_rows, rref_rows, vec_index
+from twistfield.linalg import (decode_vector, f3_vectors, identity_rows, image_table, points,
+                               rref_rows, vec_index)
 
 
 def mat_mul(fld, a, b):
@@ -59,12 +61,35 @@ def reference_phi(spec, x, y):
     return (out[0], out[1], out[2])
 
 
+def left_division_tables(alg) -> tuple[array, array]:
+    """Left multiplication and left division on F^3 indices (`linalg` module docstring).
+
+    With n = q^3, mul[a*n + x] is the index of a*x; for a != 0, ldiv[a*n + b]
+    is the x with a*x = b (row 0 is zeros).
+    Raises RuntimeError unless every row a != 0 of mul is a permutation: that
+    is the division certificate, since a*x = 0 then forces a = 0 or x = 0.
+    """
+    fld = alg.field
+    n = fld.order**3
+    vecs = f3_vectors(fld.order)
+    mul = array("H", bytes(2 * n * n))
+    for x in range(n):
+        # a*x = a0 (e_0 x) + a1 (e_1 x) + a2 (e_2 x), for a in index order
+        mul[x::n] = array("H", image_table(fld, basis_products(alg, vecs[x])))
+    ldiv = array("H", bytes(2 * n))
+    for a in range(1, n):
+        row = mul[a * n:(a + 1) * n]
+        if len(set(row)) != n:
+            raise RuntimeError(f"left multiplication by {vecs[a]} is not injective: "
+                               "not a division algebra")
+        ldiv += array("H", sorted(range(n), key=row.__getitem__))  # the inverse permutation
+    return mul, ldiv
+
+
 @dataclass
 class ReferenceInventory:
     spaces: list
     space_of: array
-    mul: array
-    ldiv: array
     totals: dict
 
 
@@ -73,7 +98,7 @@ def reference_build_inventory(alg):
     before the columns, kept as the reference for `census.build_inventory`."""
     q = alg.field.order
     n = q**3
-    mul, ldiv = left_division_tables(alg)
+    mul, _ = left_division_tables(alg)
     vecs = f3_vectors(q)
     unit = identity_rows(3)
     e_idx = [vec_index(q, e) for e in unit]
@@ -109,19 +134,27 @@ def reference_build_inventory(alg):
                                first[pos]))
     totals = {kind: (sum(r.fiber for r in spaces if r.kind == kind),
                      sum(r.kind == kind for r in spaces)) for kind in (NONDEGENERATE, DEGENERATE)}
-    return ReferenceInventory(spaces, space_of, mul, ldiv, totals)
+    return ReferenceInventory(spaces, space_of, totals)
 
 
-def reference_meet_all(inventory, v):
-    """`census.meet_all` before it keyed the reached vectors: each v' is placed by the
-    inventory's `space_of`, and a met space's count is checked against its `fiber`
-    column.  Returns a `census.Meet` whose `mult` is a Counter of the reached indices and
-    whose hits are (d, position in inventory.spaces)."""
+@dataclass
+class ReferenceMeet:
+    vectors: dict
+    spaces: dict
+    hits: list  # (d, position in inventory.spaces)
+
+
+def reference_meet_all(inventory, v, tables=None):
+    """`census.meet_all` before it keyed the reached classes: every a' != 0 reaches a
+    vector v' = L_{a'}^-1 w through the q^6 tables of `left_division_tables`, each v' is
+    placed by the inventory's `space_of`, and a met space's count is checked against its
+    `fiber` column.  `tables` are those tables when already at hand."""
     q = inventory.field.order
     n = q**3
-    mul, ldiv, space_of = inventory.mul, inventory.ldiv, inventory.space_of
+    mul, ldiv = tables or left_division_tables(inventory.alg)
+    space_of = inventory.space_of
     ix, iy = vec_index(q, v.x), vec_index(q, v.y)
-    gens = [(mul[a * n + ix], mul[a * n + iy]) for a in _points(q)]
+    gens = [(mul[a * n + ix], mul[a * n + iy]) for a in points(q)]
     reached = [[x + n * y for x, y in zip(ldiv[n + w1::n], ldiv[n + w2::n])]
                for w1, w2 in gens]
     mult: Counter = Counter()
@@ -157,7 +190,7 @@ def reference_meet_all(inventory, v):
         spaces["dim0_" + KINDS[kind[pos]]] -= 1
         if d < 3:
             hits.append((d, pos))
-    return Meet(gens, reached, mult, vectors, spaces, hits)
+    return ReferenceMeet(vectors, spaces, hits)
 
 
 def with_space_of(inventory, space_of):

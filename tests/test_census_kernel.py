@@ -15,7 +15,6 @@ from twistfield.algebra3 import (
     IsotopyClass,
     TwistedFieldSpec,
     isotopy_class,
-    left_division_tables,
     mulvec,
     pick_c_by_norm,
     to_structure_constants,
@@ -37,10 +36,12 @@ from twistfield.engine.census import (
 )
 from twistfield.engine.spaces import DEGENERATE, NONDEGENERATE, PairVector, classify, pair_rows
 from twistfield.engine.verify import verify_theorem_B
-from twistfield.gf import FieldTower, parse_triple
-from twistfield.linalg import Subspace, added_rank, decode_vector, intersect_rows, rref_rows
+from twistfield.gf import FieldTower, parse_elem, parse_triple
+from twistfield.linalg import (Subspace, added_rank, decode_vector, f3_vectors, intersect_rows,
+                               points, rref_rows)
 
-from reference_kernels import reference_build_inventory, reference_meet_all, with_space_of
+from reference_kernels import (left_division_tables, reference_build_inventory,
+                               reference_meet_all, with_space_of)
 
 V0 = PairVector((1, 0, 0), (0, 1, 0))
 
@@ -92,7 +93,7 @@ def assert_kernel_matches_reference(alg, inventory, plane_alg, v):
     if classify(alg.field, v) == NONDEGENERATE:
         assert census._lines(plane_alg, v, meet) == ref_lines, v
     else:  # the base plane <x,y>v is not two-dimensional, and no v' meets Av in a line
-        assert 1 not in meet.mult and ref_lines == {}, v
+        assert 1 not in meet.mult.values() and ref_lines == {}, v
     return ref_lines
 
 
@@ -229,20 +230,30 @@ KEYED_VS = [V0, PairVector((1, 2, 0), (0, 1, 1)),  # nondegenerate
 
 def assert_keyed_matches_reference(spec):
     """`meet_all` on the certified tables and on the inventory against `reference_meet_all`:
-    tallies, hits (as least indices), lines and Theorem B's witness."""
+    tallies, hits (as least indices), lines (against `reference_lines`) and Theorem B's
+    witness."""
     tables = certified_tables(spec)
-    inv = build_inventory(tables.alg)
+    alg, plane_alg = tables.alg, tables.plane_alg
+    inv = build_inventory(alg)
     assert tables.totals == inv.totals
+    q_tables = left_division_tables(alg)
     for v in KEYED_VS:
-        ref = reference_meet_all(inv, v)
+        ref = reference_meet_all(inv, v, q_tables)
         ref_hits = sorted((d, inv.first[pos]) for d, pos in ref.hits)
+        nondegenerate = classify(alg.field, v) == NONDEGENERATE
+        if nondegenerate:
+            base_rows = rref_rows(alg.field, pair_rows(alg, v.x, v.y))[0]
+            ref_lines = reference_lines(plane_alg, v, base_rows,
+                                        [(d, inv.spaces[pos]) for d, pos in ref.hits])
         for got in (census.meet_all(tables, v), census.meet_all(inv, v)):
             assert (got.vectors, got.spaces) == (ref.vectors, ref.spaces), v
             assert sorted(got.hits) == ref_hits, v
-            if classify(tables.field, v) == NONDEGENERATE:
-                assert census._lines(tables.plane_alg, v, got) == \
-                    census._lines(tables.plane_alg, v, ref), v
-    two_dim = [pos for d, pos in reference_meet_all(inv, REPRESENTATIVE).hits if d == 2]
+            if nondegenerate:
+                assert census._lines(plane_alg, v, got) == ref_lines, v
+            else:
+                assert 1 not in got.mult.values(), v
+    two_dim = [pos for d, pos in reference_meet_all(inv, REPRESENTATIVE, q_tables).hits
+               if d == 2]
     rep = inv.spaces[min(two_dim)].rep if two_dim else None
     want = [{"v": REPRESENTATIVE.to_json(), "v2": [list(rep[:3]), list(rep[3:])]}] if rep else []
     assert verify_theorem_B(spec).witnesses == want
@@ -272,10 +283,10 @@ def test_keyed_kernel_matches_reference(q, request):
 def test_fiber_that_does_not_divide_raises_runtime_error(comm3, monkeypatch):
     real = census._reach
 
-    def reach(q, mul, ldiv, v):  # three more v' met in dimension 3: a fiber of 5, 624 % 5 = 4
-        gens, reached, mult = real(q, mul, ldiv, v)
-        for vi in [i for i, m in enumerate(mult) if not m][:3]:
-            mult[vi] = q * q + q + 1
+    def reach(tables, v):  # four more classes met in dimension 3: a fiber of 10, 624 % 10 = 4
+        gens, reached, mult = real(tables, v)
+        for ci in [i for i in range(1, 3**6) if i not in mult][:4]:
+            mult[ci] = 3 * 3 + 3 + 1
         return gens, reached, mult
 
     monkeypatch.setattr(census, "_reach", reach)
@@ -312,7 +323,6 @@ def assert_columns_match_dict_build(alg):
     assert len(inventory.spaces) == len(ref.spaces)
     assert inventory.space_of == ref.space_of
     assert inventory.totals == ref.totals
-    assert (inventory.mul, inventory.ldiv) == (ref.mul, ref.ldiv)
 
 
 def test_columns_match_dict_build_for_every_c_q3(tower3):
@@ -359,10 +369,10 @@ def test_build_inventory_peak_memory_q5(tower5):
 def test_certified_census_peak_memory_q5(tower5):
     """The tracemalloc peak of one certified census at q=5 stays under 0.45 MB.
 
-    Measured on the first c of norm 2: 0.33 MB for `certified_tables` and the
-    census at (e_0, e_1), of which the multiplicity count, two bytes per v' of
-    F^6, is 31 KB.  `build_inventory`, which keys every v', peaks at 0.59 MB;
-    the test checks that it stays above the bound, so no such keying is back.
+    Measured on the first c of norm 2: 0.27 MB for `certified_tables` and the
+    census at (e_0, e_1), which count the reached classes of F^x v' in a Counter.
+    `build_inventory`, which keys every v', peaks at 0.53 MB; the test checks
+    that it stays above the bound, so no such keying is back.
     """
     spec = TwistedFieldSpec(tower5, pick_c_by_norm(tower5, 2))
 
@@ -374,6 +384,25 @@ def test_certified_census_peak_memory_q5(tower5):
     bound = 450_000
     assert traced_peak(census_v, spec) < bound
     assert traced_peak(build_inventory, to_structure_constants(spec)) > bound
+
+
+def test_certified_census_peak_memory_q9():
+    """The tracemalloc peak of one certified census at q=9 stays under 3.19 MB: what
+    three q^6 arrays of two bytes per v' take on their own, as the q^6 tables of left
+    multiplication and division and a multiplicity per v' once did.
+
+    Measured at N(c) = u: 2.28 MB for the division tables and the census at
+    (e_0, e_1); the q^6 tables and array took the census to 5.66 MB.
+    """
+    tower = FieldTower.build(9)
+    spec = TwistedFieldSpec(tower, pick_c_by_norm(tower, parse_elem(tower.base, "u")))
+
+    def census_v(spec):
+        tables = certified_tables(spec)
+        per_vector_profile(tables.alg, V0, inventory=tables, algebra_class=tables.cls)
+
+    census_v(spec)  # fill the caches outside the trace
+    assert traced_peak(census_v, spec) < 3 * 2 * 9**6
 
 
 @pytest.mark.parametrize("which", ["q3", "q4"])
@@ -390,6 +419,31 @@ def test_left_division_tables_match_products(which, alg3, alg4):
             assert mul[a * n + x] == index[mulvec(alg, vec[a], vec[x])]
             if a:
                 assert ldiv[a * n + mul[a * n + x]] == x
+
+
+@pytest.mark.parametrize("which", ["q3", "q4"])
+def test_division_tables_match_the_reference(which, alg3, inv3, alg4, inv4):
+    # at every point a: L_a^-1 against the q^6 division table, and the keys of A(a, y)
+    # against the inventory's; then the scalings that carry a vector to its point
+    alg, inv = (alg3, inv3) if which == "q3" else (alg4, inv4)
+    fld = alg.field
+    q = fld.order
+    n, size = q**3, q * q + q + 1
+    vecs = f3_vectors(q)
+    linv, keys, scale, lead = census.division_tables(alg)
+    _, ldiv = left_division_tables(alg)
+    assert list(keys) == list(points(q)) and len(linv) == n * size
+    for p, a in enumerate(points(q)):
+        assert linv[p::size] == ldiv[a * n:(a + 1) * n]
+        assert list(keys[a]) == [inv.key[inv.space_of[a + n * y]] for y in range(n)]
+    for k in range(q):
+        assert [vecs[i] for i in scale[k * n:(k + 1) * n]] == [
+            tuple(fld.mul(k, c) for c in v) for v in vecs]
+    assert lead[0] == 0
+    for y in range(1, n):
+        point = scale[lead[y] + y]
+        assert lead[y] % n == 0 and point in points(q)
+        assert len(rref_rows(fld, (vecs[point], vecs[y]))[0]) == 1
 
 
 def test_space_of_places_every_vector_in_its_space(alg3, inv3):
@@ -414,7 +468,7 @@ def test_space_of_does_not_depend_on_workers_or_chunks(alg3, inv3, monkeypatch):
 
 def test_inventory_repr_and_equality_skip_the_tables(alg3, inv3):
     text = repr(inv3)
-    for name in ("space_of", "mul", "ldiv", "totals"):
+    for name in ("space_of", "division", "totals"):
         assert name not in text
     assert dataclasses.replace(inv3, space_of=array("i")) == inv3
 
@@ -429,6 +483,8 @@ def test_zero_divisors_raise_runtime_error(tower3):
     zero = (0, 0, 0)
     alg = Algebra3(fld, tuple(tuple(unit[i] if i == j else zero for j in range(3))
                               for i in range(3)))
+    with pytest.raises(RuntimeError, match="singular at a = .*: not a division algebra"):
+        census.division_tables(alg)
     with pytest.raises(RuntimeError, match="not a division algebra"):
         left_division_tables(alg)
     with pytest.raises(RuntimeError):
@@ -436,14 +492,13 @@ def test_zero_divisors_raise_runtime_error(tower3):
 
 
 def test_missing_division_vector_raises_runtime_error(alg3, monkeypatch):
-    # column x' = e_0 of mul stops reaching e_0 (index 1): no a with a e_0 = e_0
-    n = 27
-    mul, ldiv = left_division_tables(alg3)
-    mul = array("H", mul)
-    a = mul[1::n].index(1)
-    mul[a * n + 1] = 0
-    monkeypatch.setattr(census, "left_division_tables", lambda alg: (mul, ldiv))
-    with pytest.raises(RuntimeError, match="not a division algebra"):
+    # R_a^-1 e_j goes missing at the point a = e_2: the inventory, whose keys come
+    # from the division tables, must not be built
+    real = census.inverse_columns
+    r_e2 = tuple(zip(*census.basis_products(alg3, (0, 0, 1))))
+    monkeypatch.setattr(census, "inverse_columns",
+                        lambda fld, rows: None if rows == r_e2 else real(fld, rows))
+    with pytest.raises(RuntimeError, match=r"singular at a = \(0, 0, 1\): not a division"):
         build_inventory(alg3)
 
 
@@ -451,7 +506,7 @@ def test_corrupted_space_of_raises_runtime_error(alg3, inv3):
     # a v' with d = 1 counted in a degenerate space: the totals no longer give each
     # met space its kind's vectors/spaces ratio
     meet = census.meet_all(inv3, V0)
-    vi = meet.mult.index(1)
+    vi = min(ci for ci, m in meet.mult.items() if m == 1)  # a class is its least vector index
     other = next(i for i, k in enumerate(inv3.kind) if census.KINDS[k] == DEGENERATE)
     space_of = array("i", inv3.space_of)
     space_of[vi] = other
@@ -473,35 +528,38 @@ def test_wrong_totals_raise_runtime_error(comm3):
         census.meet_all(broken, V0)
 
 
+def with_linv(tables, linv):
+    return dataclasses.replace(tables, division=tables.division._replace(linv=linv))
+
+
 def test_wrong_multiplicity_raises_runtime_error(alg3, inv3):
-    # make a' = 2 reach the same v' as a' = 1 from the first generator of Av
-    n = 27
+    # make the second point reach the same class as the first from the first generator of Av
+    size = 13
     w1, w2 = census.meet_all(inv3, V0).gens[0]
-    ldiv = array("H", inv3.ldiv)
-    ldiv[2 * n + w1], ldiv[2 * n + w2] = ldiv[n + w1], ldiv[n + w2]
-    broken = dataclasses.replace(inv3, ldiv=ldiv)
+    linv = array("H", inv3.division.linv)
+    linv[w1 * size + 1], linv[w2 * size + 1] = linv[w1 * size], linv[w2 * size]
     with pytest.raises(RuntimeError, match="reached"):
-        census.meet_all(broken, V0)
+        census.meet_all(with_linv(inv3, linv), V0)
 
 
 def test_key_met_in_two_dimensions_raises_runtime_error(comm3):
-    # q more reaches of one d = 1 vector u, taken from q other d = 1 vectors: u is then
-    # reached q + 1 times, as in a dim-2 space, and the rest of its space once
-    q, n = 3, 27
+    # q + 2 reaches of d = 1 classes moved into 0 + A, which V0 does not meet: q + 1 onto
+    # the class of (0, e_0) and one onto that of (0, e_1), so 0 + A is met in dimensions
+    # 2 and 1
+    q, n, size = 3, 27, 13
     tables = certified_tables(comm3)
     meet = census.meet_all(tables, V0)
-    # an entry a n + w of ldiv is read for every generator with w among its coordinates
+    # an entry w P + p of linv is read for every generator with w among its coordinates
     shared = Counter(w for gen in meet.gens for w in gen)
-    once = [(g, a) for g, vs in enumerate(meet.reached) for a, vi in enumerate(vs, 1)
-            if meet.mult[vi] == 1 and all(shared[w] == 1 for w in meet.gens[g])]
-    (g0, a0), moved = once[0], once[1:q + 1]
-    u = meet.reached[g0][a0 - 1]
-    ldiv = array("H", tables.ldiv)
-    for g, a in moved:
+    once = [(g, p) for g, classes in enumerate(meet.reached) for p, ci in enumerate(classes)
+            if meet.mult[ci] == 1 and all(shared[w] == 1 for w in meet.gens[g])]
+    linv = array("H", tables.division.linv)
+    for (g, p), y in zip(once, [1] * (q + 1) + [q]):
         w1, w2 = meet.gens[g]
-        ldiv[a * n + w1], ldiv[a * n + w2] = u % n, u // n
-    broken = dataclasses.replace(tables, ldiv=ldiv)
-    assert census._reach(q, tables.mul, ldiv, V0)[2][u] == q + 1
+        linv[w1 * size + p], linv[w2 * size + p] = 0, y
+    broken = with_linv(tables, linv)
+    mult = census._reach(broken, V0)[2]
+    assert (mult[n], mult[q * n]) == (q + 1, 1)
     with pytest.raises(RuntimeError, match="met in dimensions"):
         census.meet_all(broken, V0)
 

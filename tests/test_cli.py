@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from array import array
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -381,10 +381,10 @@ def test_failing_certificate_is_internal_for_census_v(capsys, monkeypatch, comma
     if broken == "plane walk":
         monkeypatch.setattr(census, "singer_element", lambda tower: 1)
         message = "not one orbit"
-    else:  # every v' counted in the fiber of A v: a fiber of 728 does not divide 624
+    else:  # every index of F^6 counted as a class of the fiber: 2 * 728 does not divide 624
         real = census._reach
-        monkeypatch.setattr(census, "_reach", lambda q, mul, ldiv, v: real(q, mul, ldiv, v)[:2] + (
-            array("H", [q * q + q + 1] * q**6),))
+        monkeypatch.setattr(census, "_reach", lambda tables, v: real(tables, v)[:2] + (
+            Counter(dict.fromkeys(range(1, 3**6), 3 * 3 + 3 + 1)),))
         message = "do not divide"
     code, out, err = run_cli(capsys, command, "--q", "3", "--norm-target", "-1",
                              "--v", "[1,0,0],[0,1,0]")

@@ -10,16 +10,22 @@ from twistfield.linalg import (
     Subspace,
     cross,
     decode_vector,
+    det3,
     f3_vectors,
     graph_keys,
     image_table,
     intersect_rows,
+    inverse_columns,
     kernel_rows,
     mat_vec,
+    points,
     rref_rows,
+    scaling_table,
     unit_row,
     vec_index,
 )
+
+from reference_kernels import mat_inv
 
 F2 = gf.Field.of_order(2)
 F3 = gf.Field.of_order(3)
@@ -233,6 +239,41 @@ def test_unit_row_is_the_line_representative(q):
         assert rref_rows(fld, (v,))[0] == (rep,)
         for k in range(1, q):
             assert unit_row(fld, tuple(fld.mul(k, c) for c in v)) == rep
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_points_are_the_least_vector_of_each_line(q):
+    fld = FIELDS[q]
+    vecs = f3_vectors(q)
+    assert len(points(q)) == q * q + q + 1
+    lines = {rref_rows(fld, (vecs[a],))[0] for a in points(q)}
+    assert len(lines) == q * q + q + 1  # one point per line
+    for a in points(q):
+        assert next(c for c in reversed(vecs[a]) if c) == 1
+        assert a == min(vec_index(q, [fld.mul(k, c) for c in vecs[a]]) for k in range(1, q))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_inverse_columns_against_the_rref_inverse(q):
+    fld = FIELDS[q]
+    rng = random.Random(q)
+    singular = 0
+    for _ in range(60):
+        rows = [random_vector(rng, fld, 3) for _ in range(3)]
+        cols = inverse_columns(fld, rows)
+        assert (cols is None) == (det3(fld, rows) == 0) == (len(rref_rows(fld, rows)[0]) < 3)
+        if cols is None:
+            singular += 1
+        else:
+            assert tuple(zip(*cols)) == mat_inv(fld, rows)
+    assert singular  # the random draw met a singular matrix too
+    assert det3(fld, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 1
+
+
+def test_scaling_table_scales_each_coordinate():
+    s = (2, 0, 1)
+    assert scaling_table(F3, s) == [vec_index(3, [F3.mul(c, d) for c, d in zip(s, v)])
+                                    for v in f3_vectors(3)]
 
 
 @pytest.mark.parametrize("q", [3, 4])
