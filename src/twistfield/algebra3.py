@@ -9,10 +9,13 @@ norm != 1.  Coordinatized over the power basis (1, t, t^2) of K it becomes an
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass, field as dc_field
+from operator import add
 
 from .gf import Field, FieldTower
-from .linalg import Row, det3, f3_vectors, identity_rows, kernel_rows, mat_vec, points
+from .linalg import (Row, det3, f3_vectors, identity_rows, image_table, inverse_columns,
+                     kernel_rows, mat_vec, points, scaling_table, vec_index)
 
 Vec3 = tuple[int, int, int]
 Tensor = tuple[tuple[tuple[int, int, int], ...], ...]
@@ -201,6 +204,43 @@ def is_division(alg: Algebra3) -> bool:
     fld = alg.field
     vecs = f3_vectors(fld.order)
     return all(det3(fld, left_mul_matrix(alg, vecs[a])) for a in points(fld.order))
+
+
+def transposed(alg) -> Algebra3:
+    """The algebra with s'[i][j][k] = s[k][j][i], whose R'_x is the transpose of R_x."""
+    s = alg.tensor
+    return Algebra3(alg.field, tuple(tuple(tuple(s[k][j][i] for k in range(3)) for j in range(3))
+                                     for i in range(3)))
+
+
+def point_tables(alg) -> dict[int, array]:
+    """The F^3 index table of L_b (`linalg.image_table`) at each point b of P^2(F)."""
+    fld = alg.field
+    vecs = f3_vectors(fld.order)
+    return {b: array("H", image_table(fld, zip(*left_mul_matrix(alg, vecs[b]))))
+            for b in points(fld.order)}
+
+
+def graph_keys(alg, xs, tables):
+    """Per x of `xs`, an array of the keys of R_y R_x^-1 (`linalg` module docstring) over
+    the y that `tables` lists, tables[b] holding the F^3 index of b y at each point b.
+    R_y R_x^-1 e_j = a_j y for a_j = R_x^-1 e_j = k b, b a point, so k_j is k times an
+    entry of tables[b].  RuntimeError naming x when R_x is singular."""
+    fld = alg.field
+    q = fld.order
+    scaled = [scaling_table(fld, (k, k, k)) for k in range(q)]  # scaled[k][w]: the index of k w
+    # packed[j][k][w]: n^j times the index of k w, n = q^3
+    packed = [[array("q", [m * w for w in s]) for s in scaled] for m in (1, q**3, q**6)]
+    for x in xs:
+        cols = inverse_columns(fld, right_mul_matrix(alg, x))
+        if cols is None:
+            raise RuntimeError(f"R_x is singular at x = {x}")
+        parts = []
+        for j, a_j in enumerate(cols):
+            k = next(c for c in reversed(a_j) if c)
+            b = scaled[fld.inv_t[k]][vec_index(q, a_j)]
+            parts.append(map(packed[j][k].__getitem__, tables[b]))
+        yield array("q", map(add, map(add, parts[0], parts[1]), parts[2]))
 
 
 # ---------------------------------------------------------------------------

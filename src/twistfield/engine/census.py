@@ -1,8 +1,8 @@
 """Censuses of dim(Av meet Av') over all v' in F^6, with closed-form predictions.
 
 A is a division algebra, so for x' != 0 Av' is the graph {(w, T w)} of
-T = R_{y'} R_{x'}^-1; for x' = 0 it is 0 + A.  Av' is keyed by the key of T, or
-by -1 when x' = 0 (vectors, maps and keys as in the `linalg` module docstring).
+T = R_{y'} R_{x'}^-1; for x' = 0 it is 0 + A.  Av' is keyed by `algebra3.graph_keys`,
+or by -1 when x' = 0 (vectors, maps and keys as in the `linalg` module docstring).
 
 The census kernel (`meet_all`) makes no rank test and keys only the classes
 F^x v' it reaches.  Each nonzero w in Av meet Av' is a'v' for exactly one a',
@@ -64,7 +64,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import chain
-from operator import add
 
 from ..algebra3 import (
     Algebra3,
@@ -73,14 +72,15 @@ from ..algebra3 import (
     autotopism_counterexample,
     commutative_isotope,
     basis_products,
+    graph_keys,
     isotopy_class,
     mulvec,
+    point_tables,
     to_structure_constants,
 )
 from ..gf import Field, FieldTower, format_triple
-from ..linalg import (Subspace, cross, decode_vector, det3, f3_vectors, identity_rows,
-                      image_table, inverse_columns, mat_vec, points, rref_rows, scaling_table,
-                      unit_row, vec_index)
+from ..linalg import (Subspace, cross, decode_vector, f3_vectors, identity_rows, image_table,
+                      mat_vec, points, rref_rows, scaling_table, unit_row, vec_index)
 from .spaces import (
     DEGENERATE,
     NONDEGENERATE,
@@ -381,36 +381,22 @@ class Meet:
 
 
 def division_tables(alg: Algebra3) -> DivisionTables:
-    """The `DivisionTables` of `alg`, about 2 q^5 entries.  The certificate is
-    det L_a != 0 and det R_a != 0 at every point a, so at every a != 0 as
-    det L_{ka} = k^3 det L_a (RuntimeError otherwise).  L_a^-1 is the inverse
-    permutation of the table of L_a, and for a_j = R_a^-1 e_j = k b with b a
-    point (`linalg.inverse_columns`), y -> a_j y is k times the table of L_b."""
+    """The `DivisionTables` of `alg`, about 2 q^5 entries, off `algebra3.point_tables`.
+    The certificate is det L_a != 0 and det R_a != 0 at every point a, so at every a != 0
+    as det L_{ka} = k^3 det L_a: each table of L_a holds the index 0 once (L_a^-1 is its
+    inverse permutation), and `algebra3.graph_keys` checks R_a; RuntimeError otherwise."""
     fld = alg.field
     q = fld.order
     n = q**3
     vecs = f3_vectors(q)
     scale = array("H", chain.from_iterable(scaling_table(fld, (k, k, k)) for k in range(q)))
     lead = array("i", [0] + [n * fld.inv_t[next(c for c in reversed(y) if c)] for y in vecs[1:]])
-    # by_e[m]: the rows of a -> a e_m, so that a e_m = mat_vec(fld, by_e[m], a)
-    by_e = [tuple(zip(*basis_products(alg, e))) for e in UNIT]
-    l_tables, solve = {}, {}
-    for a in points(q):
-        l_cols = [mat_vec(fld, m, vecs[a]) for m in by_e]
-        r_inv = inverse_columns(fld, tuple(zip(*basis_products(alg, vecs[a]))))
-        if r_inv is None or not det3(fld, tuple(zip(*l_cols))):
-            raise RuntimeError(f"L_a or R_a is singular at a = {vecs[a]}: not a division algebra")
-        l_tables[a] = array("H", image_table(fld, l_cols))
-        # a_j = k b with b a point: k, its last nonzero coordinate, and b
-        solve[a] = [(next(c for c in reversed(a_j) if c), vec_index(q, a_j)) for a_j in r_inv]
-    by_n, by_nn = ([k * n**j for k in range(n)] for j in (1, 2))
-    keys = {}
-    for a, a_js in solve.items():
-        k0, k1, k2 = (map(scale[k * n:(k + 1) * n].__getitem__, l_tables[scale[lead[b] + b]])
-                      for k, b in a_js)
-        keys[a] = array("q", map(add, map(add, k0, map(by_n.__getitem__, k1)),
-                                 map(by_nn.__getitem__, k2)))
-    linv = [array("H", sorted(range(n), key=l_tables[a].__getitem__)) for a in points(q)]
+    tables = point_tables(alg)
+    for a, table in tables.items():
+        if table.count(0) != 1:
+            raise RuntimeError(f"L_a is singular at a = {vecs[a]}: not a division algebra")
+    keys = dict(zip(tables, graph_keys(alg, [vecs[a] for a in tables], tables)))
+    linv = [array("H", sorted(range(n), key=table.__getitem__)) for table in tables.values()]
     return DivisionTables(array("H", chain.from_iterable(zip(*linv))), keys, scale, lead)
 
 

@@ -2,8 +2,8 @@
 matrix-pair normal forms, and the finite-field analogue of the d = 1 obstruction.
 
 The sweeps handle vectors of F^3 and F^6 as indices (`linalg` module docstring).
-Each verifier imports the engine modules only it needs (`census`, `normalform`
-or `splitalbert`), so a CLI process compiles no other verifier's dependencies.
+Each verifier imports the engine modules only it needs (`census` or `normalform`),
+so a CLI process compiles no other verifier's dependencies.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from operator import add, itemgetter
 
-from ..algebra3 import Algebra3, IsotopyClass, TwistedFieldSpec, basis_products
+from ..algebra3 import (Algebra3, IsotopyClass, TwistedFieldSpec, basis_products, graph_keys,
+                        point_tables, transposed)
 from ..gf import Field
-from ..linalg import (cross, decode_vector, echelon_bases, f3_vectors, graph_keys, image_table,
-                      kernel_rows, scaling_table, unit_row, vec_index)
+from ..linalg import (cross, decode_vector, echelon_bases, f3_vectors, image_table, kernel_rows,
+                      scaling_table, unit_row, vec_index)
 from .spaces import NONDEGENERATE, PairVector, intersection_dim, plane_representatives
 
 TYPE_CHECKING = False
@@ -213,28 +214,21 @@ def verify_split_theorem_3_1(spec: SplitAlbertSpec) -> Verdict:
 def _graph_keys(spec: SplitAlbertSpec, regs: list) -> tuple[array, list[array]]:
     """Key ids, in order of first occurrence: skey[i * r + j] of U(x_i, x_j) and
     mrow[i][k] of R_{x_k}^{-1} R_{x_i}, for the r vectors x_i of `regs`, as
-    array('i') columns.
+    array('i') columns, off `algebra3.graph_keys` at x = x_i over y in `regs`.
 
     R_x a = phi(a, x), so for regular x, U(x_i, x_j) = {(R_{x_i} a | R_{x_j} a)}
-    is the graph of R_{x_i} R_{x_j}^{-1} over its second half, and skey keys
-    that map: `linalg.graph_keys` over the tables of R (`image_table`).  mrow
-    keys R_{x_k}^{-1} R_{x_i} by its transpose R_{x_i}^T (R_{x_k}^T)^{-1}:
-    `graph_keys` over the tables of R^T.  RuntimeError when some R_x is
-    singular, as `graph_keys` reads the inverses off the tables.
-    """
-    from ..splitalbert import TriVector, rmat
-
-    fld = spec.field
-    mats = [rmat(spec, TriVector("V", x)) for x in regs]
-    ids = []  # rows of key ids, over the tables of R (images: the columns), then of R^T
-    for images in ([list(zip(*rows)) for rows in mats], mats):
-        tables = [array("H", image_table(fld, im)) for im in images]
+    is the graph of R_{x_j} R_{x_i}^{-1}.  R_{x_k}^{-1} R_{x_i} is the inverse of
+    R_{x_i}^{-1} R_{x_k}, the transpose of R'_{x_k} R'_{x_i}^{-1} with R' that of
+    the transposed tensor (`algebra3.transposed`), so both key the same partition.
+    RuntimeError when some R_x is singular."""
+    on_regs = itemgetter(*(vec_index(spec.field.order, x) for x in regs))
+    ids = []
+    for alg in (spec, transposed(spec)):
+        tables = {b: on_regs(table) for b, table in point_tables(alg).items()}
         pool: dict[int, int] = {}
         ids.append([array("i", [pool.setdefault(k, len(pool)) for k in keys])
-                    for keys in graph_keys(fld.order, tables, tables, lambda i: (
-                        f"some e_j is not in the table of R_x, x = {regs[i]}: R_x is singular"))])
-    skey_rows, mrow = ids
-    return array("i", itertools.chain.from_iterable(skey_rows)), mrow
+                    for keys in graph_keys(alg, regs, tables)])
+    return array("i", itertools.chain.from_iterable(ids[0])), ids[1]
 
 
 def _classes(keys, count: int) -> list[array]:

@@ -15,7 +15,8 @@ index of its coordinates over (1, t, t^2).
 A linear map of F^3 is swept as its table on indices (`image_table`).  An
 invertible map T is keyed by one int, k_0 + n k_1 + n^2 k_2 with n = q^3 and
 k_j the index of T e_j: that is the F^3 index of each column of T, and for a
-graph {(w, T w)} the RREF rows (e_j | T e_j) (`graph_keys`).
+graph {(w, T w)} the RREF rows (e_j | T e_j).  `algebra3.graph_keys` builds
+these keys for T = R_y R_x^-1.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import combinations, product
-from operator import add, itemgetter
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only; gf imports this module's codec
@@ -296,24 +296,3 @@ def image_table(fld: Field, images) -> list[int]:
             t0, t1, t2 = (add_t[add_t[s1[k]][s2[k]]] for k in range(3))
             out += [t0[u0] + q * t1[u1] + qq * t2[u2] for u0, u1, u2 in m0]
     return out
-
-
-def graph_keys(q: int, xs, ys, singular):
-    """Per table Y of `ys`, the list of keys of Y X^-1 over the tables X of `xs`.
-
-    Tables are F^3 index tables of linear maps (`image_table`), two or more in
-    `xs`, and keys are as in the module docstring.  X^-1 e_j is read off X with
-    `.index` (e_j has index q^j); RuntimeError(singular(i)) if the i-th X misses it.
-    """
-    n = q**3
-    solve = []
-    for i, table in enumerate(xs):
-        try:
-            solve.append([table.index(e) for e in (1, q, q * q)])
-        except ValueError:
-            raise RuntimeError(singular(i)) from None
-    take0, take1, take2 = (itemgetter(*a_j) for a_j in zip(*solve))
-    by_n, by_n2 = ([k * n**j for k in range(n)] for j in (1, 2))
-    for y in ys:
-        yield list(map(add, map(add, take0(y), map(by_n.__getitem__, take1(y))),
-                       map(by_n2.__getitem__, take2(y))))

@@ -10,6 +10,7 @@ from collections import Counter
 
 import pytest
 
+from twistfield import algebra3
 from twistfield.algebra3 import (
     Algebra3,
     IsotopyClass,
@@ -493,12 +494,12 @@ def test_zero_divisors_raise_runtime_error(tower3):
 
 def test_missing_division_vector_raises_runtime_error(alg3, monkeypatch):
     # R_a^-1 e_j goes missing at the point a = e_2: the inventory, whose keys come
-    # from the division tables, must not be built
-    real = census.inverse_columns
-    r_e2 = tuple(zip(*census.basis_products(alg3, (0, 0, 1))))
-    monkeypatch.setattr(census, "inverse_columns",
+    # from the division tables through algebra3.graph_keys, must not be built
+    real = algebra3.inverse_columns
+    r_e2 = algebra3.right_mul_matrix(alg3, (0, 0, 1))
+    monkeypatch.setattr(algebra3, "inverse_columns",
                         lambda fld, rows: None if rows == r_e2 else real(fld, rows))
-    with pytest.raises(RuntimeError, match=r"singular at a = \(0, 0, 1\): not a division"):
+    with pytest.raises(RuntimeError, match=r"R_x is singular at x = \(0, 0, 1\)"):
         build_inventory(alg3)
 
 

@@ -1,5 +1,5 @@
-"""The JSON of census, line-census, --scan-all and Theorems A and B at q = 3, 4 and 5,
-pinned across versions.
+"""The JSON of census, line-census, --scan-all, Theorems A and B and the split side
+(Theorems 3.1 and 7.1 and the 7.2 analogue) at q = 3, 4 and 5, pinned across versions.
 
 `data/cli_golden.json` maps each command line of `GOLDEN_COMMANDS` to its exit code and
 its stdout (JSON without the `runtime_ms` fields, or the CSV text).  Regenerate it with
@@ -34,7 +34,10 @@ GOLDEN_COMMANDS = [
     for command in (["census", "--v", NONDEGENERATE_V], ["census", "--v", DEGENERATE_V],
                     ["line-census", "--v", NONDEGENERATE_V], ["census", "--scan-all"],
                     ["verify", "--theorem", "A"], ["verify", "--theorem", "B"])
-] + [["census", "--v", "[1,1,0],[1,1,0]", "--q", "4", "--norm-target", "u", "--format", "csv"]]
+] + [["census", "--v", "[1,1,0],[1,1,0]", "--q", "4", "--norm-target", "u", "--format", "csv"]] + [
+    ["verify", "--theorem", theorem, "--q", q]
+    for q in ("3", "4", "5") for theorem in ("3.1", "7.1", "7.2-analogue")
+] + [["verify", "--theorem", "3.1", "--q", "5", "--d", "1,2,3"]]
 
 
 def run(argv: list[str]) -> dict:

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistfield import gf
+from twistfield.algebra3 import (TwistedFieldSpec, graph_keys, point_tables, right_mul_matrix,
+                                 to_structure_constants, valid_c_values)
 from twistfield.linalg import (
     Subspace,
     cross,
     decode_vector,
     det3,
     f3_vectors,
-    graph_keys,
     image_table,
     intersect_rows,
     inverse_columns,
@@ -24,6 +25,8 @@ from twistfield.linalg import (
     unit_row,
     vec_index,
 )
+
+from twistfield.splitalbert import SplitAlbertSpec
 
 from reference_kernels import mat_inv
 
@@ -278,38 +281,31 @@ def test_scaling_table_scales_each_coordinate():
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_graph_keys_are_the_rref_of_the_graph_rows(q):
-    fld = FIELDS[q]
-    rng = random.Random(q)
-    tables = []
-    while len(tables) < 30:
-        rows = [random_vector(rng, fld, 3) for _ in range(3)]
-        if len(rref_rows(fld, rows)[0]) == 3:
-            tables.append(image_table(fld, list(zip(*rows))))
-    # (X M, Y M) spans the graph of (X, Y), so the first 5 x 8 pairs are each keyed twice
-    m = tables[-1]
-    xs = tables[:5] + [[t[v] for v in m] for t in tables[:5]]
-    ys = tables[5:13] + [[t[v] for v in m] for t in tables[5:13]] + tables[13:29]
-    keys = list(graph_keys(q, xs, ys, str))
-    assert [len(row) for row in keys] == [len(xs)] * len(ys)
-    n, unit = q**3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    rrefs = {}
-    for y, row in zip(ys, keys):  # per Y, X fastest
-        for x, key in zip(xs, row):
-            graph = [decode_vector(q, x[q**j], 3) + decode_vector(q, y[q**j], 3) for j in range(3)]
-            rref = rref_rows(fld, graph)[0]
-            # the RREF rows are (e_j | Y X^-1 e_j), and k_j is the index of Y X^-1 e_j
-            assert rref == tuple(e + decode_vector(q, key // n**j % n, 3)
-                                 for j, e in enumerate(unit))
-            rrefs.setdefault(key, set()).add(rref)
-    assert all(len(r) == 1 for r in rrefs.values())  # equal keys, equal RREFs
-    assert len({r.pop() for r in rrefs.values()}) == len(rrefs) < len(xs) * len(ys)
+    # a twisted field at every point x and every y, and a split Albert map at its regular
+    # x and y: the graph {(R_x a, R_y a)} of R_y R_x^-1 has the RREF rows
+    # (e_j | R_y R_x^-1 e_j), and k_j is the index of R_y R_x^-1 e_j
+    tower = gf.FieldTower.build(q)
+    twisted = to_structure_constants(TwistedFieldSpec(tower, valid_c_values(tower)[0]))
+    split = SplitAlbertSpec(tower.base, (1, 1, 1) if q == 3 else (2, 1, 1))  # d0 d1 d2 != -1
+    vecs = f3_vectors(q)
+    regs = [v for v in vecs if all(v)]
+    n, unit = q**3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for alg, xs, ys in ((twisted, [vecs[b] for b in points(q)], vecs), (split, regs, regs)):
+        tables = {b: [table[vec_index(q, y)] for y in ys] for b, table in point_tables(alg).items()}
+        keys = list(graph_keys(alg, xs, tables))
+        assert [len(row) for row in keys] == [len(ys)] * len(xs)
+        for x, row in zip(xs, keys):
+            for y, key in zip(ys, row):
+                graph = [rx + ry for rx, ry in zip(zip(*right_mul_matrix(alg, x)),
+                                                   zip(*right_mul_matrix(alg, y)))]
+                assert rref_rows(alg.field, graph)[0] == tuple(
+                    e + decode_vector(q, key // n**j % n, 3) for j, e in enumerate(unit))
 
 
-def test_graph_keys_name_the_first_singular_table():
-    fld = F3
-    invertible = image_table(fld, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    misses_e1 = image_table(fld, [(1, 0, 0), (0, 0, 0), (0, 0, 1)])  # e_0 and e_2 are hit
-    assert 1 in misses_e1 and 9 in misses_e1 and 3 not in misses_e1
-    with pytest.raises(RuntimeError, match="^table 2 is singular$"):
-        next(graph_keys(3, [invertible, invertible, misses_e1, misses_e1], [invertible],
-                        lambda i: f"table {i} is singular"))
+def test_graph_keys_name_the_singular_x():
+    # R_x of a split Albert map is singular off the regular x: det R_x = (1 + d) x0 x1 x2
+    spec = SplitAlbertSpec(F3, (1, 1, 1))
+    keys = graph_keys(spec, [(1, 1, 1), (1, 2, 0), (0, 1, 1)], point_tables(spec))
+    assert len(next(keys)) == 27
+    with pytest.raises(RuntimeError, match=r"^R_x is singular at x = \(1, 2, 0\)$"):
+        next(keys)

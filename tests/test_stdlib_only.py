@@ -181,6 +181,9 @@ TEST_ONLY_DEFINITIONS = {
     "complementary_space_count", "global_counts", "nu_via_phi", "check_splitting_identity",
     # bench/layers.py times it until the benchmark drops it (ROADMAP item 1)
     "added_rank",
+    # R_y of the split Albert map: the tests' references and bench/layers.py read it,
+    # while split Theorem 3.1 keys R_y R_x^-1 through algebra3.graph_keys
+    "rmat",
 }
 # Methods that only tests name: FieldTower.frobenius keeps its ext.check ValueError guard
 # (ROADMAP keep list), and Subspace.contains is the membership test of the linalg tests.

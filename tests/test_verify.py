@@ -6,7 +6,7 @@ from array import array
 
 import pytest
 
-from twistfield import gf, splitalbert
+from twistfield import gf
 from twistfield.algebra3 import (
     IsotopyClass,
     TwistedFieldSpec,
@@ -300,9 +300,9 @@ def reference_theorem_3_1(spec):
     """The old loop over every regular quadruple; also returns its per-quadruple `examine`.
 
     U(x, y) is the RREF of the rows (R_x e_m | R_y e_m), and the matrix criterion is
-    the product of a dense inverse with R (`reference_kernels`).  R is read through
-    the splitalbert module, so a monkeypatched `rmat` reaches the reference as it
-    reaches the graph keys.
+    the product of a dense inverse with R (`reference_kernels`).  R is read off the
+    structure tensor of `spec`, as the graph keys read it, so a mutated tensor reaches
+    both.
     """
     fld = spec.field
     q = fld.order
@@ -317,7 +317,7 @@ def reference_theorem_3_1(spec):
     skey_pool, mkey_pool = {}, {}
     skey = [[0] * r for _ in range(r)]
     mkey = [[0] * r for _ in range(r)]
-    rmats = [splitalbert.rmat(spec, TriVector("V", v)) for v in regs]
+    rmats = [rmat(spec, TriVector("V", v)) for v in regs]
     rinvs = [mat_inv(fld, m) for m in rmats]
     for i in range(r):
         for j in range(r):
@@ -373,24 +373,20 @@ def test_split_theorem_31_matches_quadruple_reference(q):
         assert got.passed and got.checked == (q - 1) ** 12
 
 
-@pytest.mark.parametrize("kernel", ["rmat", "rmat_singular", "image_table"])
-def test_split_theorem_31_mutations_fail_with_replayable_witnesses(monkeypatch, kernel):
-    # rmat: R of one vector replaced by another's (span and prediction split), which the
-    # reference reads too and replays; rmat_singular: R of one vector replaced by the
-    # singular R of (1, 2, 0); image_table: tables that never reach e_0 = index 1.  No
-    # inverse can be read off a table of the last two, which the run checks.
+@pytest.mark.parametrize("entry, value", [((2, 0, 1), 0), ((0, 0, 0), 1)],
+                         ids=["zeroed_entry", "singular_entry"])
+def test_split_theorem_31_mutations_fail_with_replayable_witnesses(entry, value):
+    # one entry of the structure tensor changed, which the graph keys and the reference
+    # both read: zeroing s[2][0][1] splits span and prediction, and the reference replays
+    # every witness; s[0][0][0] = 1 makes R_x singular at the regular x = (1, 1, 2), from
+    # which no key can be built, which the run checks
     spec = SplitAlbertSpec(gf.Field.of_order(3), (1, 1, 1))
-    if kernel == "image_table":
-        real = verify_module.image_table
-        monkeypatch.setattr(verify_module, "image_table", lambda fld, images: [
-            0 if i == 1 else i for i in real(fld, images)])
-    else:
-        real = splitalbert.rmat
-        swap = (1, 1, 1) if kernel == "rmat" else (1, 2, 0)
-        monkeypatch.setattr(splitalbert, "rmat", lambda sp, v: real(
-            sp, TriVector("V", swap) if v.coords == (1, 2, 2) else v))
-    if kernel != "rmat":
-        with pytest.raises(RuntimeError, match="is singular"):
+    tensor = [[list(row) for row in plane] for plane in spec.tensor]
+    i, j, k = entry
+    tensor[i][j][k] = value
+    object.__setattr__(spec, "tensor", tuple(tuple(map(tuple, plane)) for plane in tensor))
+    if value:
+        with pytest.raises(RuntimeError, match=r"R_x is singular at x = \(1, 1, 2\)"):
             verify_split_theorem_3_1(spec)
         return
     verdict = verify_split_theorem_3_1(spec)
