@@ -15,7 +15,7 @@ from operator import add
 
 from .gf import Field, FieldTower
 from .linalg import (Row, det3, f3_vectors, identity_rows, image_table, inverse_columns,
-                     kernel_rows, mat_vec, points, scaling_table, vec_index)
+                     kernel_rows, mat_vec, points, scalar_multiples, vec_index)
 
 Vec3 = tuple[int, int, int]
 Tensor = tuple[tuple[tuple[int, int, int], ...], ...]
@@ -228,9 +228,11 @@ def graph_keys(alg, xs, tables):
     entry of tables[b].  RuntimeError naming x when R_x is singular."""
     fld = alg.field
     q = fld.order
-    scaled = [scaling_table(fld, (k, k, k)) for k in range(q)]  # scaled[k][w]: the index of k w
-    # packed[j][k][w]: n^j times the index of k w, n = q^3
-    packed = [[array("q", [m * w for w in s]) for s in scaled] for m in (1, q**3, q**6)]
+    n = q**3
+    scale = scalar_multiples(fld)  # scale[k * n + w]: the index of k w
+    # packed[j][k][w]: n^j times the index of k w
+    packed = [[array("q", map(m.__mul__, scale[k * n:(k + 1) * n])) for k in range(q)]
+              for m in (1, n, n * n)]
     for x in xs:
         cols = inverse_columns(fld, right_mul_matrix(alg, x))
         if cols is None:
@@ -238,7 +240,7 @@ def graph_keys(alg, xs, tables):
         parts = []
         for j, a_j in enumerate(cols):
             k = next(c for c in reversed(a_j) if c)
-            b = scaled[fld.inv_t[k]][vec_index(q, a_j)]
+            b = scale[fld.inv_t[k] * n + vec_index(q, a_j)]
             parts.append(map(packed[j][k].__getitem__, tables[b]))
         yield array("q", map(add, map(add, parts[0], parts[1]), parts[2]))
 

@@ -80,7 +80,7 @@ from ..algebra3 import (
 )
 from ..gf import Field, FieldTower, format_triple
 from ..linalg import (Subspace, cross, decode_vector, f3_vectors, identity_rows, image_table,
-                      mat_vec, points, rref_rows, scaling_table, unit_row, vec_index)
+                      mat_vec, points, rref_rows, scalar_multiples, unit_row, vec_index)
 from .spaces import (
     DEGENERATE,
     NONDEGENERATE,
@@ -389,7 +389,7 @@ def division_tables(alg: Algebra3) -> DivisionTables:
     q = fld.order
     n = q**3
     vecs = f3_vectors(q)
-    scale = array("H", chain.from_iterable(scaling_table(fld, (k, k, k)) for k in range(q)))
+    scale = scalar_multiples(fld)
     lead = array("i", [0] + [n * fld.inv_t[next(c for c in reversed(y) if c)] for y in vecs[1:]])
     tables = point_tables(alg)
     for a, table in tables.items():

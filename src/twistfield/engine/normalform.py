@@ -19,6 +19,9 @@ is regular (V), whether the rows of [G0 | G1] span at most a line (VI), or
 else whether the columns of [G0 ; G1] do (VII), none of which P changes.
 `verify_normal_forms` classifies one pair per left-GL2 orbit on that ground,
 and checks the invariance on generators of GL2.
+
+The 2x2 kernels read rows of the field's `mul_t`, `add_t`, `sub_t`, `neg_t`
+and `inv_t`, so `fld` must be tabulated (a base field GF(q) from `gf`).
 """
 
 from __future__ import annotations
@@ -36,22 +39,27 @@ ZERO: Mat2 = ((0, 0), (0, 0))
 
 
 def det2(fld: Field, m: Mat2) -> int:
-    return fld.sub(fld.mul(m[0][0], m[1][1]), fld.mul(m[0][1], m[1][0]))
+    (a, b), (c, d) = m
+    mul = fld.mul_t
+    return fld.sub_t[mul[a][d]][mul[b][c]]
 
 
 def mul2(fld: Field, a: Mat2, b: Mat2) -> Mat2:
-    return tuple(
-        tuple(fld.add(fld.mul(a[i][0], b[0][j]), fld.mul(a[i][1], b[1][j])) for j in range(2))
-        for i in range(2)
-    )
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    add, mul = fld.add_t, fld.mul_t
+    r00, r01, r10, r11 = mul[a00], mul[a01], mul[a10], mul[a11]
+    return ((add[r00[b00]][r01[b10]], add[r00[b01]][r01[b11]]),
+            (add[r10[b00]][r11[b10]], add[r10[b01]][r11[b11]]))
 
 
 def inv2(fld: Field, m: Mat2) -> Mat2:
-    s = fld.inv(det2(fld, m))
-    return (
-        (fld.mul(s, m[1][1]), fld.mul(s, fld.neg(m[0][1]))),
-        (fld.mul(s, fld.neg(m[1][0])), fld.mul(s, m[0][0])),
-    )
+    (a, b), (c, d) = m
+    det = det2(fld, m)
+    if not det:
+        raise ZeroDivisionError("inverse of a singular matrix")
+    s, neg = fld.mul_t[fld.inv_t[det]], fld.neg_t
+    return ((s[d], s[neg[b]]), (s[neg[c]], s[a]))
 
 
 @dataclass(frozen=True)
@@ -66,29 +74,32 @@ class PairNormalForm:
 
 def _eigen_split(fld: Field, m: Mat2):
     """(roots in F of X^2 - tr X + det, tr, det) for m's trace tr and determinant det."""
-    tr = fld.add(m[0][0], m[1][1])
+    mul = fld.mul_t
+    tr = fld.add_t[m[0][0]][m[1][1]]
     det = det2(fld, m)
-    roots = [x for x in fld.elements()
-             if fld.add(fld.mul(x, x), det) == fld.mul(tr, x)]
+    plus_det, times_tr = fld.add_t[det], mul[tr]
+    roots = [x for x, row in enumerate(mul) if plus_det[row[x]] == times_tr[x]]
     return roots, tr, det
 
 
 def _eigenvector(fld: Field, m: Mat2, lam: int) -> tuple[int, int]:
     """A kernel vector of m - lam*I, leading coordinate normalized to 1."""
-    a = ((fld.sub(m[0][0], lam), m[0][1]), (m[1][0], fld.sub(m[1][1], lam)))
-    if a[0] != (0, 0):
-        v = (a[0][1], fld.neg(a[0][0]))
+    (a, b), (c, d) = m
+    sub, neg = fld.sub_t, fld.neg_t
+    a = sub[a][lam]
+    if a or b:
+        v0, v1 = b, neg[a]
     else:
-        v = (a[1][1], fld.neg(a[1][0]))
-    s = fld.inv(v[0] if v[0] else v[1])
-    return (fld.mul(s, v[0]), fld.mul(s, v[1]))
+        v0, v1 = sub[d][lam], neg[c]
+    s = fld.mul_t[fld.inv_t[v0 or v1]]
+    return (s[v0], s[v1])
 
 
 def _apply2(fld: Field, m: Mat2, v) -> tuple[int, int]:
-    return (
-        fld.add(fld.mul(m[0][0], v[0]), fld.mul(m[0][1], v[1])),
-        fld.add(fld.mul(m[1][0], v[0]), fld.mul(m[1][1], v[1])),
-    )
+    (a, b), (c, d) = m
+    x, y = v
+    add, mul = fld.add_t, fld.mul_t
+    return (add[mul[a][x]][mul[b][y]], add[mul[c][x]][mul[d][y]])
 
 
 def _similarity_to_normal(fld: Field, m: Mat2):
@@ -105,7 +116,8 @@ def _similarity_to_normal(fld: Field, m: Mat2):
         if m == ((lam, 0), (0, lam)):
             return "I", (lam, lam), ID2
         # lower Jordan block: columns s1 with (m - lam) s1 != 0, then s2 = (m - lam) s1
-        shifted = ((fld.sub(m[0][0], lam), m[0][1]), (m[1][0], fld.sub(m[1][1], lam)))
+        sub = fld.sub_t
+        shifted = ((sub[m[0][0]][lam], m[0][1]), (m[1][0], sub[m[1][1]][lam]))
         for cand in ((1, 0), (0, 1)):
             s2 = _apply2(fld, shifted, cand)
             if s2 != (0, 0):
@@ -125,15 +137,15 @@ def _reduce_rank1(fld: Field, a: Mat2) -> tuple[Mat2, Mat2]:
         P = ((0, 1), (1, 0))
     if j == 1:
         Q = ((0, 1), (1, 0))
+    neg = fld.neg_t
     m = mul2(fld, mul2(fld, P, a), Q)
-    s = fld.inv(m[0][0])
-    P = mul2(fld, ((s, 0), (0, 1)), P)
+    P = mul2(fld, ((fld.inv_t[m[0][0]], 0), (0, 1)), P)
     m = mul2(fld, mul2(fld, P, a), Q)
     if m[1][0]:
-        P = mul2(fld, ((1, 0), (fld.neg(m[1][0]), 1)), P)
+        P = mul2(fld, ((1, 0), (neg[m[1][0]], 1)), P)
         m = mul2(fld, mul2(fld, P, a), Q)
     if m[0][1]:
-        Q = mul2(fld, Q, ((1, fld.neg(m[0][1])), (0, 1)))
+        Q = mul2(fld, Q, ((1, neg[m[0][1]]), (0, 1)))
         m = mul2(fld, mul2(fld, P, a), Q)
     if m != E11:
         raise RuntimeError("rank-1 reduction failed")  # would mean rank 2 input
@@ -155,7 +167,7 @@ def template(fld: Field, tag: str, params: tuple[int, ...]):
         block = ((lam, 0), (1, lam))
     elif tag == "I*":
         det, tr = params
-        block = ((0, fld.neg(det)), (1, tr))
+        block = ((0, fld.neg_t[det]), (1, tr))
     elif tag == "V":
         return E11, E22
     elif tag in ("VI", "VII"):
@@ -169,11 +181,12 @@ def template(fld: Field, tag: str, params: tuple[int, ...]):
 
 
 def pair_normal_form(fld: Field, g0: Mat2, g1: Mat2) -> PairNormalForm:
-    g0 = tuple(tuple(r) for r in g0)
-    g1 = tuple(tuple(r) for r in g1)
-    if det2(fld, g0) != 0 or det2(fld, g1) != 0:
+    g0 = tuple(map(tuple, g0))
+    g1 = tuple(map(tuple, g1))
+    det0 = det2(fld, g0)
+    if det0 or det2(fld, g1):
         # III/IV are I/II of the exchanged pair (G1, G0)
-        switched = det2(fld, g0) == 0
+        switched = not det0
         a, b = (g1, g0) if switched else (g0, g1)
         a_inv = inv2(fld, a)
         tag, params, Q = _similarity_to_normal(fld, mul2(fld, a_inv, b))
@@ -186,12 +199,13 @@ def pair_normal_form(fld: Field, g0: Mat2, g1: Mat2) -> PairNormalForm:
         P, Q = _reduce_rank1(fld, g0)
         b = mul2(fld, mul2(fld, P, g1), Q)
         if b[1][1]:
-            s = fld.inv(b[1][1])
+            s = fld.inv_t[b[1][1]]
+            by_s, neg = fld.mul_t[s], fld.neg_t
             if b[0][1]:
                 # row0 -= (b01/b11) row1 keeps E11 (its second row is zero)
-                P = mul2(fld, ((1, fld.neg(fld.mul(b[0][1], s))), (0, 1)), P)
+                P = mul2(fld, ((1, neg[by_s[b[0][1]]]), (0, 1)), P)
             if b[1][0]:
-                Q = mul2(fld, Q, ((1, 0), (fld.neg(fld.mul(b[1][0], s)), 1)))
+                Q = mul2(fld, Q, ((1, 0), (neg[by_s[b[1][0]]], 1)))
             P = mul2(fld, ((1, 0), (0, s)), P)
             if mul2(fld, mul2(fld, P, g1), Q) != E22:
                 raise RuntimeError("V-normalization failed")

@@ -19,7 +19,7 @@ from ..algebra3 import (Algebra3, IsotopyClass, TwistedFieldSpec, basis_products
                         point_tables, transposed)
 from ..gf import Field
 from ..linalg import (cross, decode_vector, echelon_bases, f3_vectors, image_table, kernel_rows,
-                      scaling_table, unit_row, vec_index)
+                      scalar_multiples, scaling_table, unit_row, vec_index)
 from .spaces import NONDEGENERATE, PairVector, intersection_dim, plane_representatives
 
 TYPE_CHECKING = False
@@ -58,14 +58,15 @@ def verify_theorem_A(alg: Algebra3, inventory: AvInventory | None = None) -> Ver
     if inventory is None:
         inventory = build_inventory(alg)
     space_of = inventory.space_of
-    scales = [scaling_table(fld, (k, k, k)) for k in range(1, q)]
+    scale = scalar_multiples(fld)  # scale[k * n + w]: the index of k w
     failed = []
     for pos, (fiber, first, kind) in enumerate(zip(inventory.fiber, inventory.first,
                                                    inventory.kind)):
         if KINDS[kind] != NONDEGENERATE:
             continue
         x, y = first % n, first // n
-        if fiber != q - 1 or any(space_of[s[x] + n * s[y]] != pos for s in scales):
+        if fiber != q - 1 or any(space_of[scale[k + x] + n * scale[k + y]] != pos
+                                 for k in range(n, q * n, n)):
             failed.append(pos)
     witnesses = []
     for pos in failed[:5]:
@@ -309,14 +310,22 @@ def _projective_sum_table(fld: Field) -> list[list[int]]:
     """table[a][b] = the index of a + b in F^3, scaled to lead with 1 (0 stays 0).
 
     Three vectors of F^3 span a line iff their scaled indices, 0 dropped,
-    are one and the same.
+    are one and the same.  Row a reads the digits of a + b off the rows
+    add_t[a_j], b in index order (b_0 fastest).
     """
     q = fld.order
     add = fld.add_t
     vecs = f3_vectors(q)
     scaled = [vec_index(q, unit_row(fld, v)) for v in vecs]
-    return [[scaled[vec_index(q, [add[s][t] for s, t in zip(a, b)])] for b in vecs]
-            for a in vecs]
+    table = []
+    for a0, a1, a2 in vecs:
+        digits0, row = add[a0], []
+        for s2 in add[a2]:
+            for s1 in add[a1]:
+                base = q * (s1 + q * s2)
+                row += map(scaled[base:base + q].__getitem__, digits0)
+        table.append(row)
+    return table
 
 
 def search_theorem_7_2_analogue(spec: SplitAlbertSpec) -> Verdict:

@@ -14,7 +14,9 @@ polynomial.  A base field GF(q), built by `Field.of_order` from its
 `default_field_spec`, memoizes its arithmetic into full tables, which the
 census and verifier kernels read; the cubic extension K = GF(q^3), built by
 `FieldTower.build` through `Field.extension`, computes each operation on
-demand.  No discrete-log shortcuts.
+demand.  Frobenius x -> x^q is F-linear, so the tower tabulates it from
+t^q and t^2q alone, not from a power of each element.  No discrete-log
+shortcuts.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
 
-from .linalg import decode_vector, vec_index
+from .linalg import decode_vector, image_table, vec_index
 
 SUPPORTED_Q = (3, 4, 5, 7, 8, 9)
 
@@ -60,23 +62,29 @@ def _poly_eval(fld: "Field", coeffs: tuple[int, ...], x: int) -> int:
 
 
 def _poly_mul_mod(fld: "Field", a: list[int], b: list[int], modulus: tuple[int, ...]) -> list[int]:
-    """Schoolbook product of two coefficient vectors, reduced mod a monic modulus."""
+    """Schoolbook product of two coefficient vectors, reduced mod a monic modulus.
+
+    `fld` is tabulated: every coefficient field is a GF(q) built by `Field.of_order`.
+    """
+    add, sub, mul = fld.add_t, fld.sub_t, fld.mul_t
     deg = len(modulus) - 1
     prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai == 0:
             continue
+        by_ai = mul[ai]
         for j, bj in enumerate(b):
             if bj:
-                prod[i + j] = fld.add(prod[i + j], fld.mul(ai, bj))
+                prod[i + j] = add[prod[i + j]][by_ai[bj]]
     # reduce: t^deg = -(modulus[0] + ... + modulus[deg-1] t^{deg-1})
     for k in range(len(prod) - 1, deg - 1, -1):
         c = prod[k]
         if c == 0:
             continue
         prod[k] = 0
+        by_c = mul[c]
         for j in range(deg):
-            prod[k - deg + j] = fld.sub(prod[k - deg + j], fld.mul(c, modulus[j]))
+            prod[k - deg + j] = sub[prod[k - deg + j]][by_c[modulus[j]]]
     return prod[:deg]
 
 
@@ -384,9 +392,12 @@ def rootless_monic(base: Field, deg: int) -> tuple[int, ...]:
 class FieldTower:
     """GF(q) together with its cubic extension, Frobenius x -> x^q and norm.
 
-    `f` is the monic cubic modulus as 4 base-field element indices.  The
-    constructor checks that Frobenius has order 3 and fixes exactly the
-    embedded copy of the base field, which certifies the tower is cyclic.
+    `f` is the monic cubic modulus as 4 base-field element indices.  Frobenius
+    is F-linear, so `frob_t` is tabulated from t^q and t^2q alone
+    (`linalg.image_table` on the images of 1, t, t^2); the norm table reads it.
+    The constructor checks on the table that Frobenius has order 3 and fixes
+    exactly the embedded copy of the base field, which certifies the tower is
+    cyclic, and that every norm is fixed.
     """
 
     base: Field
@@ -413,7 +424,9 @@ class FieldTower:
     def _build_tables(self) -> None:
         q = self.base.order
         K = self.ext
-        frob = [K.pow(x, q) for x in K.elements()]
+        # x -> x^q is F-linear: the coordinates of x over (1, t, t^2) map t^j to t^(jq)
+        t_q = K.pow(q, q)  # q is the index of t
+        frob = image_table(self.base, [K.coeffs(1), K.coeffs(t_q), K.coeffs(K.mul(t_q, t_q))])
         for x in K.elements():
             if frob[frob[frob[x]]] != x:
                 raise RuntimeError("Frobenius does not have order 3; broken tower")

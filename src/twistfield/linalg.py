@@ -21,9 +21,10 @@ these keys for T = R_y R_x^-1.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only; gf imports this module's codec
@@ -262,6 +263,13 @@ def det3(fld: Field, rows) -> int:
 def scaling_table(fld: Field, s) -> list[int]:
     """The `image_table` of x -> (s_0 x_0, s_1 x_1, s_2 x_2)."""
     return image_table(fld, [tuple(c if k == j else 0 for k in range(3)) for j, c in enumerate(s)])
+
+
+@lru_cache(maxsize=None)
+def scalar_multiples(fld: Field) -> array:
+    """The index of k v at k q^3 + (the index of v), for every k in F and v in F^3: the
+    `scaling_table` of (k, k, k) for each k in turn, built once per field."""
+    return array("H", chain.from_iterable(scaling_table(fld, (k, k, k)) for k in range(fld.order)))
 
 
 def inverse_columns(fld: Field, rows) -> tuple[Row, Row, Row] | None:

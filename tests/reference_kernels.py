@@ -1,7 +1,9 @@
 """Kernels the tests use as references: dense matrix products and inverses, the split
 Albert map written out from its basis rules, the q^6 left multiplication and division
-tables, the inventory before its column layout, and the census kernel that reads the
-inventory's columns over those tables.  No code in `src/` calls them."""
+tables, the inventory before its column layout, the census kernel that reads the
+inventory's columns over those tables, the 2x2 helpers of `normalform` and the 7.2
+sum table written with one `Field` method call or one `vec_index` per entry.  No code
+in `src/` calls them."""
 
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from twistfield.algebra3 import basis_products
 from twistfield.engine.census import DIM_KEYS, KINDS, SpaceRec
 from twistfield.engine.spaces import DEGENERATE, NONDEGENERATE
 from twistfield.linalg import (decode_vector, f3_vectors, identity_rows, image_table, points,
-                               rref_rows, vec_index)
+                               rref_rows, unit_row, vec_index)
 
 
 def mat_mul(fld, a, b):
@@ -40,6 +42,45 @@ def mat_inv(fld, a):
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
     return tuple(r[n:] for r in rows)
+
+
+def reference_det2(fld, m):
+    return fld.sub(fld.mul(m[0][0], m[1][1]), fld.mul(m[0][1], m[1][0]))
+
+
+def reference_mul2(fld, a, b):
+    return tuple(
+        tuple(fld.add(fld.mul(a[i][0], b[0][j]), fld.mul(a[i][1], b[1][j])) for j in range(2))
+        for i in range(2)
+    )
+
+
+def reference_inv2(fld, m):
+    s = fld.inv(reference_det2(fld, m))
+    return (
+        (fld.mul(s, m[1][1]), fld.mul(s, fld.neg(m[0][1]))),
+        (fld.mul(s, fld.neg(m[1][0])), fld.mul(s, m[0][0])),
+    )
+
+
+def reference_eigen_split(fld, m):
+    """(roots in F of X^2 - tr X + det, tr, det) for m's trace tr and determinant det."""
+    tr = fld.add(m[0][0], m[1][1])
+    det = reference_det2(fld, m)
+    roots = [x for x in fld.elements()
+             if fld.add(fld.mul(x, x), det) == fld.mul(tr, x)]
+    return roots, tr, det
+
+
+def reference_projective_sum_table(fld):
+    """table[a][b] = the index of a + b in F^3, scaled to lead with 1 (0 stays 0), one
+    `vec_index` per entry."""
+    q = fld.order
+    add = fld.add_t
+    vecs = f3_vectors(q)
+    scaled = [vec_index(q, unit_row(fld, v)) for v in vecs]
+    return [[scaled[vec_index(q, [add[s][t] for s, t in zip(a, b)])] for b in vecs]
+            for a in vecs]
 
 
 def reference_phi(spec, x, y):

@@ -248,6 +248,41 @@ def test_norm_fibers_exhaustive(q):
     assert all(n == expected for n in fibers.values())
 
 
+@pytest.mark.parametrize("q", gf.SUPPORTED_Q)
+def test_frobenius_table_is_the_power_map(q):
+    # the table comes from t^q and t^2q alone; every entry is x^q
+    tower = gf.FieldTower.build(q)
+    K = tower.ext
+    assert tower.frob_t == [K.pow(x, q) for x in K.elements()]
+
+
+def tamper_first_power(monkeypatch, value):
+    """Make the first `Field.pow` call return `value`: in `FieldTower.build` that call
+    is t^q, the one power the Frobenius table reads."""
+    real, calls = gf.Field.pow, []
+
+    def tampered(fld, a, e):
+        calls.append((a, e))
+        return value if len(calls) == 1 else real(fld, a, e)
+
+    monkeypatch.setattr(gf.Field, "pow", tampered)
+    return calls
+
+
+@pytest.mark.parametrize("q", gf.SUPPORTED_Q)
+def test_tampered_t_power_trips_the_tower_checks(monkeypatch, q):
+    # t^q -> 1 makes x -> x_0 + x_1 + x_2, of rank 1, so never of order 3
+    calls = tamper_first_power(monkeypatch, 1)
+    with pytest.raises(RuntimeError, match="Frobenius does not have order 3"):
+        gf.FieldTower.build(q)
+    assert calls == [(q, q)]  # the index of t is q
+    # t^q -> t makes the identity, of order 3 but fixing all of K
+    monkeypatch.undo()
+    tamper_first_power(monkeypatch, q)
+    with pytest.raises(RuntimeError, match="fixed field is not the embedded base"):
+        gf.FieldTower.build(q)
+
+
 def test_bad_tower_modulus_rejected():
     F3 = gf.Field.of_order(3)
     with pytest.raises(ValueError):

@@ -7,14 +7,20 @@ from twistfield.engine.normalform import (
     E11,
     E22,
     ID2,
+    _eigen_split,
     det2,
+    inv2,
     mul2,
     pair_normal_form,
     template_matches,
 )
 
+from reference_kernels import (reference_det2, reference_eigen_split, reference_inv2,
+                               reference_mul2)
+
 F2 = gf.Field.of_order(2)
 F3 = gf.Field.of_order(3)
+F4 = gf.Field.of_order(4)
 
 
 def all_mats(fld):
@@ -125,3 +131,20 @@ def test_singular_g0_is_the_exchanged_invertible_case(fld, count):
             assert form.rep == exchanged.rep[::-1]
             assert (form.p_mat, form.q_mat) == (exchanged.p_mat, exchanged.q_mat)
     assert len(singular) * len(invertible) == count
+
+
+@pytest.mark.parametrize("fld", [F3, F4], ids=["GF3", "GF4"])
+def test_table_helpers_match_the_field_method_reference(fld):
+    # GF(4) is not prime, so its tables are not arithmetic mod q
+    mats = all_mats(fld)
+    for m in mats:
+        assert det2(fld, m) == reference_det2(fld, m), m
+        assert _eigen_split(fld, m) == reference_eigen_split(fld, m), m
+        if reference_det2(fld, m):
+            assert inv2(fld, m) == reference_inv2(fld, m), m
+        else:
+            with pytest.raises(ZeroDivisionError):
+                inv2(fld, m)
+    for a in mats:
+        for b in mats:
+            assert mul2(fld, a, b) == reference_mul2(fld, a, b), (a, b)

@@ -1,6 +1,7 @@
 """Lints on the package source: pure standard library (numpy and the like are never
 imported), no unused or cross-module private imports, no unreferenced definitions,
-one reader of the structure tensor and one module that builds fields."""
+one reader of the structure tensor, one module that builds fields, and 2x2 normal-form
+kernels that read field tables."""
 
 from __future__ import annotations
 
@@ -265,3 +266,24 @@ def test_only_gf_builds_fields(tmp_path):
         "tower = FieldTower.build(3)\n"
         "prime = Field(None, (0, 1))\n")
     assert list(field_constructions(tmp_path)) == ["mod.py:3 Field"]
+
+
+FIELD_METHODS = {"mul", "add", "sub", "neg"}
+
+
+def field_method_calls(path):
+    """The location of every call of a method named in FIELD_METHODS in one file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in FIELD_METHODS:
+            yield f"{path.name}:{node.lineno} {node.func.attr}"
+
+
+def test_normalform_kernels_read_field_tables(tmp_path):
+    # the 2x2 kernels read rows of mul_t, add_t, sub_t and neg_t, not a call per entry
+    assert list(field_method_calls(PACKAGE / "engine" / "normalform.py")) == []
+    # and the lint sees a method call, but not a table read
+    (tmp_path / "mod.py").write_text(
+        "def det(fld, a, b, c, d):\n"
+        "    return fld.sub_t[fld.mul_t[a][d]][fld.mul(b, c)]\n")
+    assert list(field_method_calls(tmp_path / "mod.py")) == ["mod.py:2 mul"]

@@ -6,7 +6,7 @@ from array import array
 
 import pytest
 
-from twistfield import gf
+from twistfield import gf, linalg
 from twistfield.algebra3 import (
     IsotopyClass,
     TwistedFieldSpec,
@@ -16,7 +16,7 @@ from twistfield.algebra3 import (
     valid_c_values,
 )
 from twistfield.engine import normalform, verify as verify_module
-from twistfield.engine.census import build_inventory
+from twistfield.engine.census import build_inventory, division_tables
 from twistfield.engine.normalform import det2, template_matches
 from twistfield.engine.spaces import (
     DEGENERATE,
@@ -38,13 +38,26 @@ from twistfield.linalg import (added_rank, cross, decode_vector, f3_vectors, ima
                                kernel_rows, rref_rows, vec_index)
 from twistfield.splitalbert import SplitAlbertSpec, TriVector, rmat, rmat_inv
 
-from reference_kernels import mat_inv, mat_mul, with_space_of
+from reference_kernels import mat_inv, mat_mul, reference_projective_sum_table, with_space_of
 
 
 def test_theorem_A_q3_commutative_tensor(alg3):
     verdict = verify_theorem_A(alg3)
     assert verdict.passed and verdict.details["mode"] == "exhaustive"
     assert verdict.checked == 624
+
+
+def test_scalar_multiples_are_built_once_per_field(monkeypatch, alg3):
+    # the census tables, both graph-key passes of split 3.1 and Theorem A read one copy
+    fld = alg3.field
+    linalg.scalar_multiples.cache_clear()
+    built, real = [], linalg.scaling_table
+    monkeypatch.setattr(linalg, "scaling_table", lambda f, s: built.append(s) or real(f, s))
+    tables = division_tables(alg3)
+    assert verify_split_theorem_3_1(SplitAlbertSpec(fld, (1, 1, 1))).passed
+    assert verify_theorem_A(alg3).passed
+    assert tables.scale is linalg.scalar_multiples(fld)
+    assert built == [(k, k, k) for k in range(3)]
 
 
 def test_theorem_A_q3_noncommutative_tensor(tower3):
@@ -470,6 +483,12 @@ def reference_theorem_7_2(spec):
         "q": q, "d_product": spec.d_product,
         "admissible_quadruples": admissible, "two_dim_hits": len(hits),
         "note": "finite-field analogue; heuristic evidence, not a theorem check"})
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_projective_sum_table_matches_the_per_entry_reference(q):
+    fld = gf.Field.of_order(q)
+    assert verify_module._projective_sum_table(fld) == reference_projective_sum_table(fld)
 
 
 def full_plane_theorem_7_2(spec):
