@@ -128,7 +128,7 @@ class SpaceRecords(Sequence):
 
     def __getitem__(self, pos: int) -> SpaceRec:
         inv = self.inventory
-        q = inv.field.order
+        q = inv.alg.field.order
         n = q**3
         key, vecs = inv.key[pos], f3_vectors(q)
         if key < 0:  # Av' = 0 + A
@@ -154,25 +154,18 @@ class AvInventory:
     division: DivisionTables = dc_field(repr=False, compare=False)
     # kind -> (vectors, spaces) of that kind
     totals: dict = dc_field(repr=False, compare=False)
-
-    @property
-    def field(self) -> Field:
-        return self.alg.field
+    mode: dict  # where `totals` come from, for a report's parameters
 
     @property
     def spaces(self) -> SpaceRecords:
         return SpaceRecords(self)
 
-    @property
-    def mode(self) -> dict:
-        """Where `totals` come from, for a report's parameters."""
-        return {"mode": "exhaustive"}
-
 
 @dataclass
 class CertifiedTables:
     """What `meet_all` reads for a spec whose orbit is certified, with its algebra, class
-    and `plane_algebra` (`certified_tables`)."""
+    and `plane_algebra` (`certified_tables`), and `covered`, the plane_orbit (q^2-1)(q^2-q)
+    nondegenerate v that REPRESENTATIVE stands for."""
 
     alg: Algebra3
     cls: IsotopyClass
@@ -180,10 +173,7 @@ class CertifiedTables:
     mode: dict  # {"mode": "orbit", "orbit": the report block of the certificate}
     division: DivisionTables = dc_field(repr=False)  # division_tables(alg)
     totals: dict = dc_field(repr=False)  # as AvInventory.totals, from the orbit's fiber size
-
-    @property
-    def field(self) -> Field:
-        return self.alg.field
+    covered: int
 
 
 def index_chunks(total: int) -> list[tuple[int, int]]:
@@ -271,7 +261,8 @@ def build_inventory(alg: Algebra3, workers: int = 1) -> AvInventory:
     kind = array("b", [k in degenerate for k in key])  # KINDS: 0 nondegenerate, 1 degenerate
     totals = {name: (sum(f for f, k in zip(fiber, kind) if k == i), kind.count(i))
               for i, name in enumerate(KINDS)}
-    return AvInventory(alg, key, fiber, first, kind, space_of, division, totals)
+    return AvInventory(alg, key, fiber, first, kind, space_of, division, totals,
+                       {"mode": "exhaustive"})
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +391,11 @@ def division_tables(alg: Algebra3) -> DivisionTables:
     return DivisionTables(array("H", chain.from_iterable(zip(*linv))), keys, scale, lead)
 
 
-def _reach(tables: AvInventory | CertifiedTables, v: PairVector) -> tuple[list, list, Counter]:
-    """(gens, reached, mult) of `Meet` for v: (q^2+q+1)^2 lookups in `linv`."""
-    alg, (linv, _, scale, lead) = tables.alg, tables.division
+def _reach(alg: Algebra3, division: DivisionTables,
+           v: PairVector) -> tuple[list, list, Counter]:
+    """(gens, reached, mult) of `Meet` for v: (q^2+q+1)^2 lookups in the `linv` of
+    `division`, the `division_tables` of `alg`."""
+    linv, _, scale, lead = division
     fld = alg.field
     q = fld.order
     n, size = q**3, q * q + q + 1
@@ -423,10 +416,10 @@ def _reach(tables: AvInventory | CertifiedTables, v: PairVector) -> tuple[list, 
 def meet_all(tables: AvInventory | CertifiedTables, v: PairVector) -> Meet:
     """dim(Av meet Av') for every v', keying only the classes reached (module docstring):
     reads the `division` tables and the `totals` of `tables`."""
-    q = tables.field.order
+    q = tables.alg.field.order
     n = q**3
     keys = tables.division.keys
-    gens, reached, mult = _reach(tables, v)
+    gens, reached, mult = _reach(tables.alg, tables.division, v)
     dim_of = {1: 1, q + 1: 2, q * q + q + 1: 3}
     least: dict[int, int] = {}  # key of Av' -> its first class reached, in index order
     more: Counter = Counter()  # key of Av' -> its classes reached after the first
@@ -777,9 +770,10 @@ def certified_tables(spec: TwistedFieldSpec) -> CertifiedTables:
     A^2 (module docstring) in the algebra and its plane algebra, for
     beta = `singer_element` and gamma = beta beta^sigma; the GL2 half is
     bilinearity.  REPRESENTATIVE then stands for all plane_orbit (q^2-1)(q^2-q)
-    nondegenerate v, and each nondegenerate fiber has the size f of its fiber:
-    q - 1 times the classes reached q^2+q+1 times from it.  RuntimeError when
-    the certificate fails or f does not divide the nondegenerate vectors.
+    nondegenerate v (`covered`), and each nondegenerate fiber has the size f of
+    its fiber: q - 1 times the classes reached q^2+q+1 times from it.
+    RuntimeError when the certificate fails or f does not divide the
+    nondegenerate vectors.
     """
     tower = spec.tower
     alg = to_structure_constants(spec)
@@ -790,17 +784,17 @@ def certified_tables(spec: TwistedFieldSpec) -> CertifiedTables:
                               beta, gamma)
     q = alg.field.order
     n = q**3
-    tables = CertifiedTables(alg, isotopy_class(spec), plane_alg,
-                             {"mode": "orbit", "orbit": {**orbit, "vectors_profiled": 1}},
-                             division_tables(alg), {})
-    fiber = (q - 1) * list(_reach(tables, REPRESENTATIVE)[2].values()).count(q * q + q + 1)
+    division = division_tables(alg)
+    fiber = (q - 1) * list(_reach(alg, division, REPRESENTATIVE)[2].values()).count(q * q + q + 1)
     vectors = (n - 1) * (n - q)
     if not fiber or vectors % fiber:
         raise RuntimeError(f"the fiber of A v at v = {REPRESENTATIVE.to_json()} has {fiber} "
                            f"vectors, which do not divide the {vectors} nondegenerate ones")
-    tables.totals = {NONDEGENERATE: (vectors, vectors // fiber),
-                     DEGENERATE: ((n - 1) * (q + 1), q + 1)}
-    return tables
+    return CertifiedTables(alg, isotopy_class(spec), plane_alg,
+                           {"mode": "orbit", "orbit": {**orbit, "vectors_profiled": 1}},
+                           division, {NONDEGENERATE: (vectors, vectors // fiber),
+                                     DEGENERATE: ((n - 1) * (q + 1), q + 1)},
+                           orbit["plane_orbit"] * (q * q - 1) * (q * q - q))
 
 
 def scan_orbit(spec: TwistedFieldSpec, *, workers: int = 1) -> CensusReport:
@@ -810,7 +804,7 @@ def scan_orbit(spec: TwistedFieldSpec, *, workers: int = 1) -> CensusReport:
     Every check of the scan (tally, complement, span, lines) is invariant under
     the certified action; the span check is, because it tests p x' + r y' at
     every point [p:r] of P^1(F) (module docstring).  So one v decides them all,
-    and `vectors_checked` is plane_orbit (q^2-1)(q^2-q).  When the
+    and `vectors_checked` is the tables' `covered`.  When the
     representative fails any check, this returns the exhaustive report instead
     (`workers` processes), with its mismatches and witnesses.
     """
@@ -824,5 +818,4 @@ def scan_orbit(spec: TwistedFieldSpec, *, workers: int = 1) -> CensusReport:
         raise RuntimeError(f"the representative {decode_vector(q, idx)} was not profiled")
     if mismatches:
         return scan_all_nondegenerate(alg, algebra_class=cls, workers=workers)
-    return _scan_report(q, cls, tables.mode,
-                        tables.mode["orbit"]["plane_orbit"] * (q * q - 1) * (q * q - q), [], t0)
+    return _scan_report(q, cls, tables.mode, tables.covered, [], t0)

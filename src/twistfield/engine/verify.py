@@ -113,7 +113,7 @@ def verify_theorem_B(tf: TwistedFieldSpec, inventory: AvInventory | None = None)
     return Verdict(
         name="theorem-B",
         passed=bool(witnesses) == expect_witness,
-        checked=tables.mode["orbit"]["plane_orbit"] * (q * q - 1) * (q * q - q),
+        checked=tables.covered,
         witnesses=witnesses,
         details={"q": q, "algebra_class": cls.value,
                  "expected": "witness" if expect_witness else "no dim-2 pairs",
@@ -367,10 +367,11 @@ def search_theorem_7_2_analogue(spec: SplitAlbertSpec) -> Verdict:
         [vec_index(q, row) for row in basis_products(spec, v)] for v in vecs))]
     orbits = _torus_orbits(fld, prods)
     # for each x', the y' with (x', y') of rank 2: those off the line F x'
+    scale = scalar_multiples(fld)  # scale[k * n3 + v]: the index of k v
     groups = []
-    for x2 in vecs:
-        line = {vec_index(q, [mul[k][c] for c in x2]) for k in range(q)}
-        groups.append(array("i", [iy for iy in range(n3) if iy not in line] if any(x2) else []))
+    for ix in range(n3):
+        line = set(scale[ix::n3])
+        groups.append(array("i", [iy for iy in range(n3) if iy not in line] if ix else []))
     pairs = sum(map(len, groups))
     rank_one = _projective_sum_table(fld)
     hits = []

@@ -392,55 +392,46 @@ def rootless_monic(base: Field, deg: int) -> tuple[int, ...]:
 class FieldTower:
     """GF(q) together with its cubic extension, Frobenius x -> x^q and norm.
 
-    `f` is the monic cubic modulus as 4 base-field element indices.  Frobenius
-    is F-linear, so `frob_t` is tabulated from t^q and t^2q alone
-    (`linalg.image_table` on the images of 1, t, t^2); the norm table reads it.
-    The constructor checks on the table that Frobenius has order 3 and fixes
-    exactly the embedded copy of the base field, which certifies the tower is
-    cyclic, and that every norm is fixed.
+    `f` is the monic cubic modulus as 4 base-field element indices.  `build`
+    computes both tables before it constructs the tower.  Frobenius is
+    F-linear, so `frob_t` is tabulated from t^q and t^2q alone
+    (`linalg.image_table` on the images of 1, t, t^2); `norm_t` reads it.
+    `build` checks on the table that Frobenius has order 3 and fixes exactly
+    the embedded copy of the base field, which certifies the tower is cyclic,
+    and that every norm is fixed.
     """
 
     base: Field
     ext: Field
     f: tuple[int, int, int, int]
-    frob_t: list[int] = dc_field(repr=False, default=None)
-    norm_t: list[int] = dc_field(repr=False, default=None)
+    frob_t: list[int] = dc_field(repr=False)
+    norm_t: list[int] = dc_field(repr=False)
 
     @staticmethod
     def build(q: int, f: tuple[int, ...] | None = None) -> "FieldTower":
         base = Field.of_order(q)
-        if f is None:
-            f = rootless_monic(base, 3)
-        f = tuple(f)
-        ext = base.extension(f)
-        tower = FieldTower(base, ext, f)
-        tower._build_tables()
-        return tower
-
-    @property
-    def q(self) -> int:
-        return self.base.order
-
-    def _build_tables(self) -> None:
-        q = self.base.order
-        K = self.ext
+        f = tuple(rootless_monic(base, 3) if f is None else f)
+        K = base.extension(f)
         # x -> x^q is F-linear: the coordinates of x over (1, t, t^2) map t^j to t^(jq)
         t_q = K.pow(q, q)  # q is the index of t
-        frob = image_table(self.base, [K.coeffs(1), K.coeffs(t_q), K.coeffs(K.mul(t_q, t_q))])
+        frob = image_table(base, [K.coeffs(1), K.coeffs(t_q), K.coeffs(K.mul(t_q, t_q))])
         for x in K.elements():
             if frob[frob[frob[x]]] != x:
                 raise RuntimeError("Frobenius does not have order 3; broken tower")
         fixed = [x for x in K.elements() if frob[x] == x]
         if len(fixed) != q or any(x >= q for x in fixed):
             raise RuntimeError("Frobenius fixed field is not the embedded base; broken tower")
-        self.frob_t = frob
         norm = []
         for x in K.elements():
             n = K.mul(x, K.mul(frob[x], frob[frob[x]]))
             if frob[n] != n:
                 raise RuntimeError("norm value not Frobenius-fixed; broken tower")
             norm.append(n)  # fixed elements sit at indices < q, i.e. are base indices
-        self.norm_t = norm
+        return FieldTower(base, K, f, frob, norm)
+
+    @property
+    def q(self) -> int:
+        return self.base.order
 
     def embed(self, a: int) -> int:
         self.base.check(a)

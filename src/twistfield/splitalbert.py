@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 from .algebra3 import (TwistedFieldSpec, autotopism_counterexample, left_mul_matrix, mulvec,
                        right_mul_matrix, mu as twisted_mu)
 from .gf import Field, FieldTower
-from .linalg import Row, mat_vec
+from .linalg import Row, image_table
 
 Vec3 = tuple[int, int, int]
 
@@ -255,10 +255,10 @@ def split_twisted_field(tf: TwistedFieldSpec) -> SplitTwistedField:
     K = tower.ext
     frob = tower.frob_t
     q = tower.q
-    columns = [K.coeffs(frob[q**i]) for i in range(3)]
-    matrix = tuple(zip(*columns))
+    # the F-linear map with the columns of frob at 1, t, t^2, tabulated on indices
+    linear = image_table(tower.base, [K.coeffs(frob[q**i]) for i in range(3)])
     for x in K.elements():
-        if frob[x] != K.from_coeffs(mat_vec(tower.base, matrix, K.coeffs(x))):
+        if frob[x] != linear[x]:
             raise RuntimeError(f"Frobenius is not F-linear at {x}")
     c_conj = (tf.c, frob[tf.c], frob[frob[tf.c]])
     d = tuple(K.neg(c_conj[m3(i + 1)]) for i in range(3))

@@ -190,7 +190,7 @@ def reference_meet_all(inventory, v, tables=None):
     vector v' = L_{a'}^-1 w through the q^6 tables of `left_division_tables`, each v' is
     placed by the inventory's `space_of`, and a met space's count is checked against its
     `fiber` column.  `tables` are those tables when already at hand."""
-    q = inventory.field.order
+    q = inventory.alg.field.order
     n = q**3
     mul, ldiv = tables or left_division_tables(inventory.alg)
     space_of = inventory.space_of

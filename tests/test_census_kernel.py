@@ -284,8 +284,8 @@ def test_keyed_kernel_matches_reference(q, request):
 def test_fiber_that_does_not_divide_raises_runtime_error(comm3, monkeypatch):
     real = census._reach
 
-    def reach(tables, v):  # four more classes met in dimension 3: a fiber of 10, 624 % 10 = 4
-        gens, reached, mult = real(tables, v)
+    def reach(alg, division, v):  # four more classes met in dimension 3: a fiber of 10
+        gens, reached, mult = real(alg, division, v)  # and 624 % 10 = 4
         for ci in [i for i in range(1, 3**6) if i not in mult][:4]:
             mult[ci] = 3 * 3 + 3 + 1
         return gens, reached, mult
@@ -559,7 +559,7 @@ def test_key_met_in_two_dimensions_raises_runtime_error(comm3):
         w1, w2 = meet.gens[g]
         linv[w1 * size + p], linv[w2 * size + p] = 0, y
     broken = with_linv(tables, linv)
-    mult = census._reach(broken, V0)[2]
+    mult = census._reach(broken.alg, broken.division, V0)[2]
     assert (mult[n], mult[q * n]) == (q + 1, 1)
     with pytest.raises(RuntimeError, match="met in dimensions"):
         census.meet_all(broken, V0)
@@ -642,6 +642,21 @@ def test_orbit_scan_matches_exhaustive_q4(tower4):
     cs = valid_c_values(tower4)
     for c in (cs[0], cs[-1]):
         assert_orbit_matches_exhaustive(TwistedFieldSpec(tower4, c), workers=2)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_one_coverage_fact_for_every_class(q, request):
+    # certified_tables states how many v its representative covers; B and the scan read it
+    tower = request.getfixturevalue(f"tower{q}")
+    specs = {}
+    for target in range(2, q):  # every norm but 0 and 1, each class at its first norm
+        spec = TwistedFieldSpec(tower, pick_c_by_norm(tower, target))
+        specs.setdefault(isotopy_class(spec), spec)
+    assert len(specs) == (1 if q in (3, 4) else 2)
+    for spec in specs.values():
+        counts = (certified_tables(spec).covered, verify_theorem_B(spec).checked,
+                  scan_orbit(spec).observed["vectors_checked"])
+        assert counts == ((q**3 - 1) * (q**3 - q),) * 3, spec.c
 
 
 def test_beta_of_short_orbit_trips_the_plane_walk(tower3, alg3):

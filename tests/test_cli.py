@@ -383,8 +383,8 @@ def test_failing_certificate_is_internal_for_census_v(capsys, monkeypatch, comma
         message = "not one orbit"
     else:  # every index of F^6 counted as a class of the fiber: 2 * 728 does not divide 624
         real = census._reach
-        monkeypatch.setattr(census, "_reach", lambda tables, v: real(tables, v)[:2] + (
-            Counter(dict.fromkeys(range(1, 3**6), 3 * 3 + 3 + 1)),))
+        monkeypatch.setattr(census, "_reach", lambda alg, division, v: (
+            *real(alg, division, v)[:2], Counter(dict.fromkeys(range(1, 3**6), 3 * 3 + 3 + 1))))
         message = "do not divide"
     code, out, err = run_cli(capsys, command, "--q", "3", "--norm-target", "-1",
                              "--v", "[1,0,0],[0,1,0]")
