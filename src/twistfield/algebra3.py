@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import enum
 from array import array
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from operator import add
 
 from .gf import Field, FieldTower
-from .linalg import (Row, det3, f3_vectors, identity_rows, image_table, inverse_columns,
+from .linalg import (Keyed, Row, det3, f3_vectors, identity_rows, image_table, inverse_columns,
                      kernel_rows, mat_vec, points, scalar_multiples, vec_index)
 
 Vec3 = tuple[int, int, int]
@@ -33,14 +33,13 @@ def twisted_product(tower: FieldTower, c: int, x: int, y: int) -> int:
     return K.sub(K.mul(x, frob[y]), K.mul(c, K.mul(frob[x], y)))
 
 
-@dataclass(frozen=True)
-class TwistedFieldSpec:
+class TwistedFieldSpec(Keyed, namedtuple("TwistedFieldSpec", "tower c", defaults=(0,))):
     """A cubic tower plus a twisting element c in K^x with N(c) != 1."""
 
-    tower: FieldTower = dc_field(compare=False)
-    c: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, tower: FieldTower, c: int = 0) -> "TwistedFieldSpec":
+        self = super().__new__(cls, tower, c)
         q = self.tower.q
         if q == 2:
             raise ValueError(
@@ -52,6 +51,7 @@ class TwistedFieldSpec:
             raise ValueError("twisting element must be nonzero")
         if self.tower.norm(self.c) == 1:
             raise ValueError(f"twisting element has norm 1: c={self.c}")
+        return self
 
     @property
     def q(self) -> int:
@@ -85,19 +85,16 @@ def valid_c_values(tower: FieldTower):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Algebra3:
+class Algebra3(Keyed, namedtuple("Algebra3", "field tensor", defaults=((),))):
     """A 3-dimensional F-algebra: e_i * e_j = sum_k s[i][j][k] e_k."""
 
-    field: Field = dc_field(compare=False)
-    tensor: Tensor = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        t = tuple(tuple(tuple(self.field.check(c) for c in row) for row in plane)
-                  for plane in self.tensor)
+    def __new__(cls, field: Field, tensor: Tensor = ()) -> "Algebra3":
+        t = tuple(tuple(tuple(field.check(c) for c in row) for row in plane) for plane in tensor)
         if len(t) != 3 or any(len(p) != 3 or any(len(r) != 3 for r in p) for p in t):
             raise ValueError("structure tensor must be 3x3x3")
-        object.__setattr__(self, "tensor", t)
+        return super().__new__(cls, field, t)
 
     def is_commutative(self) -> bool:
         s = self.tensor

@@ -61,9 +61,9 @@ import time
 from array import array
 from collections import Counter, namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import chain
+from operator import itemgetter
 
 from ..algebra3 import (
     Algebra3,
@@ -79,8 +79,9 @@ from ..algebra3 import (
     to_structure_constants,
 )
 from ..gf import Field, FieldTower, format_triple
-from ..linalg import (Subspace, cross, decode_vector, f3_vectors, identity_rows, image_table,
-                      mat_vec, points, rref_rows, scalar_multiples, unit_row, vec_index)
+from ..linalg import (Keyed, Subspace, cross, decode_vector, f3_vectors, identity_rows,
+                      image_table, mat_vec, points, rref_rows, scalar_multiples, unit_row,
+                      vec_index)
 from .spaces import (
     DEGENERATE,
     NONDEGENERATE,
@@ -95,15 +96,7 @@ CHUNK = 512
 DIM_KEYS = ("dim3", "dim2", "dim1", "dim0_nondegenerate", "dim0_degenerate")
 
 
-@dataclass
-class SpaceRec:
-    rows: tuple
-    pivots: tuple
-    kind: str
-    fiber: int
-    rep: tuple
-    first_index: int
-
+SpaceRec = namedtuple("SpaceRec", "rows pivots kind fiber rep first_index")
 
 # The kernel's tables of an algebra on F^3 indices (`division_tables`), with n = q^3,
 # P = q^2+q+1 and a the point at position p of `linalg.points`: linv[w * P + p] is
@@ -139,41 +132,38 @@ class SpaceRecords(Sequence):
                         decode_vector(q, inv.first[pos]), inv.first[pos])
 
 
-@dataclass
-class AvInventory:
-    alg: Algebra3
-    # one entry per space, in order of least index: the key k_0 + n k_1 + n^2 k_2
-    # (-1 for 0 + A), the fiber size, the least index and the KINDS position
-    key: array = dc_field(repr=False)
-    fiber: array = dc_field(repr=False)
-    first: array = dc_field(repr=False)
-    kind: array = dc_field(repr=False)
-    # space_of[i]: position of Av' for the v' of index i (-1 for v' = 0)
-    space_of: array = dc_field(repr=False, compare=False)
-    # what the kernel reads of the algebra, the tables the inventory is keyed off
-    division: DivisionTables = dc_field(repr=False, compare=False)
-    # kind -> (vectors, spaces) of that kind
-    totals: dict = dc_field(repr=False, compare=False)
-    mode: dict  # where `totals` come from, for a report's parameters
+class AvInventory(Keyed, namedtuple("AvInventory",
+                                      "alg key fiber first kind space_of division totals mode")):
+    # key, fiber, first, kind: one entry per space, in order of least index: the key
+    # k_0 + n k_1 + n^2 k_2 (-1 for 0 + A), the fiber size, the least index and the KINDS
+    # position; space_of[i]: position of Av' for the v' of index i (-1 for v' = 0);
+    # division: the tables the inventory is keyed off, what the kernel reads of the algebra;
+    # totals: kind -> (vectors, spaces) of that kind; mode: where `totals` come from, for a
+    # report's parameters.  Neither the repr nor equality reads space_of, division or totals.
+    __slots__ = ()
+    _key = itemgetter(0, 1, 2, 3, 4, 8)
+
+    def __repr__(self) -> str:
+        return f"AvInventory(alg={self.alg!r}, mode={self.mode!r})"
 
     @property
     def spaces(self) -> SpaceRecords:
         return SpaceRecords(self)
 
 
-@dataclass
-class CertifiedTables:
+class CertifiedTables(namedtuple("CertifiedTables",
+                                 "alg cls plane_alg mode division totals covered")):
     """What `meet_all` reads for a spec whose orbit is certified, with its algebra, class
     and `plane_algebra` (`certified_tables`), and `covered`, the plane_orbit (q^2-1)(q^2-q)
-    nondegenerate v that REPRESENTATIVE stands for."""
+    nondegenerate v that REPRESENTATIVE stands for.  `mode` is {"mode": "orbit", "orbit":
+    the report block of the certificate}, `division` is division_tables(alg) and `totals`
+    are as AvInventory.totals, from the orbit's fiber size; the repr leaves out both."""
 
-    alg: Algebra3
-    cls: IsotopyClass
-    plane_alg: Algebra3
-    mode: dict  # {"mode": "orbit", "orbit": the report block of the certificate}
-    division: DivisionTables = dc_field(repr=False)  # division_tables(alg)
-    totals: dict = dc_field(repr=False)  # as AvInventory.totals, from the orbit's fiber size
-    covered: int
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return (f"CertifiedTables(alg={self.alg!r}, cls={self.cls!r}, plane_alg="
+                f"{self.plane_alg!r}, mode={self.mode!r}, covered={self.covered!r})")
 
 
 def index_chunks(total: int) -> list[tuple[int, int]]:
@@ -313,14 +303,15 @@ def predicted_global_counts(q: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CensusReport:
-    parameters: dict
-    observed: dict
-    predicted: dict | None
-    match: bool | None
-    witnesses: list = dc_field(default_factory=list)
-    runtime_ms: float = 0.0
+    def __init__(self, parameters: dict, observed: dict, predicted: dict | None,
+                 match: bool | None, witnesses: list | None = None, runtime_ms: float = 0.0):
+        self.parameters = parameters
+        self.observed = observed
+        self.predicted = predicted
+        self.match = match
+        self.witnesses = [] if witnesses is None else witnesses
+        self.runtime_ms = runtime_ms
 
     def to_json_dict(self) -> dict:
         return {**vars(self), "runtime_ms": round(self.runtime_ms, 3)}  # in field order
@@ -359,16 +350,12 @@ class CensusReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Meet:
-    """What the kernel reads off for one base vector v."""
-
-    gens: list  # (a x, a y) as F^3 indices, one generator a v per line of Av
-    reached: list  # reached[g]: array of the classes L_{a'}^-1 gens[g], a' at the points
-    mult: Counter  # class -> times reached, (q^d - 1)/(q - 1); a class is its least F^6 index
-    vectors: dict  # DIM_KEYS -> vectors v'
-    spaces: dict  # DIM_KEYS -> distinct spaces Av'
-    hits: list  # (d, least F^6 index of Av') for each space Av' with d in (1, 2)
+# What the kernel reads off for one base vector v: gens, the (a x, a y) as F^3 indices, one
+# generator a v per line of Av; reached[g], the array of the classes L_{a'}^-1 gens[g], a' at
+# the points; mult, class -> times reached, (q^d - 1)/(q - 1), a class being its least F^6
+# index; vectors and spaces, DIM_KEYS -> vectors v' and distinct spaces Av'; hits, the
+# (d, least F^6 index of Av') of each space Av' with d in (1, 2).
+Meet = namedtuple("Meet", "gens reached mult vectors spaces hits")
 
 
 def division_tables(alg: Algebra3) -> DivisionTables:

@@ -26,9 +26,10 @@ and `inv_t`, so `fld` must be tabulated (a base field GF(q) from `gf`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 
 from ..gf import Field
+from ..linalg import Keyed
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -62,14 +63,9 @@ def inv2(fld: Field, m: Mat2) -> Mat2:
     return ((s[d], s[neg[b]]), (s[neg[c]], s[a]))
 
 
-@dataclass(frozen=True)
-class PairNormalForm:
-    field: Field = dc_field(compare=False)
-    tag: str = ""
-    params: tuple[int, ...] = ()
-    rep: tuple[Mat2, Mat2] = ()
-    p_mat: Mat2 = ID2
-    q_mat: Mat2 = ID2
+class PairNormalForm(Keyed, namedtuple("PairNormalForm", "field tag params rep p_mat q_mat",
+                                         defaults=("", (), (), ID2, ID2))):
+    __slots__ = ()
 
 
 def _eigen_split(fld: Field, m: Mat2):

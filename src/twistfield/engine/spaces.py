@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ..algebra3 import Algebra3, basis_products, left_mul_matrix, mulvec, right_mul_matrix
 from ..gf import Field
@@ -16,18 +16,16 @@ DEGENERATE = "degenerate"
 NONDEGENERATE = "nondegenerate"
 
 
-@dataclass(frozen=True)
-class PairVector:
+class PairVector(namedtuple("PairVector", "x y")):
     """v = (x, y) in A^2; flattening to F^6 is x followed by y."""
 
-    x: Vec3
-    y: Vec3
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", tuple(self.x))
-        object.__setattr__(self, "y", tuple(self.y))
-        if len(self.x) != 3 or len(self.y) != 3:
+    def __new__(cls, x: Vec3, y: Vec3) -> "PairVector":
+        x, y = tuple(x), tuple(y)
+        if len(x) != 3 or len(y) != 3:
             raise ValueError("x and y must have three coordinates")
+        return super().__new__(cls, x, y)
 
     @property
     def flat(self) -> tuple[int, ...]:

@@ -12,7 +12,6 @@ import itertools
 import time
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 from operator import add, itemgetter
 
 from ..algebra3 import (Algebra3, IsotopyClass, TwistedFieldSpec, basis_products, graph_keys,
@@ -28,14 +27,15 @@ if TYPE_CHECKING:  # annotations only
     from .census import AvInventory
 
 
-@dataclass
 class Verdict:
-    name: str
-    passed: bool
-    checked: int
-    witnesses: list = dc_field(default_factory=list)
-    details: dict = dc_field(default_factory=dict)
-    runtime_ms: float = 0.0
+    def __init__(self, name: str, passed: bool, checked: int, witnesses: list | None = None,
+                 details: dict | None = None, runtime_ms: float = 0.0):
+        self.name = name
+        self.passed = passed
+        self.checked = checked
+        self.witnesses = [] if witnesses is None else witnesses
+        self.details = {} if details is None else details
+        self.runtime_ms = runtime_ms
 
     def to_json_dict(self) -> dict:
         return {**vars(self), "runtime_ms": round(self.runtime_ms, 3)}  # in field order

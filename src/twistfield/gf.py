@@ -22,10 +22,10 @@ shortcuts.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field as dc_field
 
-from .linalg import decode_vector, image_table, vec_index
+from .linalg import decode_vector, f3_vectors, image_table, points, vec_index
 
 SUPPORTED_Q = (3, 4, 5, 7, 8, 9)
 
@@ -93,8 +93,7 @@ def _poly_mul_mod(fld: "Field", a: list[int], b: list[int], modulus: tuple[int, 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(namedtuple("FieldSpec", "p m modulus")):
     """Descriptor of GF(p^m) as F_p[t]/(modulus), serializable and hashable.
 
     `modulus` is little-endian over GF(p) with length m+1 and leading
@@ -102,11 +101,10 @@ class FieldSpec:
     is irreducible iff it has no root, so that is the check; m > 3 is refused.
     """
 
-    p: int
-    m: int
-    modulus: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, p: int, m: int, modulus: tuple[int, ...]) -> "FieldSpec":
+        self = super().__new__(cls, p, m, modulus)
         try:
             prime = factor_prime_power(self.p)[1] == 1
         except ValueError:  # p < 2, or not a prime power
@@ -126,6 +124,7 @@ class FieldSpec:
                     raise ValueError(f"modulus has root {a} in GF({self.p})")
         elif self.m > 3:
             raise ValueError("degrees above 3 are out of scope")
+        return self
 
     def to_json(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus_coeffs": list(self.modulus)}
@@ -388,24 +387,21 @@ def rootless_monic(base: Field, deg: int) -> tuple[int, ...]:
     raise RuntimeError(f"no rootless monic of degree {deg} over {base!r}")  # none for deg 1
 
 
-@dataclass
-class FieldTower:
+class FieldTower(namedtuple("FieldTower", "base ext f frob_t norm_t")):
     """GF(q) together with its cubic extension, Frobenius x -> x^q and norm.
 
     `f` is the monic cubic modulus as 4 base-field element indices.  `build`
     computes both tables before it constructs the tower.  Frobenius is
     F-linear, so `frob_t` is tabulated from t^q and t^2q alone
-    (`linalg.image_table` on the images of 1, t, t^2); `norm_t` reads it.
+    (`linalg.image_table` on the images of 1, t, t^2); so is y -> t y, and
+    x y = sum_i x_i (t^i y) reads it.  `norm_t` holds N(a) = a a^sigma a^sigma^2
+    at the points a of P^2(F) (`linalg.points`) and N(k a) = k^3 N(a) for k in F.
     `build` checks on the table that Frobenius has order 3 and fixes exactly
     the embedded copy of the base field, which certifies the tower is cyclic,
     and that every norm is fixed.
     """
 
-    base: Field
-    ext: Field
-    f: tuple[int, int, int, int]
-    frob_t: list[int] = dc_field(repr=False)
-    norm_t: list[int] = dc_field(repr=False)
+    __slots__ = ()
 
     @staticmethod
     def build(q: int, f: tuple[int, ...] | None = None) -> "FieldTower":
@@ -421,13 +417,28 @@ class FieldTower:
         fixed = [x for x in K.elements() if frob[x] == x]
         if len(fixed) != q or any(x >= q for x in fixed):
             raise RuntimeError("Frobenius fixed field is not the embedded base; broken tower")
-        norm = []
-        for x in K.elements():
-            n = K.mul(x, K.mul(frob[x], frob[frob[x]]))
+        by_t = image_table(base, [K.coeffs(K.mul(q, t)) for t in (1, q, q * q)])
+        vecs, add, mul = f3_vectors(q), base.add_t, base.mul_t
+
+        def times(x: int, y: int) -> int:
+            r0, r1, r2 = (mul[c] for c in vecs[x])
+            ty = by_t[y]
+            return vec_index(q, [add[add[r0[c0]][r1[c1]]][r2[c2]]
+                                 for c0, c1, c2 in zip(vecs[y], vecs[ty], vecs[by_t[ty]])])
+
+        norm = [0] * K.order
+        for a in points(q):
+            n = times(times(a, frob[a]), frob[frob[a]])
             if frob[n] != n:
                 raise RuntimeError("norm value not Frobenius-fixed; broken tower")
-            norm.append(n)  # fixed elements sit at indices < q, i.e. are base indices
+            # fixed elements sit at indices < q, i.e. are base indices
+            for k in range(1, q):
+                by_k = mul[k]
+                norm[vec_index(q, [by_k[c] for c in vecs[a]])] = mul[by_k[by_k[k]]][n]
         return FieldTower(base, K, f, frob, norm)
+
+    def __repr__(self) -> str:  # the tables stay out
+        return f"FieldTower(base={self.base!r}, ext={self.ext!r}, f={self.f!r})"
 
     @property
     def q(self) -> int:

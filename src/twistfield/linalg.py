@@ -22,9 +22,10 @@ these keys for T = R_y R_x^-1.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, combinations, product
+from operator import itemgetter
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only; gf imports this module's codec
@@ -33,13 +34,27 @@ if TYPE_CHECKING:  # annotations only; gf imports this module's codec
 Row = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Keyed:
+    """Equality and hash of a namedtuple record over the fields `_key` picks: by
+    default all but the first, the field or tower the others are over."""
+
+    __slots__ = ()
+    _key = itemgetter(slice(1, None))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key(self) == self._key(other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+
+class Subspace(Keyed, namedtuple("Subspace", "field ambient basis", defaults=(0, ()))):
     """Canonical subspace of F^n: basis rows in reduced row-echelon form."""
 
-    field: Field = dc_field(compare=False)
-    ambient: int = 0
-    basis: tuple[Row, ...] = ()
+    __slots__ = ()
 
     @property
     def dim(self) -> int:

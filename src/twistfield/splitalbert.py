@@ -21,12 +21,13 @@ d = -N(c) and the d_i are the Galois conjugates of -c either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
+from operator import itemgetter
 
 from .algebra3 import (TwistedFieldSpec, autotopism_counterexample, left_mul_matrix, mulvec,
                        right_mul_matrix, mu as twisted_mu)
-from .gf import Field, FieldTower
-from .linalg import Row, image_table
+from .gf import Field
+from .linalg import Keyed, Row, image_table
 
 Vec3 = tuple[int, int, int]
 
@@ -36,26 +37,33 @@ def m3(i: int) -> int:
     return i % 3
 
 
-@dataclass(frozen=True)
-class SplitAlbertSpec:
-    """phi_{d0,d1,d2}; `tensor[i][j]` holds the W-coordinates of phi(alpha_i, beta_j)."""
+class SplitAlbertSpec(Keyed, namedtuple("SplitAlbertSpec", "field d tensor")):
+    """phi_{d0,d1,d2}; `tensor[i][j]` holds the W-coordinates of phi(alpha_i, beta_j).
 
-    field: Field = dc_field(compare=False)
-    d: tuple[int, int, int] = (1, 1, 1)
-    tensor: tuple = dc_field(default=(), init=False, compare=False, repr=False)
+    `tensor` is built from `d`, so only `d` is compared and pickled."""
 
-    def __post_init__(self) -> None:
-        for di in self.d:
-            self.field.check(di)
+    __slots__ = ()
+    _key = itemgetter(slice(1, 2))
+
+    def __new__(cls, field: Field, d: tuple[int, int, int] = (1, 1, 1)) -> "SplitAlbertSpec":
+        for di in d:
+            field.check(di)
             if di == 0:
                 raise ValueError("split Albert constants must be nonzero")
-        if self.d_product == self.field.neg(1):
-            raise ValueError("d0*d1*d2 = -1 is excluded")
         tensor = [[[0, 0, 0] for _ in range(3)] for _ in range(3)]
         for i in range(3):  # the basis rules of the module docstring
             tensor[i][m3(i + 1)][m3(i + 2)] = 1
-            tensor[i][m3(i + 2)][m3(i + 1)] = self.d[m3(i + 1)]
-        object.__setattr__(self, "tensor", tuple(tuple(map(tuple, p)) for p in tensor))
+            tensor[i][m3(i + 2)][m3(i + 1)] = d[m3(i + 1)]
+        self = super().__new__(cls, field, d, tuple(tuple(map(tuple, p)) for p in tensor))
+        if self.d_product == field.neg(1):
+            raise ValueError("d0*d1*d2 = -1 is excluded")
+        return self
+
+    def __getnewargs__(self) -> tuple:
+        return self.field, self.d
+
+    def __repr__(self) -> str:
+        return f"SplitAlbertSpec(field={self.field!r}, d={self.d!r})"
 
     @property
     def d_product(self) -> int:
@@ -63,17 +71,16 @@ class SplitAlbertSpec:
         return fld.mul(self.d[0], fld.mul(self.d[1], self.d[2]))
 
 
-@dataclass(frozen=True)
-class TriVector:
-    space: str
-    coords: Vec3
+class TriVector(namedtuple("TriVector", "space coords")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.space not in ("U", "V", "W"):
-            raise ValueError(f"unknown space tag {self.space!r}")
-        object.__setattr__(self, "coords", tuple(self.coords))
-        if len(self.coords) != 3:
+    def __new__(cls, space: str, coords: Vec3) -> "TriVector":
+        if space not in ("U", "V", "W"):
+            raise ValueError(f"unknown space tag {space!r}")
+        coords = tuple(coords)
+        if len(coords) != 3:
             raise ValueError("three coordinates required")
+        return super().__new__(cls, space, coords)
 
     @property
     def regular(self) -> bool:
@@ -143,15 +150,10 @@ def char_poly_ratio(spec: SplitAlbertSpec, y_vec: TriVector, yp_vec: TriVector) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BilinearIso:
+class BilinearIso(namedtuple("BilinearIso", "src dst f g h")):
     """Maps (f, g, h) with h(phi(u, v)) = phi'(f u, g v), as 3x3 matrices."""
 
-    src: SplitAlbertSpec
-    dst: SplitAlbertSpec
-    f: tuple
-    g: tuple
-    h: tuple
+    __slots__ = ()
 
     def check_on_basis(self) -> None:
         bad = autotopism_counterexample(self.src, self.dst, self.f, self.g, self.h)
@@ -223,8 +225,8 @@ def reversal_isomorphism(spec: SplitAlbertSpec) -> tuple[SplitAlbertSpec, Biline
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplitTwistedField:
+class SplitTwistedField(Keyed, namedtuple("SplitTwistedField", "tower c c_conj spec",
+                                           defaults=(0, (0, 0, 0), None))):
     """The K-algebra (K^3, nu) a twisted field becomes after scalar extension.
 
     nu(xi, eta)_i = xi_i eta_{i+1} - c_i xi_{i+1} eta_i, with c_i = c^(sigma^i).
@@ -232,10 +234,7 @@ class SplitTwistedField:
     hence d_i = -c_{i+1}.
     """
 
-    tower: FieldTower = dc_field(compare=False)
-    c: int = 0
-    c_conj: Vec3 = (0, 0, 0)
-    spec: SplitAlbertSpec = None
+    __slots__ = ()
 
     def embed(self, a: int) -> Vec3:
         """E: a -> (a, a^sigma, a^sigma^2); intertwines mu with nu."""

@@ -7,7 +7,6 @@ in `src/` calls them."""
 
 from __future__ import annotations
 
-import dataclasses
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -241,4 +240,4 @@ def with_space_of(inventory, space_of):
     fiber = array("i", (counts[pos] for pos in range(len(inventory.fiber))))
     totals = {name: (sum(f for f, k in zip(fiber, inventory.kind) if k == i),
                      inventory.kind.count(i)) for i, name in enumerate(KINDS)}
-    return dataclasses.replace(inventory, space_of=space_of, fiber=fiber, totals=totals)
+    return inventory._replace(space_of=space_of, fiber=fiber, totals=totals)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import tracemalloc
 from array import array
@@ -471,7 +470,7 @@ def test_inventory_repr_and_equality_skip_the_tables(alg3, inv3):
     text = repr(inv3)
     for name in ("space_of", "division", "totals"):
         assert name not in text
-    assert dataclasses.replace(inv3, space_of=array("i")) == inv3
+    assert inv3._replace(space_of=array("i")) == inv3
 
 
 # -- the checks the run makes ----------------------------------------------------------
@@ -523,14 +522,13 @@ def test_corrupted_space_of_raises_runtime_error(alg3, inv3):
 def test_wrong_totals_raise_runtime_error(comm3):
     tables = certified_tables(comm3)
     vectors, spaces = tables.totals[NONDEGENERATE]
-    broken = dataclasses.replace(tables, totals={**tables.totals,
-                                                 NONDEGENERATE: (vectors, spaces + 1)})
+    broken = tables._replace(totals={**tables.totals, NONDEGENERATE: (vectors, spaces + 1)})
     with pytest.raises(RuntimeError, match="met on"):
         census.meet_all(broken, V0)
 
 
 def with_linv(tables, linv):
-    return dataclasses.replace(tables, division=tables.division._replace(linv=linv))
+    return tables._replace(division=tables.division._replace(linv=linv))
 
 
 def test_wrong_multiplicity_raises_runtime_error(alg3, inv3):

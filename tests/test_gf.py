@@ -256,6 +256,15 @@ def test_frobenius_table_is_the_power_map(q):
     assert tower.frob_t == [K.pow(x, q) for x in K.elements()]
 
 
+@pytest.mark.parametrize("q", gf.SUPPORTED_Q)
+def test_norm_table_is_the_product_of_the_conjugates(q):
+    # the table is read off the table of y -> t y at the points of P^2(F) and scaled from
+    # them; every entry is x x^sigma x^sigma^2 in K's own multiplication
+    tower = gf.FieldTower.build(q)
+    K, frob = tower.ext, tower.frob_t
+    assert tower.norm_t == [K.mul(x, K.mul(frob[x], frob[frob[x]])) for x in K.elements()]
+
+
 def tamper_first_power(monkeypatch, value):
     """Make the first `Field.pow` call return `value`: in `FieldTower.build` that call
     is t^q, the one power the Frobenius table reads."""

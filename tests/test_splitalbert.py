@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import random
@@ -288,7 +287,7 @@ def test_scale_isomorphism_intertwines_gf3():
 def test_wrong_h_fails_the_isomorphism_check():
     spec = spec_with(F5, (1, 2, 3))
     _, iso = cyclic_isomorphism(spec)
-    bad = dataclasses.replace(iso, h=tuple(tuple(F5.mul(2, c) for c in row) for row in iso.h))
+    bad = iso._replace(h=tuple(tuple(F5.mul(2, c) for c in row) for row in iso.h))
     with pytest.raises(RuntimeError, match=r"isomorphism fails on basis pair \(0,1\)"):
         bad.check_on_basis()
 
@@ -404,7 +403,7 @@ def test_basis_pairs_decide_the_splitting_identity(request, q):
         assert splitting_counterexample(stf, basis_pairs(q)) is None
         assert splitting_counterexample(stf, every) is None
         a, b, d = stf.c_conj
-        rotated = dataclasses.replace(stf, c_conj=(b, d, a))
+        rotated = stf._replace(c_conj=(b, d, a))
         on_basis = splitting_counterexample(rotated, basis_pairs(q))
         assert (on_basis is None) == (splitting_counterexample(rotated, every) is None), c
         failing += on_basis is not None
@@ -412,7 +411,7 @@ def test_basis_pairs_decide_the_splitting_identity(request, q):
 
 
 def test_nonlinear_frobenius_table_is_refused(tower3):
-    tower = dataclasses.replace(tower3, frob_t=list(tower3.frob_t))
+    tower = tower3._replace(frob_t=list(tower3.frob_t))
     tower.frob_t[1 + 3] = tower.frob_t[2 + 3]  # 1 + t now maps where 2 + t does
     with pytest.raises(RuntimeError, match="not F-linear at 4"):
         split_twisted_field(TwistedFieldSpec(tower, 2))

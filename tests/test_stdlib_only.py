@@ -38,6 +38,12 @@ def test_no_module_imports_random():
     assert [where for where, top in absolute_imports() if top == "random"] == []
 
 
+def test_no_module_imports_dataclasses():
+    # records are namedtuples or plain classes: dataclasses imports inspect, about 10 ms
+    # of every CLI process's start-up
+    assert [where for where, top in absolute_imports() if top == "dataclasses"] == []
+
+
 def scope_imports(scope):
     """{name: line} for the imports in `scope`'s own body, outside any nested function."""
     imported = {}

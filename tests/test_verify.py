@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from array import array
 
@@ -397,7 +396,7 @@ def test_split_theorem_31_mutations_fail_with_replayable_witnesses(entry, value)
     tensor = [[list(row) for row in plane] for plane in spec.tensor]
     i, j, k = entry
     tensor[i][j][k] = value
-    object.__setattr__(spec, "tensor", tuple(tuple(map(tuple, plane)) for plane in tensor))
+    spec = spec._replace(tensor=tuple(tuple(map(tuple, plane)) for plane in tensor))
     if value:
         with pytest.raises(RuntimeError, match=r"R_x is singular at x = \(1, 1, 2\)"):
             verify_split_theorem_3_1(spec)
@@ -577,7 +576,7 @@ def test_normal_forms_non_invariant_tag_trips_the_generator_check(monkeypatch):
 
     def broken(fld, g0, g1):
         form = real(fld, g0, g1)
-        return dataclasses.replace(form, tag=form.tag + "'" * (g0[0][0] == 0))
+        return form._replace(tag=form.tag + "'" * (g0[0][0] == 0))
 
     monkeypatch.setattr(normalform, "pair_normal_form", broken)
     with pytest.raises(RuntimeError, match="changes under"):
