@@ -33,12 +33,12 @@ def twisted_product(tower: FieldTower, c: int, x: int, y: int) -> int:
     return K.sub(K.mul(x, frob[y]), K.mul(c, K.mul(frob[x], y)))
 
 
-class TwistedFieldSpec(Keyed, namedtuple("TwistedFieldSpec", "tower c", defaults=(0,))):
+class TwistedFieldSpec(Keyed, namedtuple("TwistedFieldSpec", "tower c")):
     """A cubic tower plus a twisting element c in K^x with N(c) != 1."""
 
     __slots__ = ()
 
-    def __new__(cls, tower: FieldTower, c: int = 0) -> "TwistedFieldSpec":
+    def __new__(cls, tower: FieldTower, c: int) -> "TwistedFieldSpec":
         self = super().__new__(cls, tower, c)
         q = self.tower.q
         if q == 2:
@@ -56,14 +56,6 @@ class TwistedFieldSpec(Keyed, namedtuple("TwistedFieldSpec", "tower c", defaults
     @property
     def q(self) -> int:
         return self.tower.q
-
-    def norm_c(self) -> int:
-        return self.tower.norm(self.c)
-
-
-def mu(spec: TwistedFieldSpec, x: int, y: int) -> int:
-    """The twisted multiplication of the spec, on K element indices."""
-    return twisted_product(spec.tower, spec.c, x, y)
 
 
 def pick_c_by_norm(tower: FieldTower, target: int) -> int:
@@ -85,12 +77,12 @@ def valid_c_values(tower: FieldTower):
 # ---------------------------------------------------------------------------
 
 
-class Algebra3(Keyed, namedtuple("Algebra3", "field tensor", defaults=((),))):
+class Algebra3(Keyed, namedtuple("Algebra3", "field tensor")):
     """A 3-dimensional F-algebra: e_i * e_j = sum_k s[i][j][k] e_k."""
 
     __slots__ = ()
 
-    def __new__(cls, field: Field, tensor: Tensor = ()) -> "Algebra3":
+    def __new__(cls, field: Field, tensor: Tensor) -> "Algebra3":
         t = tuple(tuple(tuple(field.check(c) for c in row) for row in plane) for plane in tensor)
         if len(t) != 3 or any(len(p) != 3 or any(len(r) != 3 for r in p) for p in t):
             raise ValueError("structure tensor must be 3x3x3")
@@ -110,17 +102,11 @@ class Algebra3(Keyed, namedtuple("Algebra3", "field tensor", defaults=((),))):
 
 def to_structure_constants(spec: TwistedFieldSpec) -> Algebra3:
     """Coordinates of mu over the power basis (1, t, t^2) of K."""
-    K = spec.tower.ext
-    q = spec.q
-    basis = [1, q, q * q]
-    tensor = []
-    for i in range(3):
-        plane = []
-        for j in range(3):
-            prod = mu(spec, basis[i], basis[j])
-            plane.append(tuple(K.coeffs(prod)))
-        tensor.append(tuple(plane))
-    return Algebra3(spec.tower.base, tuple(tensor))
+    tower = spec.tower
+    basis = (1, tower.q, tower.q**2)
+    return Algebra3(tower.base, tuple(
+        tuple(tower.ext.coeffs(twisted_product(tower, spec.c, x, y)) for y in basis)
+        for x in basis))
 
 
 def basis_products(alg, b: Vec3) -> list[Vec3]:
@@ -131,7 +117,7 @@ def basis_products(alg, b: Vec3) -> list[Vec3]:
     Every product of coordinate vectors derives from it: `mulvec`, both
     multiplication matrices, the division tables, the autotopism check, phi,
     L_x and R_y, and the generators of Av and U(x, y).  Only the K-level
-    definitions mu and nu multiply in K directly.
+    products mu (`twisted_product`) and nu multiply in K directly.
     """
     fld = alg.field
     add_t, mul_t = fld.add_t, fld.mul_t
@@ -277,7 +263,7 @@ def isotopy_witness(tower: FieldTower, c: int, c2: int) -> int:
 def isotopy_class(spec: TwistedFieldSpec) -> IsotopyClass:
     """Commutative-isotopic exactly when N(c) = -1 in F."""
     minus_one = spec.tower.base.neg(1)
-    if spec.norm_c() == minus_one:
+    if spec.tower.norm(spec.c) == minus_one:
         return IsotopyClass.COMMUTATIVE_ISOTOPIC
     return IsotopyClass.NON_COMMUTATIVE
 

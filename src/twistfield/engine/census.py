@@ -478,20 +478,17 @@ def _group_lines(lines: dict) -> dict:
 
 
 def per_vector_profile(alg: Algebra3, v: PairVector, *,
-                       inventory: AvInventory | CertifiedTables | None = None,
+                       inventory: AvInventory | CertifiedTables,
                        algebra_class: IsotopyClass | None = None) -> CensusReport:
     """Tally dim(Av meet Av') over all q^6 vectors v', with closed-form predictions.
 
-    `inventory` is what `meet_all` reads (`build_inventory(alg)` when None);
-    its `mode` goes into the parameters.
+    `inventory` is what `meet_all` reads; its `mode` goes into the parameters.
     """
     t0 = time.perf_counter()
     fld = alg.field
     kind = classify(fld, v)
     if kind == ZERO:
         raise ValueError("census base vector must be nonzero")
-    if inventory is None:
-        inventory = build_inventory(alg)
     meet = meet_all(inventory, v)
     vectors = {**meet.vectors, "zero_vector": 1}
     pred_v, pred_s = predicted_profile(fld.order, algebra_class, kind)
@@ -546,7 +543,7 @@ def predicted_line_profile(q: int, algebra_class: IsotopyClass | None) -> dict |
 
 
 def line_profile(alg: Algebra3, v: PairVector, *,
-                 inventory: AvInventory | CertifiedTables | None = None,
+                 inventory: AvInventory | CertifiedTables,
                  algebra_class: IsotopyClass | None = None) -> CensusReport:
     """For each line L inside Av: how many v' have Av meet Av' = L exactly
     (`inventory` as in `per_vector_profile`)."""
@@ -555,8 +552,6 @@ def line_profile(alg: Algebra3, v: PairVector, *,
     q = fld.order
     if classify(fld, v) != NONDEGENERATE:
         raise ValueError("line profile needs a nondegenerate base vector")
-    if inventory is None:
-        inventory = build_inventory(alg)
     lines = _lines(plane_algebra(alg), v, meet_all(inventory, v))
     grouped = _group_lines(lines)
     detail = [{"line": Subspace(fld, 6, line).to_json(), "vectors": n, "in_base_plane": in_plane}

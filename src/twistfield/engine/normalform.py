@@ -18,7 +18,7 @@ for two singular matrices the tag reads only whether the pencil s G0 + t G1
 is regular (V), whether the rows of [G0 | G1] span at most a line (VI), or
 else whether the columns of [G0 ; G1] do (VII), none of which P changes.
 `verify_normal_forms` classifies one pair per left-GL2 orbit on that ground,
-and checks the invariance on generators of GL2.
+and spot-checks the invariance at each representative on generators of GL2.
 
 The 2x2 kernels read rows of the field's `mul_t`, `add_t`, `sub_t`, `neg_t`
 and `inv_t`, so `fld` must be tabulated (a base field GF(q) from `gf`).
@@ -63,8 +63,7 @@ def inv2(fld: Field, m: Mat2) -> Mat2:
     return ((s[d], s[neg[b]]), (s[neg[c]], s[a]))
 
 
-class PairNormalForm(Keyed, namedtuple("PairNormalForm", "field tag params rep p_mat q_mat",
-                                         defaults=("", (), (), ID2, ID2))):
+class PairNormalForm(Keyed, namedtuple("PairNormalForm", "field tag params rep p_mat q_mat")):
     __slots__ = ()
 
 

@@ -14,11 +14,11 @@ from array import array
 from collections import Counter
 from operator import add, itemgetter
 
-from ..algebra3 import (Algebra3, IsotopyClass, TwistedFieldSpec, basis_products, graph_keys,
+from ..algebra3 import (Algebra3, IsotopyClass, TwistedFieldSpec, graph_keys, left_mul_matrix,
                         point_tables, transposed)
 from ..gf import Field
-from ..linalg import (cross, decode_vector, echelon_bases, f3_vectors, image_table, kernel_rows,
-                      scalar_multiples, scaling_table, unit_row, vec_index)
+from ..linalg import (cross, decode_vector, echelon_bases, f3_vectors, identity_rows, image_table,
+                      kernel_rows, scalar_multiples, scaling_table, unit_row, vec_index)
 from .spaces import NONDEGENERATE, PairVector, intersection_dim, plane_representatives
 
 TYPE_CHECKING = False
@@ -83,15 +83,15 @@ def verify_theorem_A(alg: Algebra3, inventory: AvInventory | None = None) -> Ver
     )
 
 
-def verify_theorem_B(tf: TwistedFieldSpec, inventory: AvInventory | None = None) -> Verdict:
+def verify_theorem_B(tf: TwistedFieldSpec) -> Verdict:
     """Two-dim intersections exist iff the algebra is commutative-isotopic.
 
     A dim-2 pair forces both vectors nondegenerate, and the symmetry that
     `census.certified_tables` checks keeps every dim(Av meet Av') and carries
     its one representative v to every nondegenerate vector.  So the census
-    kernel (`census.meet_all`) at that v decides, on `census.certified_tables`
-    unless `inventory` is given; `checked` counts the v it covers, and the
-    witness, the least-index dim-2 space, is cross-checked.
+    kernel (`census.meet_all`) at that v decides, on `census.certified_tables`;
+    `checked` counts the v it covers, and the witness, the least-index dim-2
+    space, is cross-checked.
     """
     from .census import REPRESENTATIVE, certified_tables, meet_all
 
@@ -100,7 +100,7 @@ def verify_theorem_B(tf: TwistedFieldSpec, inventory: AvInventory | None = None)
     alg, cls = tables.alg, tables.cls
     q = alg.field.order
     v = REPRESENTATIVE
-    meet = meet_all(tables if inventory is None else inventory, v)
+    meet = meet_all(tables, v)
     two_dim = [least for d, least in meet.hits if d == 2]
     witnesses = []
     if two_dim:
@@ -258,15 +258,18 @@ def _row_spaces(q: int):
 def verify_normal_forms(fld: Field) -> Verdict:
     """Every pair of 2x2 matrices lands in a tag with verifying (P, Q).
 
-    The tag is invariant under (G0, G1) -> (P G0, P G1), P in GL2 (see
-    `normalform`), so the q^8 pairs are decided by one pair per row space of
-    the 2x4 matrix [G0 | G1]: its RREF, weighted by its orbit size, |GL2| =
-    (q^2-1)(q^2-q) at rank 2, q^2-1 at rank 1 and 1 at rank 0.  The run
-    certifies both steps, raising RuntimeError otherwise: the weights sum to
-    q^8, and each representative keeps its tag under the generators diag(w, 1),
-    [[1,1],[0,1]] and [[0,1],[1,0]] of GL2 (w generating F^x).  `pair_normal_form`
-    checks its (P, Q) and the template is checked on every representative;
-    witnesses are representatives whose template fails.
+    The tag is invariant under (G0, G1) -> (P G0, P G1), P in GL2, by the
+    argument of the `normalform` module docstring, so the q^8 pairs are decided
+    by one pair per row space of the 2x4 matrix [G0 | G1]: its RREF, weighted by
+    its orbit size, |GL2| = (q^2-1)(q^2-q) at rank 2, q^2-1 at rank 1 and 1 at
+    rank 0.  The run checks that the weights sum to q^8, and spot-checks the
+    invariance, raising RuntimeError otherwise: each representative keeps its
+    tag under the generators diag(w, 1), [[1,1],[0,1]] and [[0,1],[1,0]] of
+    GL2 (w generating F^x).  That check runs only at the representative, so
+    the tag being constant on the rest of the orbit rests on the argument
+    alone.  `pair_normal_form` checks its (P, Q) and the template is checked
+    on every representative; witnesses are representatives whose template
+    fails.
     """
     from .normalform import mul2, pair_normal_form, template_matches
 
@@ -345,10 +348,10 @@ def search_theorem_7_2_analogue(spec: SplitAlbertSpec) -> Verdict:
     admissible iff (p', p'') != 0 and p'p''(a' - b'') - p'^2 a'' + p''^2 b' != 0.
     dim(U(x,y) meet U(x',y')) = 2 iff the three rows of U(x',y') project to a
     rank-one set under the annihilator N = [N_L | N_R] of U(x,y); both halves
-    of N are tabulated over F^3 once per base.  Every row is read from one
-    table of the q^3 per-vector products phi(alpha_k, v) (`basis_products`),
-    held as three array columns.  U(x,y) has dimension 3, as phi(a, .) has
-    rank at least 2 for a != 0; a base of another dimension raises RuntimeError.
+    of N are tabulated over F^3 once per base.  Every row is read from the F^3
+    index tables of L_{alpha_k} (`linalg.image_table`), one array per k.
+    U(x,y) has dimension 3, as phi(a, .) has rank at least 2 for a != 0; a
+    base of another dimension raises RuntimeError.
 
     The per-base counts depend only on the torus orbit of the plane <x, y>
     (`_torus_orbits`), so the sweep runs on the first plane of each orbit, in
@@ -361,10 +364,10 @@ def search_theorem_7_2_analogue(spec: SplitAlbertSpec) -> Verdict:
     n3 = q**3
     mul, add, sub = fld.mul_t, fld.add_t, fld.sub_t
     vecs = f3_vectors(q)
-    # prods[k][v]: the index of phi(alpha_k, v); U(x, y) has the rows
-    # (phi(alpha_k, x) | phi(alpha_k, y))
-    prods = [array("i", col) for col in zip(*(
-        [vec_index(q, row) for row in basis_products(spec, v)] for v in vecs))]
+    # prods[k][v]: the index of phi(alpha_k, v), the table of L_{alpha_k}; U(x, y) has
+    # the rows (phi(alpha_k, x) | phi(alpha_k, y))
+    prods = [array("i", image_table(fld, zip(*left_mul_matrix(spec, e))))
+             for e in identity_rows(3)]
     orbits = _torus_orbits(fld, prods)
     # for each x', the y' with (x', y') of rank 2: those off the line F x'
     scale = scalar_multiples(fld)  # scale[k * n3 + v]: the index of k v

@@ -209,10 +209,12 @@ class Field:
         n = self.order
         if self.subfield is None:
             self.neg_t = [(-a) % n for a in range(n)]
-        else:
-            q, w = self.digit_base, self.width
-            self.neg_t = [vec_index(q, [self.subfield.neg(d) for d in decode_vector(q, a, w)])
-                          for a in range(n)]
+        else:  # digit by digit, the lowest digit fastest as in `vec_index`
+            neg = [0]
+            for _ in range(self.width):
+                step = len(neg)
+                neg = [x + step * d for d in self.subfield.neg_t for x in neg]
+            self.neg_t = neg
         if self.spec is not None:
             self.add_t = [[self._slow_add(a, b) for b in range(n)] for a in range(n)]
             self.mul_t = [[self._slow_mul(a, b) for b in range(n)] for a in range(n)]

@@ -51,7 +51,7 @@ class Keyed:
         return hash(self._key(self))
 
 
-class Subspace(Keyed, namedtuple("Subspace", "field ambient basis", defaults=(0, ()))):
+class Subspace(Keyed, namedtuple("Subspace", "field ambient basis")):
     """Canonical subspace of F^n: basis rows in reduced row-echelon form."""
 
     __slots__ = ()

@@ -46,11 +46,11 @@ from twistfield.splitalbert import (
     SplitAlbertSpec,
     TriVector,
     char_poly_ratio,
-    check_splitting_identity,
     lmat,
     rmat,
     rmat_inv,
     split_twisted_field,
+    splitting_counterexample,
 )
 
 from reference_kernels import mat_mul
@@ -170,7 +170,7 @@ def test_criterion_6_split_identities(comm3):
     t0 = time.perf_counter()
     # splitting identity, exhaustive at q=3
     stf = split_twisted_field(comm3)
-    check_splitting_identity(stf, [(x, y) for x in range(27) for y in range(27)])
+    assert splitting_counterexample(stf, [(x, y) for x in range(27) for y in range(27)]) is None
     ok = True
     # determinant formulas, exhaustive at q <= 5
     for q, d in ((3, (1, 1, 1)), (4, (1, 1, 2)), (5, (1, 2, 3))):

@@ -154,7 +154,8 @@ def test_line_profile_commutative_isotope_q5(tower5):
     c = next(c for c in valid_c_values(tower5)
              if c != tower5.ext.neg(1) and tower5.norm(c) == tower5.base.neg(1))
     spec = TwistedFieldSpec(tower5, c)
-    rep = line_profile(to_structure_constants(spec), PairVector((1, 2, 0), (0, 3, 1)),
+    alg = to_structure_constants(spec)
+    rep = line_profile(alg, PairVector((1, 2, 0), (0, 3, 1)), inventory=build_inventory(alg),
                        algebra_class=isotopy_class(spec))
     assert rep.match is True
 
@@ -198,6 +199,14 @@ def test_line_profile_rejects_degenerate(alg3, inv3):
 def test_profile_rejects_zero(alg3, inv3):
     with pytest.raises(ValueError):
         per_vector_profile(alg3, PairVector((0, 0, 0), (0, 0, 0)), inventory=inv3)
+
+
+def test_profiles_without_tables_are_a_type_error(alg3):
+    # the tables are the caller's to pass: no profile builds the q^6 inventory by itself
+    with pytest.raises(TypeError, match="inventory"):
+        per_vector_profile(alg3, V0, algebra_class=IsotopyClass.COMMUTATIVE_ISOTOPIC)
+    with pytest.raises(TypeError, match="inventory"):
+        line_profile(alg3, V0)
 
 
 def test_profile_without_class_has_no_predictions(alg3, inv3):

@@ -488,7 +488,7 @@ def test_zero_divisors_raise_runtime_error(tower3):
     with pytest.raises(RuntimeError, match="not a division algebra"):
         left_division_tables(alg)
     with pytest.raises(RuntimeError):
-        per_vector_profile(alg, V0)
+        build_inventory(alg)
 
 
 def test_missing_division_vector_raises_runtime_error(alg3, monkeypatch):
@@ -566,7 +566,7 @@ def test_key_met_in_two_dimensions_raises_runtime_error(comm3):
 # -- replayable scan witnesses -----------------------------------------------------------
 
 
-def test_scan_witnesses_name_failed_checks_and_carry_lines(alg3, monkeypatch):
+def test_scan_witnesses_name_failed_checks_and_carry_lines(alg3, inv3, monkeypatch):
     q = 3
     cls = IsotopyClass.COMMUTATIVE_ISOTOPIC
     true_lines = predicted_line_profile(q, cls)
@@ -580,10 +580,10 @@ def test_scan_witnesses_name_failed_checks_and_carry_lines(alg3, monkeypatch):
         assert w["failed"] == ["lines"]
         assert w["observed"]["lines"] == true_lines
         v = PairVector(*w["v"])
-        replay = per_vector_profile(alg3, v, algebra_class=cls)
+        replay = per_vector_profile(alg3, v, inventory=inv3, algebra_class=cls)
         assert {**w["observed"]["vectors"], "zero_vector": 1} == replay.observed["vectors"]
         assert w["observed"]["spaces"] == replay.observed["spaces"]
-        assert line_profile(alg3, v).observed == true_lines
+        assert line_profile(alg3, v, inventory=inv3).observed == true_lines
 
 
 def test_scan_witnesses_name_tally_and_complement(alg3, monkeypatch):

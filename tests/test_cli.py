@@ -106,10 +106,10 @@ def test_passing_split_report_has_no_witness(capsys):
 def test_split_failure_reports_witness(capsys, monkeypatch):
     # the identity holds, so break mu at two basis pairs of (1, t, t^2); the first in
     # sweep order is the witness
-    real = splitalbert.twisted_mu
+    real = splitalbert.twisted_product
     bad = {(3, 9), (9, 1)}
-    monkeypatch.setattr(splitalbert, "twisted_mu",
-                        lambda tf, x, y: (real(tf, x, y) + ((x, y) in bad)) % 27)
+    monkeypatch.setattr(splitalbert, "twisted_product",
+                        lambda tower, c, x, y: (real(tower, c, x, y) + ((x, y) in bad)) % 27)
     code, out, _ = run_cli(capsys, "split", "--q", "3", "--norm-target", "-1")
     assert code == cli.EXIT_COUNTEREXAMPLE == 1
     report = json.loads(out)["report"]
@@ -523,10 +523,10 @@ def test_broken_torus_certificate_is_internal(capsys, monkeypatch, broken):
         real = verify.plane_representatives
         monkeypatch.setattr(verify, "plane_representatives", lambda fld: real(fld)[:-1])
         message = "the torus orbits cover 12 planes"
-    else:  # one vector gets the products of another
-        real = verify.basis_products
-        monkeypatch.setattr(verify, "basis_products", lambda sp, v: real(
-            sp, (1, 1, 2) if tuple(v) == (1, 1, 1) else v))
+    else:  # alpha_0 gets the products of alpha_0 + alpha_1
+        real = verify.left_mul_matrix
+        monkeypatch.setattr(verify, "left_mul_matrix", lambda sp, a: real(
+            sp, (1, 1, 0) if tuple(a) == (1, 0, 0) else a))
         message = "phi(t.alpha_"
     code, out, err = run_cli(capsys, "verify", "--theorem", "7.2-analogue", "--q", "3")
     assert code == cli.EXIT_INTERNAL == 3

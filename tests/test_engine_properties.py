@@ -197,7 +197,7 @@ def _trichotomy_samples(spec, rng, count):
     alg = to_structure_constants(spec)
     fld = alg.field
     q = fld.order
-    commutative = spec.norm_c() == fld.neg(1)
+    commutative = spec.tower.norm(spec.c) == fld.neg(1)
     vectors = list(nondeg_vectors(fld))
     for _ in range(count):
         v = rng.choice(vectors)
@@ -239,7 +239,7 @@ def test_trichotomy_noncommutative_q4(noncomm4):
 
 def test_trichotomy_noncommutative_q5(tower5):
     spec = TwistedFieldSpec(tower5, pick_c_by_norm(tower5, 2))
-    assert spec.norm_c() == 2
+    assert spec.tower.norm(spec.c) == 2
     _trichotomy_samples(spec, random.Random(51), 60)
 
 

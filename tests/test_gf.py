@@ -257,6 +257,17 @@ def test_frobenius_table_is_the_power_map(q):
 
 
 @pytest.mark.parametrize("q", gf.SUPPORTED_Q)
+def test_negation_table_at_every_level(q):
+    # neg_t is built digit by digit from the subfield's; sub reads it, so x + neg_t[x] = 0
+    # is the independent check
+    tower = gf.FieldTower.build(q)
+    for fld in (tower.ext, tower.base, tower.base.subfield):
+        if fld is not None:
+            assert all(fld.neg_t[x] == fld.sub(0, x) and fld.add(x, fld.neg_t[x]) == 0
+                       for x in fld.elements())
+
+
+@pytest.mark.parametrize("q", gf.SUPPORTED_Q)
 def test_norm_table_is_the_product_of_the_conjugates(q):
     # the table is read off the table of y -> t y at the points of P^2(F) and scaled from
     # them; every entry is x x^sigma x^sigma^2 in K's own multiplication

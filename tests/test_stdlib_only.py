@@ -185,7 +185,7 @@ TEST_ONLY_DEFINITIONS = {
     "construct_two_dim_partner", "rho_map", "lambda_map",
     # L_x and the closed-form R_y^-1 of the split Albert map, and paper checks
     "lmat", "rmat_inv", "valid_c_values", "isotopy_witness", "solution_space",
-    "complementary_space_count", "global_counts", "nu_via_phi", "check_splitting_identity",
+    "complementary_space_count", "global_counts", "nu_via_phi",
     # bench/layers.py times it until the benchmark drops it (ROADMAP item 1)
     "added_rank",
     # R_y of the split Albert map: the tests' references and bench/layers.py read it,

@@ -15,7 +15,7 @@ from twistfield.algebra3 import (
     valid_c_values,
 )
 from twistfield.engine import normalform, verify as verify_module
-from twistfield.engine.census import build_inventory, division_tables
+from twistfield.engine.census import REPRESENTATIVE, build_inventory, division_tables, meet_all
 from twistfield.engine.normalform import det2, template_matches
 from twistfield.engine.spaces import (
     DEGENERATE,
@@ -234,9 +234,8 @@ def test_theorem_B_matches_rank_reference(request, q):
     classes = set()
     for c in cases(q, tower):
         spec = TwistedFieldSpec(tower, c)
-        inventory = build_inventory(to_structure_constants(spec))
-        verdict = verify_theorem_B(spec, inventory=inventory)
-        want = reference_theorem_B(spec, inventory)
+        verdict = verify_theorem_B(spec)
+        want = reference_theorem_B(spec, build_inventory(to_structure_constants(spec)))
         details = {k: v for k, v in verdict.details.items() if k not in ("mode", "orbit")}
         assert (verdict.name, verdict.passed, verdict.witnesses, details) == (
             want.name, want.passed, want.witnesses, want.details), c
@@ -267,7 +266,7 @@ def index3(w):
     return sum(c * 3**j for j, c in enumerate(w))
 
 
-def test_corrupted_inventory_is_never_a_verdict_for_B_and_a_witness_for_A(comm3, alg3, inv3):
+def test_corrupted_inventory_is_never_a_verdict_for_B_and_a_witness_for_A(alg3, inv3):
     # point the space of 2 v, v the first plane representative, at a degenerate space;
     # the fibers and totals are counted from the corrupted space_of
     fld = alg3.field
@@ -277,8 +276,9 @@ def test_corrupted_inventory_is_never_a_verdict_for_B_and_a_witness_for_A(comm3,
     space_of = array("i", inv3.space_of)
     space_of[index3(tuple(fld.mul(2, c) for c in v.flat))] = other
     bad = with_space_of(inv3, space_of)
+    # Theorem B's kernel call, at its representative (this same v), raises
     with pytest.raises(RuntimeError, match="met on"):
-        verify_theorem_B(comm3, inventory=bad)
+        meet_all(bad, REPRESENTATIVE)
     verdict = verify_theorem_A(alg3, inventory=bad)
     assert verdict.passed is False
     assert verdict.witnesses == [{"Av_key": [list(r) for r in inv3.spaces[broken].rows],
@@ -623,8 +623,8 @@ def test_two_dim_search_follows_a_changed_pair_rows(monkeypatch):
     fld = gf.Field.of_order(5)
     spec, other = SplitAlbertSpec(fld, (1, 1, 2)), SplitAlbertSpec(fld, (1, 1, 1))
     before = search_theorem_7_2_analogue(spec)
-    real = verify_module.basis_products
-    monkeypatch.setattr(verify_module, "basis_products", lambda sp, v: real(other, v))
+    real = verify_module.left_mul_matrix
+    monkeypatch.setattr(verify_module, "left_mul_matrix", lambda sp, a: real(other, a))
     verdict = search_theorem_7_2_analogue(spec)
     want, _ = full_plane_theorem_7_2(other)
     keys = ("admissible_quadruples", "two_dim_hits")
@@ -635,11 +635,12 @@ def test_two_dim_search_follows_a_changed_pair_rows(monkeypatch):
 
 
 def test_two_dim_search_changed_products_trip_the_torus_certificate(monkeypatch):
-    # one vector gets the products of another: the product table is no longer torus-equivariant
+    # alpha_0 gets the products of alpha_0 + alpha_1: the product table is no longer
+    # torus-equivariant
     spec = SplitAlbertSpec(gf.Field.of_order(3), (1, 1, 1))
-    real = verify_module.basis_products
-    monkeypatch.setattr(verify_module, "basis_products", lambda sp, v: real(
-        sp, (1, 1, 2) if tuple(v) == (1, 1, 1) else v))
+    real = verify_module.left_mul_matrix
+    monkeypatch.setattr(verify_module, "left_mul_matrix", lambda sp, a: real(
+        sp, (1, 1, 0) if tuple(a) == (1, 0, 0) else a))
     with pytest.raises(RuntimeError, match="phi\\(t.alpha_"):
         search_theorem_7_2_analogue(spec)
 
