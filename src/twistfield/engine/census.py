@@ -22,17 +22,18 @@ is met in two dimensions, and every space met holds its kind's vectors/spaces
 ratio of `totals`.
 
 The kernel reads the `division` tables, built once per algebra, and the
-`totals` of one of two values.  `build_inventory` keys all q^6 v' in one pass
-and counts the totals: its columns (key, fiber size, least index and kind of
-each distinct space, in order of least index, and `space_of`, the position of
-each v') are what Theorem A, `global_counts` and the exhaustive references
-read; a `SpaceRec` is built only when `spaces` is read.  `certified_tables`
-keys nothing beyond the reach: with the orbit certified (below), every
-nondegenerate fiber has the size f of the fiber of A REPRESENTATIVE, so the
-nondegenerate totals are ((q^3-1)(q^3-q), (q^3-1)(q^3-q)/f); by division the
-degenerate spaces are {(u, k u)} and 0 + A, q + 1 of them with q^3 - 1 vectors
-each.  `census --v`, `line-census`, `census --scan-all` and Theorem B run on
-these.
+`totals` of one of two values.  `division.keys` holds one entry per class
+F^x v' with x' != 0, keyed by its space, so the fiber of a space is q - 1 times
+the entries of its key; Theorem A and `certified_tables` count fibers so.
+`build_inventory` keys all q^6 v' in one pass and counts the totals: its
+columns (key, fiber size, least index and kind of each distinct space, in order
+of least index, and `space_of`, the position of each v') are what
+`global_counts` and the exhaustive references read; a `SpaceRec` is built only
+when `spaces` is read.  With the orbit certified (below), every nondegenerate
+fiber has the size f of the fiber of A REPRESENTATIVE, so the nondegenerate
+totals are ((q^3-1)(q^3-q), (q^3-1)(q^3-q)/f); by division the degenerate
+spaces are {(u, k u)} and 0 + A, q + 1 of them with q^3 - 1 vectors each.
+`census --v`, `line-census`, `census --scan-all` and Theorem B run on these.
 
 `census --scan-all` and Theorem B check one v and cover all (q^3-1)(q^3-q)
 nondegenerate ones by the symmetry that `certified_tables` checks.  For beta in K^x,
@@ -122,14 +123,16 @@ class SpaceRecords(Sequence):
     def __getitem__(self, pos: int) -> SpaceRec:
         inv = self.inventory
         q = inv.alg.field.order
-        n = q**3
-        key, vecs = inv.key[pos], f3_vectors(q)
-        if key < 0:  # Av' = 0 + A
-            rows, pivots = tuple((0, 0, 0) + e for e in UNIT), (3, 4, 5)
-        else:
-            rows, pivots = tuple(e + vecs[key // n**j % n] for j, e in enumerate(UNIT)), (0, 1, 2)
-        return SpaceRec(rows, pivots, KINDS[inv.kind[pos]], inv.fiber[pos],
+        return SpaceRec(*space_rows(q, inv.key[pos]), KINDS[inv.kind[pos]], inv.fiber[pos],
                         decode_vector(q, inv.first[pos]), inv.first[pos])
+
+
+def space_rows(q: int, key: int) -> tuple[tuple, tuple]:
+    """(RREF rows, pivots) of the space Av' keyed `key` (-1 for 0 + A)."""
+    if key < 0:
+        return tuple((0, 0, 0) + e for e in UNIT), (3, 4, 5)
+    n, vecs = q**3, f3_vectors(q)
+    return tuple(e + vecs[key // n**j % n] for j, e in enumerate(UNIT)), (0, 1, 2)
 
 
 class AvInventory(Keyed, namedtuple("AvInventory",
@@ -209,7 +212,7 @@ def parallel_map(fn, chunks: list, workers: int, init: tuple) -> list:
 
 
 @lru_cache(maxsize=None)
-def _degenerate_keys(q: int) -> frozenset:
+def degenerate_keys(q: int) -> frozenset:
     """The keys of the degenerate spaces: v' is degenerate iff x' = 0 (key -1) or
     y' = k x', that is T = k I, keyed k (1 + q n + q^2 n^2) (`linalg` module docstring)."""
     n = q**3
@@ -247,7 +250,7 @@ def build_inventory(alg: Algebra3, workers: int = 1) -> AvInventory:
     del ids
     counts = Counter(space_of)
     fiber = array("i", map(counts.__getitem__, range(len(key))))
-    degenerate = _degenerate_keys(q)
+    degenerate = degenerate_keys(q)
     kind = array("b", [k in degenerate for k in key])  # KINDS: 0 nondegenerate, 1 degenerate
     totals = {name: (sum(f for f, k in zip(fiber, kind) if k == i), kind.count(i))
               for i, name in enumerate(KINDS)}
@@ -427,7 +430,7 @@ def meet_all(tables: AvInventory | CertifiedTables, v: PairVector) -> Meet:
     for kind, (n_vectors, n_spaces) in tables.totals.items():
         vectors["dim0_" + kind] = n_vectors
         spaces["dim0_" + kind] = n_spaces
-    degenerate = _degenerate_keys(q)
+    degenerate = degenerate_keys(q)
     hits = []
     for key, first in least.items():
         d = dim_of[mult[first]]
@@ -753,7 +756,8 @@ def certified_tables(spec: TwistedFieldSpec) -> CertifiedTables:
     beta = `singer_element` and gamma = beta beta^sigma; the GL2 half is
     bilinearity.  REPRESENTATIVE then stands for all plane_orbit (q^2-1)(q^2-q)
     nondegenerate v (`covered`), and each nondegenerate fiber has the size f of
-    its fiber: q - 1 times the classes reached q^2+q+1 times from it.
+    its fiber, counted off the `division` keys at (e_0, e_1), e_0 being a point
+    (module docstring); the kernel's dim-3 ratio check compares f with the reach.
     RuntimeError when the certificate fails or f does not divide the
     nondegenerate vectors.
     """
@@ -767,7 +771,8 @@ def certified_tables(spec: TwistedFieldSpec) -> CertifiedTables:
     q = alg.field.order
     n = q**3
     division = division_tables(alg)
-    fiber = (q - 1) * list(_reach(alg, division, REPRESENTATIVE)[2].values()).count(q * q + q + 1)
+    key = division.keys[vec_index(q, REPRESENTATIVE.x)][vec_index(q, REPRESENTATIVE.y)]
+    fiber = (q - 1) * sum(row.count(key) for row in division.keys.values())
     vectors = (n - 1) * (n - q)
     if not fiber or vectors % fiber:
         raise RuntimeError(f"the fiber of A v at v = {REPRESENTATIVE.to_json()} has {fiber} "

@@ -124,8 +124,8 @@ def _similarity_to_normal(fld: Field, m: Mat2):
     return "I*", (det, tr), ((1, s2[0]), (0, s2[1]))
 
 
-def _reduce_rank1(fld: Field, a: Mat2) -> tuple[Mat2, Mat2]:
-    """(P, Q) with P a Q = E11 for a nonzero singular matrix."""
+def _reduce_rank1(fld: Field, a: Mat2, pair: tuple) -> tuple[Mat2, Mat2]:
+    """(P, Q) with P a Q = E11 for a nonzero singular matrix a of the pair (G0, G1)."""
     P, Q = ID2, ID2
     i, j = next((i, j) for i in range(2) for j in range(2) if a[i][j])
     if i == 1:
@@ -143,7 +143,7 @@ def _reduce_rank1(fld: Field, a: Mat2) -> tuple[Mat2, Mat2]:
         Q = mul2(fld, Q, ((1, neg[m[0][1]]), (0, 1)))
         m = mul2(fld, mul2(fld, P, a), Q)
     if m != E11:
-        raise RuntimeError("rank-1 reduction failed")  # would mean rank 2 input
+        raise RuntimeError(f"rank-1 reduction failed at (G0, G1) = {pair}")  # a rank 2 input
     return P, Q
 
 
@@ -187,11 +187,12 @@ def pair_normal_form(fld: Field, g0: Mat2, g1: Mat2) -> PairNormalForm:
         tag, params, Q = _similarity_to_normal(fld, mul2(fld, a_inv, b))
         if switched:
             if tag == "I*":
-                raise RuntimeError("singular matrix with irreducible characteristic polynomial")
+                raise RuntimeError("singular matrix with irreducible characteristic "
+                                   f"polynomial at (G0, G1) = {(g0, g1)}")
             tag = {"I": "III", "II": "IV"}[tag]
         P = mul2(fld, inv2(fld, Q), a_inv)
     elif g0 != ZERO:
-        P, Q = _reduce_rank1(fld, g0)
+        P, Q = _reduce_rank1(fld, g0, (g0, g1))
         b = mul2(fld, mul2(fld, P, g1), Q)
         if b[1][1]:
             s = fld.inv_t[b[1][1]]
@@ -203,16 +204,16 @@ def pair_normal_form(fld: Field, g0: Mat2, g1: Mat2) -> PairNormalForm:
                 Q = mul2(fld, Q, ((1, 0), (neg[by_s[b[1][0]]], 1)))
             P = mul2(fld, ((1, 0), (0, s)), P)
             if mul2(fld, mul2(fld, P, g1), Q) != E22:
-                raise RuntimeError("V-normalization failed")
+                raise RuntimeError(f"V-normalization failed at (G0, G1) = {(g0, g1)}")
             tag, params = "V", ()
         elif b[1][0] == 0:
             tag, params = "VI", (1, 0, b[0][0], b[0][1])
         elif b[0][1] == 0:
             tag, params = "VII", (1, 0, b[0][0], b[1][0])
         else:
-            raise RuntimeError("singular matrix with b12*b21 != 0")
+            raise RuntimeError(f"singular matrix with b12*b21 != 0 at (G0, G1) = {(g0, g1)}")
     elif g1 != ZERO:
-        P, Q = _reduce_rank1(fld, g1)
+        P, Q = _reduce_rank1(fld, g1, (g0, g1))
         tag, params = "VI", (0, 0, 1, 0)
     else:
         tag, params, P, Q = "VI", (0, 0, 0, 0), ID2, ID2
@@ -221,9 +222,9 @@ def pair_normal_form(fld: Field, g0: Mat2, g1: Mat2) -> PairNormalForm:
     left0 = mul2(fld, mul2(fld, P, g0), Q)
     left1 = mul2(fld, mul2(fld, P, g1), Q)
     if (left0, left1) != form.rep:
-        raise RuntimeError("normal form verification failed")
+        raise RuntimeError(f"normal form verification failed at (G0, G1) = {(g0, g1)}")
     if det2(fld, P) == 0 or det2(fld, Q) == 0:
-        raise RuntimeError("singular change of basis")
+        raise RuntimeError(f"singular change of basis at (G0, G1) = {(g0, g1)}")
     return form
 
 

@@ -19,12 +19,11 @@ from ..algebra3 import (Algebra3, IsotopyClass, TwistedFieldSpec, graph_keys, le
 from ..gf import Field
 from ..linalg import (cross, decode_vector, echelon_bases, f3_vectors, identity_rows, image_table,
                       kernel_rows, scalar_multiples, scaling_table, unit_row, vec_index)
-from .spaces import NONDEGENERATE, PairVector, intersection_dim, plane_representatives
+from .spaces import PairVector, intersection_dim, plane_representatives
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only
     from ..splitalbert import SplitAlbertSpec
-    from .census import AvInventory
 
 
 class Verdict:
@@ -41,42 +40,46 @@ class Verdict:
         return {**vars(self), "runtime_ms": round(self.runtime_ms, 3)}  # in field order
 
 
-def verify_theorem_A(alg: Algebra3, inventory: AvInventory | None = None) -> Verdict:
+def verify_theorem_A(alg: Algebra3) -> Verdict:
     """Av = Av' iff Fv = Fv', over all nondegenerate vectors.
 
-    Reads the inventory's sweep over A^2: the statement holds iff the fiber
-    of each nondegenerate space is exactly the q - 1 vectors k rep, k in F^x,
-    with rep its least-index vector: its `fiber` entry is q - 1 and `space_of`
-    puts each k rep in it.  Witnesses decode a failing space's fiber.
+    The keys of `census.division_tables` hold one entry per class F^x v' with
+    x' != 0, keyed by its space, so the statement holds iff no nondegenerate key
+    appears twice.  Witnesses are the repeated keys, in order of least member
+    index, with the first members of their classes.
     """
-    from .census import KINDS, build_inventory
+    from .census import degenerate_keys, division_tables, space_rows
 
     t0 = time.perf_counter()
     fld = alg.field
     q = fld.order
     n = q**3
-    if inventory is None:
-        inventory = build_inventory(alg)
-    space_of = inventory.space_of
-    scale = scalar_multiples(fld)  # scale[k * n + w]: the index of k w
-    failed = []
-    for pos, (fiber, first, kind) in enumerate(zip(inventory.fiber, inventory.first,
-                                                   inventory.kind)):
-        if KINDS[kind] != NONDEGENERATE:
-            continue
-        x, y = first % n, first // n
-        if fiber != q - 1 or any(space_of[scale[k + x] + n * scale[k + y]] != pos
-                                 for k in range(n, q * n, n)):
-            failed.append(pos)
+    keys = division_tables(alg).keys
+    degenerate = degenerate_keys(q)
+    seen: set[int] = set()
+    entries = 0
+    for row in keys.values():
+        found = [k for k in row if k not in degenerate]
+        entries += len(found)
+        seen.update(found)
     witnesses = []
-    for pos in failed[:5]:
-        members = [decode_vector(q, i) for i, p in enumerate(space_of) if p == pos]
-        witnesses.append({"Av_key": [list(r) for r in inventory.spaces[pos].rows],
-                          "members": sorted((v[:3], v[3:]) for v in members)[:4]})
+    if len(seen) != entries:  # a Counter only now, so that the pass holds one set
+        del seen
+        counts = Counter(k for row in keys.values() for k in row if k not in degenerate)
+        scale = scalar_multiples(fld)  # scale[k * n + w]: the index of k w
+        members: dict[int, list] = {k: [] for k, m in counts.items() if m > 1}
+        for a, row in keys.items():
+            for y, key in enumerate(row):
+                if key in members:
+                    members[key] += [scale[k + a] + n * scale[k + y] for k in range(n, q * n, n)]
+        for key, held in sorted(members.items(), key=lambda item: min(item[1]))[:5]:
+            vecs = sorted((v[:3], v[3:]) for v in (decode_vector(q, i) for i in held))
+            witnesses.append({"Av_key": [list(r) for r in space_rows(q, key)[0]],
+                              "members": vecs[:4]})
     return Verdict(
         name="theorem-A",
-        passed=not failed,
-        checked=inventory.totals[NONDEGENERATE][0],
+        passed=not witnesses,
+        checked=(q - 1) * entries,
         witnesses=witnesses,
         details={"mode": "exhaustive", "q": q},
         runtime_ms=(time.perf_counter() - t0) * 1000,
@@ -267,9 +270,10 @@ def verify_normal_forms(fld: Field) -> Verdict:
     tag under the generators diag(w, 1), [[1,1],[0,1]] and [[0,1],[1,0]] of
     GL2 (w generating F^x).  That check runs only at the representative, so
     the tag being constant on the rest of the orbit rests on the argument
-    alone.  `pair_normal_form` checks its (P, Q) and the template is checked
-    on every representative; witnesses are representatives whose template
-    fails.
+    alone.  `pair_normal_form` checks its (P, Q), takes its representative from
+    `template` and tags I* only a rootless characteristic polynomial, so
+    `template_matches`, kept as a guard, holds for every form it returns: a
+    failure is its RuntimeError naming (G0, G1) (exit 3), not a witness.
     """
     from .normalform import mul2, pair_normal_form, template_matches
 

@@ -281,15 +281,15 @@ def test_keyed_kernel_matches_reference(q, request):
 
 
 def test_fiber_that_does_not_divide_raises_runtime_error(comm3, monkeypatch):
-    real = census._reach
+    real = census.division_tables
 
-    def reach(alg, division, v):  # four more classes met in dimension 3: a fiber of 10
-        gens, reached, mult = real(alg, division, v)  # and 624 % 10 = 4
-        for ci in [i for i in range(1, 3**6) if i not in mult][:4]:
-            mult[ci] = 3 * 3 + 3 + 1
-        return gens, reached, mult
+    def division_tables(alg):  # four more classes keyed as A(e_0, e_1): a fiber of 10,
+        division = real(alg)  # and 624 % 10 = 4
+        keys = division.keys
+        keys[max(keys)][1:5] = array("q", [keys[1][3]] * 4)
+        return division
 
-    monkeypatch.setattr(census, "_reach", reach)
+    monkeypatch.setattr(census, "division_tables", division_tables)
     with pytest.raises(RuntimeError, match="do not divide the 624"):
         certified_tables(comm3)
 

@@ -4,13 +4,13 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
+from array import array
 from pathlib import Path
 
 import pytest
 
 from twistfield import cli, gf, splitalbert
-from twistfield.engine import census, verify
+from twistfield.engine import census, normalform, verify
 from twistfield.engine.verify import Verdict
 
 
@@ -381,15 +381,49 @@ def test_failing_certificate_is_internal_for_census_v(capsys, monkeypatch, comma
     if broken == "plane walk":
         monkeypatch.setattr(census, "singer_element", lambda tower: 1)
         message = "not one orbit"
-    else:  # every index of F^6 counted as a class of the fiber: 2 * 728 does not divide 624
-        real = census._reach
-        monkeypatch.setattr(census, "_reach", lambda alg, division, v: (
-            *real(alg, division, v)[:2], Counter(dict.fromkeys(range(1, 3**6), 3 * 3 + 3 + 1))))
+    else:  # every class keyed as A(e_0, e_1): 2 * 13 * 27 = 702 vectors do not divide 624
+        real = census.division_tables
+
+        def division_tables(alg):
+            division = real(alg)
+            key = division.keys[1][3]
+            for row in division.keys.values():
+                row[:] = array("q", [key] * len(row))
+            return division
+
+        monkeypatch.setattr(census, "division_tables", division_tables)
         message = "do not divide"
     code, out, err = run_cli(capsys, command, "--q", "3", "--norm-target", "-1",
                              "--v", "[1,0,0],[0,1,0]")
     assert code == cli.EXIT_INTERNAL == 3
     assert message in json.loads(out)["error"]
+    assert "Traceback" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "B"],
+    ["census", "--scan-all"],
+    ["census", "--v", "[1,0,0],[0,1,0]"],
+    ["line-census", "--v", "[1,0,0],[0,1,0]"],
+])
+def test_certified_commands_run_the_census_kernel_once(capsys, monkeypatch, argv):
+    # the representative's fiber comes from the key table, so only the kernel reaches
+    calls, real = [], census._reach
+    monkeypatch.setattr(census, "_reach", lambda alg, division, v: (
+        calls.append(v), real(alg, division, v))[1])
+    code, _, _ = run_cli(capsys, *argv, "--q", "3", "--norm-target", "-1")
+    assert code == 0
+    assert calls == [census.REPRESENTATIVE]
+
+
+def test_failing_normal_form_step_names_the_pair(capsys, monkeypatch):
+    # a template that is not the form's representative fails the (P, Q) check at the first
+    # pair, the zero pair of the rank-0 row space: exit 3, with the pair to replay
+    monkeypatch.setattr(normalform, "template", lambda fld, tag, params: (normalform.ID2,) * 2)
+    code, out, err = run_cli(capsys, "verify", "--theorem", "7.1", "--q", "3")
+    assert code == cli.EXIT_INTERNAL == 3
+    assert json.loads(out)["error"] == ("RuntimeError: normal form verification failed at "
+                                        "(G0, G1) = (((0, 0), (0, 0)), ((0, 0), (0, 0)))")
     assert "Traceback" in err
 
 

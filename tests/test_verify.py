@@ -7,6 +7,7 @@ import pytest
 
 from twistfield import gf, linalg
 from twistfield.algebra3 import (
+    Algebra3,
     IsotopyClass,
     TwistedFieldSpec,
     isotopy_class,
@@ -14,7 +15,7 @@ from twistfield.algebra3 import (
     to_structure_constants,
     valid_c_values,
 )
-from twistfield.engine import normalform, verify as verify_module
+from twistfield.engine import census, normalform, verify as verify_module
 from twistfield.engine.census import REPRESENTATIVE, build_inventory, division_tables, meet_all
 from twistfield.engine.normalform import det2, template_matches
 from twistfield.engine.spaces import (
@@ -77,6 +78,16 @@ def test_theorem_A_q5_exhaustive(tower5):
     verdict = verify_theorem_A(alg)
     assert verdict.passed and verdict.details["mode"] == "exhaustive"
     assert verdict.checked == (5**3 - 1) * (5**3 - 5) == 14880
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_theorem_A_builds_no_inventory(request, monkeypatch, q):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Theorem A built the q^6 inventory")
+
+    monkeypatch.setattr(census, "build_inventory", refuse)
+    verdict = verify_theorem_A(request.getfixturevalue(f"alg{q}"))
+    assert verdict.passed and verdict.checked == (q**3 - 1) * (q**3 - q)
 
 
 def test_theorem_B_commutative_q3(comm3):
@@ -246,10 +257,22 @@ def test_theorem_B_matches_rank_reference(request, q):
     assert len(classes) == (2 if q == 5 else 1)  # N(c) != 1 leaves only -1 at q=3
 
 
-@pytest.mark.parametrize("case", ["q3-[2,0,0]", "q3-[0,1,0]", "alg4", "q5-norm-1", "q5-norm2"])
+def field_algebra(tower):
+    """K itself on the basis (1, t, t^2), built as `test_field_product_is_division` builds
+    it: Av = K v, so every nondegenerate fiber is K^x v and Theorem A fails."""
+    K, q = tower.ext, tower.q
+    basis = [1, q, q * q]
+    return Algebra3(tower.base, tuple(tuple(K.coeffs(K.mul(bi, bj)) for bj in basis)
+                                      for bi in basis))
+
+
+@pytest.mark.parametrize("case", ["q3-[2,0,0]", "q3-[0,1,0]", "alg4", "q5-norm-1", "q5-norm2",
+                                  "q3-field", "q4-field"])
 def test_theorem_A_matches_grouping_reference(request, tower3, tower5, case):
     if case == "alg4":
         alg = request.getfixturevalue("alg4")
+    elif case.endswith("field"):  # the negative control
+        alg = field_algebra(request.getfixturevalue(f"tower{case[1]}"))
     elif case.startswith("q3"):
         alg = to_structure_constants(TwistedFieldSpec(tower3, gf.parse_triple(tower3, case[3:])))
     else:
@@ -258,7 +281,9 @@ def test_theorem_A_matches_grouping_reference(request, tower3, tower5, case):
     verdict = verify_theorem_A(alg)
     assert same_verdict(verdict, reference_theorem_A(alg))
     q = alg.field.order
-    assert verdict.passed and verdict.checked == (q**3 - 1) * (q**3 - q)
+    assert verdict.passed is not case.endswith("field")
+    assert verdict.checked == (q**3 - 1) * (q**3 - q)
+    assert len(verdict.witnesses) == (5 if case.endswith("field") else 0)
 
 
 def index3(w):
@@ -266,7 +291,29 @@ def index3(w):
     return sum(c * 3**j for j, c in enumerate(w))
 
 
-def test_corrupted_inventory_is_never_a_verdict_for_B_and_a_witness_for_A(alg3, inv3):
+def key_class_as(monkeypatch, v, target):
+    """Patch `census.division_tables` so that its key table keys the class F^x v as the
+    class F^x target (the x of both a point): the class of v moves into A target."""
+    real = census.division_tables
+
+    def division_tables(alg):
+        division = real(alg)
+        q = alg.field.order
+        (a, y), (b, z) = ((vec_index(q, u.x), vec_index(q, u.y)) for u in (v, target))
+        division.keys[a][y] = division.keys[b][z]
+        return division
+
+    monkeypatch.setattr(census, "division_tables", division_tables)
+
+
+def class_members(fld, *vs):
+    """The sorted (x, y) of the vectors k v, k in F^x, for each v of `vs`."""
+    return sorted((tuple(fld.mul(k, c) for c in v.x), tuple(fld.mul(k, c) for c in v.y))
+                  for v in vs for k in range(1, fld.order))
+
+
+def test_corrupted_inventory_is_never_a_verdict_for_B_and_a_witness_for_A(
+        monkeypatch, alg3, inv3):
     # point the space of 2 v, v the first plane representative, at a degenerate space;
     # the fibers and totals are counted from the corrupted space_of
     fld = alg3.field
@@ -279,30 +326,28 @@ def test_corrupted_inventory_is_never_a_verdict_for_B_and_a_witness_for_A(alg3, 
     # Theorem B's kernel call, at its representative (this same v), raises
     with pytest.raises(RuntimeError, match="met on"):
         meet_all(bad, REPRESENTATIVE)
-    verdict = verify_theorem_A(alg3, inventory=bad)
-    assert verdict.passed is False
+    # Theorem A's key table with the class of v2 = (e_0, e_2) keyed as Av: a fiber of 2(q-1)
+    v2 = PairVector(v.x, (0, 0, 1))
+    key_class_as(monkeypatch, v2, v)
+    verdict = verify_theorem_A(alg3)
+    assert verdict.passed is False and verdict.checked == 624
     assert verdict.witnesses == [{"Av_key": [list(r) for r in inv3.spaces[broken].rows],
-                                  "members": [(v.x, v.y)]}]
+                                  "members": class_members(fld, v, v2)}]
 
 
-def test_theorem_A_checks_both_fiber_size_and_fiber_members(alg3, inv3):
+def test_theorem_A_checks_both_fiber_size_and_fiber_members(monkeypatch, alg3, inv3):
+    # the class of v moved into the space of v2 = (e_0, e_2): that space has 2(q-1)
+    # vectors and v's none; the witness names the space that grew, with both classes
     fld = alg3.field
     v = plane_representatives(fld)[0]
-    two_v = index3(tuple(fld.mul(2, c) for c in v.flat))
-    mine = inv3.space_of[two_v]
-    other = next(i for i, rec in enumerate(inv3.spaces)
-                 if rec.kind == NONDEGENERATE and i != mine)
-    keys = [[list(r) for r in inv3.spaces[i].rows] for i in sorted((mine, other))]
-    # 2 v moved into another space: that space has q vectors, v's space q - 2
-    moved = array("i", inv3.space_of)
-    moved[two_v] = other
-    # 2 v swapped with 2 rep' of the other space: both keep q - 1 vectors
-    swapped = array("i", moved)
-    swapped[index3(tuple(fld.mul(2, c) for c in inv3.spaces[other].rep))] = mine
-    for space_of in (moved, swapped):
-        verdict = verify_theorem_A(alg3, inventory=with_space_of(inv3, space_of))
-        assert verdict.passed is False
-        assert [w["Av_key"] for w in verdict.witnesses] == keys
+    v2 = PairVector(v.x, (0, 0, 1))
+    key_class_as(monkeypatch, v, v2)
+    verdict = verify_theorem_A(alg3)
+    grown = inv3.spaces[inv3.space_of[index3(v2.flat)]]
+    assert grown.kind == NONDEGENERATE and grown.fiber == 2
+    assert verdict.passed is False and verdict.checked == 624
+    assert verdict.witnesses == [{"Av_key": [list(r) for r in grown.rows],
+                                  "members": class_members(fld, v, v2)}]
 
 
 # -- Theorem 3.1 by the quadruple loop before the partition check, kept as the reference --
