@@ -189,13 +189,6 @@ def is_division(alg: Algebra3) -> bool:
     return all(det3(fld, left_mul_matrix(alg, vecs[a])) for a in points(fld.order))
 
 
-def transposed(alg) -> Algebra3:
-    """The algebra with s'[i][j][k] = s[k][j][i], whose R'_x is the transpose of R_x."""
-    s = alg.tensor
-    return Algebra3(alg.field, tuple(tuple(tuple(s[k][j][i] for k in range(3)) for j in range(3))
-                                     for i in range(3)))
-
-
 def point_tables(alg) -> dict[int, array]:
     """The F^3 index table of L_b (`linalg.image_table`) at each point b of P^2(F)."""
     fld = alg.field

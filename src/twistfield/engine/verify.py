@@ -15,7 +15,7 @@ from collections import Counter
 from operator import add, itemgetter
 
 from ..algebra3 import (Algebra3, IsotopyClass, TwistedFieldSpec, graph_keys, left_mul_matrix,
-                        point_tables, transposed)
+                        point_tables)
 from ..gf import Field
 from ..linalg import (cross, decode_vector, echelon_bases, f3_vectors, identity_rows, image_table,
                       kernel_rows, scalar_multiples, scaling_table, unit_row, vec_index)
@@ -133,16 +133,18 @@ def verify_theorem_B(tf: TwistedFieldSpec) -> Verdict:
 def verify_split_theorem_3_1(spec: SplitAlbertSpec) -> Verdict:
     """U(x,y) = U(x',y') iff (x',y') = k(x,y) or (y,y') = k(x,x'), regular quadruples.
 
-    Also checks the matrix criterion R_{x'}^{-1} R_x = R_{y'}^{-1} R_y.  All
-    r^4 quadruples are decided from partitions of the r^2 regular pairs, keyed
-    by table lookups (`_graph_keys`): span equality groups pairs by `skey`, the
-    matrix criterion by `mkey`.  The prediction groups them by the label
-    (rep x, rep y, y0/x0), or ("diag", y0/x0) when rep x = rep y.  The two
-    agree on every quadruple iff #skey = #label = #(skey, label).  For the
-    matrix criterion, S = {skey(i,j) = skey(k,l)} is walked class by class,
-    checking mkey(i,k) = mkey(j,l) on each element; then S lies inside
-    M = {mkey(i,k) = mkey(j,l)}, and |S| = |M| (a sum of squared class sizes
-    on each side) makes them equal.  Witnesses come from the classes that split.
+    All r^4 quadruples are decided from partitions of the r^2 regular pairs: span
+    equality groups pairs by `skey`, keyed by table lookups (`_graph_keys`), and the
+    prediction groups them by the label (rep x, rep y, y0/x0), or ("diag", y0/x0)
+    when rep x = rep y.  The two agree on every quadruple iff
+    #skey = #label = #(skey, label).  Witnesses come from the classes that split.
+
+    The matrix criterion R_{x'}^{-1} R_x = R_{y'}^{-1} R_y is span equality
+    rewritten: multiplied by R_{y'} on the left and R_x^{-1} on the right it reads
+    R_{y'} R_{x'}^{-1} = R_y R_x^{-1}, and both sides are the graph maps that `skey`
+    compares.  That rests on R_x being invertible at every regular x, which
+    `graph_keys` certifies for x, y, x' and y' alike: it raises RuntimeError naming
+    x when R_x is singular.
     """
     t0 = time.perf_counter()
     fld = spec.field
@@ -152,9 +154,8 @@ def verify_split_theorem_3_1(spec: SplitAlbertSpec) -> Verdict:
     index = {v: i for i, v in enumerate(regs)}
     # projective representative per regular vector
     rep_id = [index[unit_row(fld, v)] for v in regs]
-    # pair p = i * r + j stands for (x, y) = (regs[i], regs[j]); mrow[i][k] keys
-    # R_{x_k}^{-1} R_{x_i}
-    skey, mrow = _graph_keys(spec, regs)
+    # pair p = i * r + j stands for (x, y) = (regs[i], regs[j])
+    skey = _graph_keys(spec, regs)
     label_pool: dict[tuple, int] = {}
     label = array("i")
     for x, rx in zip(regs, rep_id):
@@ -173,38 +174,19 @@ def verify_split_theorem_3_1(spec: SplitAlbertSpec) -> Verdict:
             "x": regs[i], "y": regs[j], "x2": regs[k], "y2": regs[l],
             "span_equal": skey[p] == skey[p2],
             "proportionality": label[p] == label[p2],
-            "matrix_criterion": mrow[i][k] == mrow[j][l],
+            "matrix_criterion": skey[p] == skey[p2],
         })
 
-    by_skey = _classes(skey, skey_count)
     # (skey, label) as one int per pair
     pair_count = len(set(map(add, map(label_count.__mul__, skey), label)))
     if not skey_count == label_count == pair_count:
         # some class of one partition meets two classes of the other
-        for classes, other in ((by_skey, label), (_classes(label, label_count), skey)):
+        for classes, other in ((_classes(skey, skey_count), label),
+                               (_classes(label, label_count), skey)):
             for members in classes:
                 split = [p2 for p2 in members if other[p2] != other[members[0]]]
                 if split and len(witnesses) < 5:
                     witness(members[0], split[0])
-
-    s_size = 0
-    for members in by_skey:
-        s_size += len(members) ** 2
-        ks, ls = [p // r for p in members], [p % r for p in members]
-        pick_k, pick_l = itemgetter(*ks), itemgetter(*ls)
-        for p, i, j in zip(members, ks, ls):
-            if pick_k(mrow[i]) != pick_l(mrow[j]) and len(witnesses) < 5:
-                witness(p, next(p2 for p2 in members
-                                if mrow[i][p2 // r] != mrow[j][p2 % r]))
-    m_counts = Counter(itertools.chain.from_iterable(mrow))
-    if sum(n * n for n in m_counts.values()) != s_size and not witnesses:
-        # S lies inside M but is smaller: equal mkey(i,k) = mkey(j,l), unequal spans
-        for members in _classes(itertools.chain.from_iterable(mrow), len(m_counts)):
-            for ik in members:
-                for jl in members:
-                    (i, k), (j, l) = divmod(ik, r), divmod(jl, r)
-                    if len(witnesses) < 5 and skey[i * r + j] != skey[k * r + l]:
-                        witness(i * r + j, k * r + l)
     return Verdict(
         name="split-theorem-3.1",
         passed=not witnesses,
@@ -215,24 +197,20 @@ def verify_split_theorem_3_1(spec: SplitAlbertSpec) -> Verdict:
     )
 
 
-def _graph_keys(spec: SplitAlbertSpec, regs: list) -> tuple[array, list[array]]:
-    """Key ids, in order of first occurrence: skey[i * r + j] of U(x_i, x_j) and
-    mrow[i][k] of R_{x_k}^{-1} R_{x_i}, for the r vectors x_i of `regs`, as
-    array('i') columns, off `algebra3.graph_keys` at x = x_i over y in `regs`.
+def _graph_keys(spec: SplitAlbertSpec, regs: list) -> array:
+    """Key ids, in order of first occurrence: skey[i * r + j] of U(x_i, x_j) for the r
+    vectors x_i of `regs`, as one array('i'), off `algebra3.graph_keys` at x = x_i over
+    y in `regs`.
 
     R_x a = phi(a, x), so for regular x, U(x_i, x_j) = {(R_{x_i} a | R_{x_j} a)}
-    is the graph of R_{x_j} R_{x_i}^{-1}.  R_{x_k}^{-1} R_{x_i} is the inverse of
-    R_{x_i}^{-1} R_{x_k}, the transpose of R'_{x_k} R'_{x_i}^{-1} with R' that of
-    the transposed tensor (`algebra3.transposed`), so both key the same partition.
-    RuntimeError when some R_x is singular."""
+    is the graph of R_{x_j} R_{x_i}^{-1}.  RuntimeError when some R_x is singular."""
     on_regs = itemgetter(*(vec_index(spec.field.order, x) for x in regs))
-    ids = []
-    for alg in (spec, transposed(spec)):
-        tables = {b: on_regs(table) for b, table in point_tables(alg).items()}
-        pool: dict[int, int] = {}
-        ids.append([array("i", [pool.setdefault(k, len(pool)) for k in keys])
-                    for keys in graph_keys(alg, regs, tables)])
-    return array("i", itertools.chain.from_iterable(ids[0])), ids[1]
+    tables = {b: on_regs(table) for b, table in point_tables(spec).items()}
+    pool: dict[int, int] = {}
+    skey = array("i")
+    for keys in graph_keys(spec, regs, tables):
+        skey.extend([pool.setdefault(k, len(pool)) for k in keys])
+    return skey
 
 
 def _classes(keys, count: int) -> list[array]:

@@ -36,7 +36,7 @@ from twistfield.engine.verify import (
 )
 from twistfield.linalg import (added_rank, cross, decode_vector, f3_vectors, image_table,
                                kernel_rows, rref_rows, vec_index)
-from twistfield.splitalbert import SplitAlbertSpec, TriVector, rmat, rmat_inv
+from twistfield.splitalbert import SplitAlbertSpec, TriVector, rmat
 
 from reference_kernels import mat_inv, mat_mul, reference_projective_sum_table, with_space_of
 
@@ -48,7 +48,7 @@ def test_theorem_A_q3_commutative_tensor(alg3):
 
 
 def test_scalar_multiples_are_built_once_per_field(monkeypatch, alg3):
-    # the census tables, both graph-key passes of split 3.1 and Theorem A read one copy
+    # the census tables, the graph-key pass of split 3.1 and Theorem A read one copy
     fld = alg3.field
     linalg.scalar_multiples.cache_clear()
     built, real = [], linalg.scaling_table
@@ -457,21 +457,27 @@ def test_split_theorem_31_mutations_fail_with_replayable_witnesses(entry, value)
 
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_graph_keys_partition_pairs_as_rref_keys(q):
-    # skey: the RREF of pair_rows; mkey: R_{x_k}^-1 R_{x_i} as a dense product
+    # skey: the RREF of pair_rows
     fld = gf.Field.of_order(q)
     specs = list(valid_d(fld))
     for spec in (specs[0], specs[-1]):
         regs = list(itertools.product(range(1, q), repeat=3))
-        skey, mrow = verify_module._graph_keys(spec, regs)
-        rref_pool, product_pool = {}, {}
+        skey = verify_module._graph_keys(spec, regs)
+        rref_pool = {}
         rref_keys = [rref_pool.setdefault(rref_rows(fld, pair_rows(spec, x, y)), len(rref_pool))
                      for x in regs for y in regs]
-        rmats = [rmat(spec, TriVector("V", v)) for v in regs]
-        rinvs = [rmat_inv(spec, TriVector("V", v)) for v in regs]
-        product_keys = [[product_pool.setdefault(mat_mul(fld, rinvs[k], rmats[i]), len(product_pool))
-                         for k in range(len(regs))] for i in range(len(regs))]
         assert list(skey) == rref_keys  # ids by first occurrence: equal lists, equal partitions
-        assert [list(row) for row in mrow] == product_keys
+
+
+def test_split_theorem_31_keys_the_regular_pairs_once(monkeypatch):
+    # the matrix criterion is span equality, so one graph_keys pass over the r = (q-1)^3
+    # regular x decides both
+    spec = SplitAlbertSpec(gf.Field.of_order(4), (1, 2, 2))
+    passes, real = [], verify_module.graph_keys
+    monkeypatch.setattr(verify_module, "graph_keys",
+                        lambda alg, xs, t: passes.append((alg, len(xs))) or real(alg, xs, t))
+    assert verify_split_theorem_3_1(spec).passed
+    assert passes == [(spec, 3**3)]
 
 
 # -- Theorem 7.1 by the loop over all q^8 pairs, and the 7.2 sweep by one kernel and one
