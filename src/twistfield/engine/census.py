@@ -81,8 +81,8 @@ from ..algebra3 import (
 )
 from ..gf import Field, FieldTower, format_triple
 from ..linalg import (Keyed, Subspace, cross, decode_vector, f3_vectors, identity_rows,
-                      image_table, mat_vec, points, rref_rows, scalar_multiples, unit_row,
-                      vec_index)
+                      image_table, mat_vec, points, rref_rows, scalar_key, scalar_multiples,
+                      unit_row, vec_index)
 from .spaces import (
     DEGENERATE,
     NONDEGENERATE,
@@ -214,9 +214,8 @@ def parallel_map(fn, chunks: list, workers: int, init: tuple) -> list:
 @lru_cache(maxsize=None)
 def degenerate_keys(q: int) -> frozenset:
     """The keys of the degenerate spaces: v' is degenerate iff x' = 0 (key -1) or
-    y' = k x', that is T = k I, keyed k (1 + q n + q^2 n^2) (`linalg` module docstring)."""
-    n = q**3
-    return frozenset([-1] + [k * (1 + q * n + q * q * n * n) for k in range(q)])
+    y' = k x', that is T = k I (`linalg.scalar_key`)."""
+    return frozenset([-1] + [scalar_key(q, k) for k in range(q)])
 
 
 def build_inventory(alg: Algebra3, workers: int = 1) -> AvInventory:

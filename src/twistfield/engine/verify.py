@@ -12,13 +12,14 @@ import itertools
 import time
 from array import array
 from collections import Counter
-from operator import add, itemgetter
+from operator import itemgetter
 
 from ..algebra3 import (Algebra3, IsotopyClass, TwistedFieldSpec, graph_keys, left_mul_matrix,
                         point_tables)
 from ..gf import Field
 from ..linalg import (cross, decode_vector, echelon_bases, f3_vectors, identity_rows, image_table,
-                      kernel_rows, scalar_multiples, scaling_table, unit_row, vec_index)
+                      kernel_rows, scalar_key, scalar_multiples, scaling_table, unit_row,
+                      vec_index)
 from .spaces import PairVector, intersection_dim, plane_representatives
 
 TYPE_CHECKING = False
@@ -133,60 +134,60 @@ def verify_theorem_B(tf: TwistedFieldSpec) -> Verdict:
 def verify_split_theorem_3_1(spec: SplitAlbertSpec) -> Verdict:
     """U(x,y) = U(x',y') iff (x',y') = k(x,y) or (y,y') = k(x,x'), regular quadruples.
 
-    All r^4 quadruples are decided from partitions of the r^2 regular pairs: span
-    equality groups pairs by `skey`, keyed by table lookups (`_graph_keys`), and the
-    prediction groups them by the label (rep x, rep y, y0/x0), or ("diag", y0/x0)
-    when rep x = rep y.  The two agree on every quadruple iff
-    #skey = #label = #(skey, label).  Witnesses come from the classes that split.
+    For regular x, R_x a = phi(a, x) makes U(x,y) = {(R_x a | R_y a)} the graph of
+    R_y R_x^-1, so span equality is equality of its keys (`algebra3.graph_keys`).  R is
+    linear, so k(x,y) has the graph map of (x,y), and (x, kx) that of k I, whatever the
+    tensor.  All r^4 quadruples are therefore decided on one pair per class F^x (x,y),
+    the one with x_0 = 1: the statement holds iff the keys of those with y != kx are
+    pairwise distinct and none is the key of a k I (`linalg.scalar_key`).  A pair
+    (x, kx) keyed otherwise is a broken key builder, not a counterexample, and raises
+    RuntimeError.  Witnesses pair a key's least pair with a later pair of another
+    predicted class.
 
     The matrix criterion R_{x'}^{-1} R_x = R_{y'}^{-1} R_y is span equality
     rewritten: multiplied by R_{y'} on the left and R_x^{-1} on the right it reads
-    R_{y'} R_{x'}^{-1} = R_y R_x^{-1}, and both sides are the graph maps that `skey`
-    compares.  That rests on R_x being invertible at every regular x, which
+    R_{y'} R_{x'}^{-1} = R_y R_x^{-1}, and both sides are the graph maps that the keys
+    compare.  That rests on R_x being invertible at every regular x, which
     `graph_keys` certifies for x, y, x' and y' alike: it raises RuntimeError naming
-    x when R_x is singular.
+    the first x with R_x singular, which has x_0 = 1, as R_{kx} = k R_x.
     """
     t0 = time.perf_counter()
     fld = spec.field
     q = fld.order
     regs = [(a, b, c) for a in range(1, q) for b in range(1, q) for c in range(1, q)]
     r = len(regs)
-    index = {v: i for i, v in enumerate(regs)}
-    # projective representative per regular vector
-    rep_id = [index[unit_row(fld, v)] for v in regs]
-    # pair p = i * r + j stands for (x, y) = (regs[i], regs[j])
-    skey = _graph_keys(spec, regs)
-    label_pool: dict[tuple, int] = {}
-    label = array("i")
-    for x, rx in zip(regs, rep_id):
-        by_inv_x0 = fld.mul_t[fld.inv(x[0])]
-        label.extend([label_pool.setdefault(
-            ("diag", by_inv_x0[y[0]]) if rx == ry else (rx, ry, by_inv_x0[y[0]]), len(label_pool))
-            for y, ry in zip(regs, rep_id)])
-    skey_count = max(skey) + 1
-    label_count = len(label_pool)
+    xs = regs[:(q - 1) ** 2]  # x_0 = 1
+    on_regs = itemgetter(*(vec_index(q, y) for y in regs))
+    tables = {b: on_regs(table) for b, table in point_tables(spec).items()}
+    # pair p = i * r + j stands for (x, y) = (xs[i], regs[j])
+    keys = array("q")
+    for row in graph_keys(spec, xs, tables):
+        keys.extend(row)
+    diag = set()  # the pairs (x, kx)
+    for i, x in enumerate(xs):
+        for k in range(1, q):
+            by_k = fld.mul_t[k]  # kx has k x_0 = k
+            p = i * r + ((k - 1) * (q - 1) + by_k[x[1]] - 1) * (q - 1) + by_k[x[2]] - 1
+            if keys[p] != scalar_key(q, k):
+                raise RuntimeError(f"(x, k x) is not keyed as k I at x = {x}, k = {k}")
+            diag.add(p)
 
     witnesses = []
-
-    def witness(p: int, p2: int) -> None:
-        (i, j), (k, l) = divmod(p, r), divmod(p2, r)
-        witnesses.append({
-            "x": regs[i], "y": regs[j], "x2": regs[k], "y2": regs[l],
-            "span_equal": skey[p] == skey[p2],
-            "proportionality": label[p] == label[p2],
-            "matrix_criterion": skey[p] == skey[p2],
-        })
-
-    # (skey, label) as one int per pair
-    pair_count = len(set(map(add, map(label_count.__mul__, skey), label)))
-    if not skey_count == label_count == pair_count:
-        # some class of one partition meets two classes of the other
-        for classes, other in ((_classes(skey, skey_count), label),
-                               (_classes(label, label_count), skey)):
-            for members in classes:
-                split = [p2 for p2 in members if other[p2] != other[members[0]]]
-                if split and len(witnesses) < 5:
-                    witness(members[0], split[0])
+    # each pair off diag its own class, and the diag pairs one class per k
+    if len(set(keys)) != len(keys) - len(diag) + q - 1:
+        least: dict[int, int] = {}
+        later: dict[int, int] = {}  # per key, its first pair outside its least pair's class
+        for p, key in enumerate(keys):
+            p0 = least.setdefault(key, p)
+            if p0 != p and key not in later and not (p0 in diag and p in diag):
+                later[key] = p
+                if len(later) == 5:
+                    break
+        for key, p2 in later.items():
+            (i, j), (k, l) = divmod(least[key], r), divmod(p2, r)
+            witnesses.append({"x": xs[i], "y": regs[j], "x2": xs[k], "y2": regs[l],
+                              "span_equal": True, "proportionality": False,
+                              "matrix_criterion": True})
     return Verdict(
         name="split-theorem-3.1",
         passed=not witnesses,
@@ -195,30 +196,6 @@ def verify_split_theorem_3_1(spec: SplitAlbertSpec) -> Verdict:
         details={"mode": "exhaustive", "q": q},
         runtime_ms=(time.perf_counter() - t0) * 1000,
     )
-
-
-def _graph_keys(spec: SplitAlbertSpec, regs: list) -> array:
-    """Key ids, in order of first occurrence: skey[i * r + j] of U(x_i, x_j) for the r
-    vectors x_i of `regs`, as one array('i'), off `algebra3.graph_keys` at x = x_i over
-    y in `regs`.
-
-    R_x a = phi(a, x), so for regular x, U(x_i, x_j) = {(R_{x_i} a | R_{x_j} a)}
-    is the graph of R_{x_j} R_{x_i}^{-1}.  RuntimeError when some R_x is singular."""
-    on_regs = itemgetter(*(vec_index(spec.field.order, x) for x in regs))
-    tables = {b: on_regs(table) for b, table in point_tables(spec).items()}
-    pool: dict[int, int] = {}
-    skey = array("i")
-    for keys in graph_keys(spec, regs, tables):
-        skey.extend([pool.setdefault(k, len(pool)) for k in keys])
-    return skey
-
-
-def _classes(keys, count: int) -> list[array]:
-    """Positions grouped by key id, each group an ascending array."""
-    out = [array("i") for _ in range(count)]
-    for pos, key in enumerate(keys):
-        out[key].append(pos)
-    return out
 
 
 # ---------------------------------------------------------------------------

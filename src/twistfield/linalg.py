@@ -236,6 +236,12 @@ def decode_vector(q: int, idx: int, n: int = 6) -> Row:
     return tuple(coords)
 
 
+def scalar_key(q: int, k: int) -> int:
+    """The key of k I (module docstring): column j is k e_j, of index k q^j."""
+    n = q**3
+    return k * (1 + q * n + q * q * n * n)
+
+
 @lru_cache(maxsize=None)
 def f3_vectors(q: int) -> tuple[Row, ...]:
     """Every vector of F^3, in index order."""

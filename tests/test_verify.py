@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import itertools
+import json
 from array import array
 
 import pytest
 
-from twistfield import gf, linalg
+from twistfield import cli, gf, linalg
 from twistfield.algebra3 import (
     Algebra3,
     IsotopyClass,
     TwistedFieldSpec,
+    graph_keys,
     isotopy_class,
     pick_c_by_norm,
+    point_tables,
     to_structure_constants,
     valid_c_values,
 )
@@ -430,14 +433,17 @@ def test_split_theorem_31_matches_quadruple_reference(q):
         assert got.passed and got.checked == (q - 1) ** 12
 
 
-@pytest.mark.parametrize("entry, value", [((2, 0, 1), 0), ((0, 0, 0), 1)],
-                         ids=["zeroed_entry", "singular_entry"])
-def test_split_theorem_31_mutations_fail_with_replayable_witnesses(entry, value):
+@pytest.mark.parametrize("q, d, entry, value",
+                         [(3, (1, 1, 1), (2, 0, 1), 0), (3, (1, 1, 1), (0, 0, 0), 1),
+                          (4, (1, 2, 2), (0, 1, 2), 0)],
+                         ids=["zeroed_entry", "singular_entry", "zeroed_entry_q4"])
+def test_split_theorem_31_mutations_fail_with_replayable_witnesses(q, d, entry, value):
     # one entry of the structure tensor changed, which the graph keys and the reference
-    # both read: zeroing s[2][0][1] splits span and prediction, and the reference replays
-    # every witness; s[0][0][0] = 1 makes R_x singular at the regular x = (1, 1, 2), from
-    # which no key can be built, which the run checks
-    spec = SplitAlbertSpec(gf.Field.of_order(3), (1, 1, 1))
+    # both read: zeroing s[2][0][1] at q=3 or s[0][1][2] at q=4 splits span and
+    # prediction, and the reference replays every witness; s[0][0][0] = 1 makes R_x
+    # singular at the regular x = (1, 1, 2), from which no key can be built, which the
+    # run checks
+    spec = SplitAlbertSpec(gf.Field.of_order(q), d)
     tensor = [[list(row) for row in plane] for plane in spec.tensor]
     i, j, k = entry
     tensor[i][j][k] = value
@@ -449,7 +455,7 @@ def test_split_theorem_31_mutations_fail_with_replayable_witnesses(entry, value)
     verdict = verify_split_theorem_3_1(spec)
     reference, examine = reference_theorem_3_1(spec)
     assert verdict.passed is False and reference.passed is False
-    assert verdict.checked == 2**12
+    assert verdict.checked == (q - 1) ** 12
     assert 0 < len(verdict.witnesses) <= 5
     for w in verdict.witnesses:
         assert examine(w) == w
@@ -457,27 +463,56 @@ def test_split_theorem_31_mutations_fail_with_replayable_witnesses(entry, value)
 
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_graph_keys_partition_pairs_as_rref_keys(q):
-    # skey: the RREF of pair_rows
+    # one graph_keys pass over all r regular x: key equality and RREF equality of
+    # pair_rows part the r^2 regular pairs alike, so key(kx, ky) = key(x, y), on which
+    # split 3.1 keys one pair per class F^x (x, y)
     fld = gf.Field.of_order(q)
     specs = list(valid_d(fld))
     for spec in (specs[0], specs[-1]):
         regs = list(itertools.product(range(1, q), repeat=3))
-        skey = verify_module._graph_keys(spec, regs)
-        rref_pool = {}
-        rref_keys = [rref_pool.setdefault(rref_rows(fld, pair_rows(spec, x, y)), len(rref_pool))
-                     for x in regs for y in regs]
-        assert list(skey) == rref_keys  # ids by first occurrence: equal lists, equal partitions
+        on_regs = [vec_index(q, y) for y in regs]
+        tables = {b: [table[i] for i in on_regs] for b, table in point_tables(spec).items()}
+        key_pool, rref_pool = {}, {}
+        key_ids = [key_pool.setdefault(key, len(key_pool))
+                   for row in graph_keys(spec, regs, tables) for key in row]
+        rref_ids = [rref_pool.setdefault(rref_rows(fld, pair_rows(spec, x, y)), len(rref_pool))
+                    for x in regs for y in regs]
+        assert key_ids == rref_ids  # ids by first occurrence: equal lists, equal partitions
 
 
 def test_split_theorem_31_keys_the_regular_pairs_once(monkeypatch):
-    # the matrix criterion is span equality, so one graph_keys pass over the r = (q-1)^3
-    # regular x decides both
+    # the matrix criterion is span equality and k(x, y) has the key of (x, y), so one
+    # graph_keys pass over the (q-1)^2 regular x with x_0 = 1 decides both
     spec = SplitAlbertSpec(gf.Field.of_order(4), (1, 2, 2))
     passes, real = [], verify_module.graph_keys
     monkeypatch.setattr(verify_module, "graph_keys",
                         lambda alg, xs, t: passes.append((alg, len(xs))) or real(alg, xs, t))
     assert verify_split_theorem_3_1(spec).passed
-    assert passes == [(spec, 3**3)]
+    assert passes == [(spec, 3**2)]
+
+
+def test_split_theorem_31_raises_on_a_scalar_pair_keyed_otherwise(monkeypatch, capsys):
+    # R is linear, so (x, k x) has the graph map k I under every tensor: a key builder
+    # that keys it otherwise is broken, a RuntimeError naming x and k (exit 3), not a
+    # counterexample
+    spec = SplitAlbertSpec(gf.Field.of_order(3), (1, 1, 1))
+    regs = list(itertools.product(range(1, 3), repeat=3))
+    real = verify_module.graph_keys
+
+    def corrupted(alg, xs, tables):
+        for x, row in zip(xs, real(alg, xs, tables)):
+            if x == (1, 2, 1):
+                row[regs.index((2, 1, 2))] += 1  # the pair (x, 2 x)
+            yield row
+
+    monkeypatch.setattr(verify_module, "graph_keys", corrupted)
+    message = "(x, k x) is not keyed as k I at x = (1, 2, 1), k = 2"
+    with pytest.raises(RuntimeError) as caught:
+        verify_split_theorem_3_1(spec)
+    assert str(caught.value) == message
+    code = cli.main(["verify", "--theorem", "3.1", "--q", "3"])
+    assert code == cli.EXIT_INTERNAL == 3
+    assert json.loads(capsys.readouterr().out) == {"error": f"RuntimeError: {message}"}
 
 
 # -- Theorem 7.1 by the loop over all q^8 pairs, and the 7.2 sweep by one kernel and one
