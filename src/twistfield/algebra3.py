@@ -201,13 +201,16 @@ def graph_keys(alg, xs, tables):
     """Per x of `xs`, an array of the keys of R_y R_x^-1 (`linalg` module docstring) over
     the y that `tables` lists, tables[b] holding the F^3 index of b y at each point b.
     R_y R_x^-1 e_j = a_j y for a_j = R_x^-1 e_j = k b, b a point, so k_j is k times an
-    entry of tables[b].  RuntimeError naming x when R_x is singular."""
+    entry of tables[b].  RuntimeError naming x when R_x is singular.
+
+    The digit tables `packed` are lists, not arrays: the three lookups per key then
+    return ints already made, where each read of an `array("q")` creates one."""
     fld = alg.field
     q = fld.order
     n = q**3
     scale = scalar_multiples(fld)  # scale[k * n + w]: the index of k w
     # packed[j][k][w]: n^j times the index of k w
-    packed = [[array("q", map(m.__mul__, scale[k * n:(k + 1) * n])) for k in range(q)]
+    packed = [[list(map(m.__mul__, scale[k * n:(k + 1) * n])) for k in range(q)]
               for m in (1, n, n * n)]
     for x in xs:
         cols = inverse_columns(fld, right_mul_matrix(alg, x))

@@ -411,38 +411,43 @@ def meet_all(tables: AvInventory | CertifiedTables, v: PairVector) -> Meet:
     gens, reached, mult = _reach(tables.alg, tables.division, v)
     dim_of = {1: 1, q + 1: 2, q * q + q + 1: 3}
     least: dict[int, int] = {}  # key of Av' -> its first class reached, in index order
-    more: Counter = Counter()  # key of Av' -> its classes reached after the first
+    more: dict[int, int] = {}  # key of Av' -> its classes reached after the first
+    first_of, more_of = least.setdefault, more.get
     for ci in sorted(mult):
         m = mult[ci]
         if m not in dim_of:
             raise RuntimeError(f"v' index {ci} reached {m} times, not 1, q+1 or q^2+q+1")
         y, x = divmod(ci, n)
         key = keys[y][x] if y else -1
-        first = least.setdefault(key, ci)
+        first = first_of(key, ci)
         if first != ci:  # one more class of a space met before: its multiplicity must agree
             if mult[first] != m:
                 raise RuntimeError(f"space {key} met in dimensions {dim_of[mult[first]]} "
                                    f"and {dim_of[m]}")
-            more[key] += 1
+            more[key] = more_of(key, 0) + 1
+    totals = tables.totals
+    dim_key = {m: (d, f"dim{d}") for m, d in dim_of.items()}
+    zero_key = {kind: "dim0_" + kind for kind in KINDS}
     vectors = dict.fromkeys(DIM_KEYS, 0)
     spaces = dict.fromkeys(DIM_KEYS, 0)
-    for kind, (n_vectors, n_spaces) in tables.totals.items():
-        vectors["dim0_" + kind] = n_vectors
-        spaces["dim0_" + kind] = n_spaces
+    for kind, (n_vectors, n_spaces) in totals.items():
+        vectors[zero_key[kind]] = n_vectors
+        spaces[zero_key[kind]] = n_spaces
     degenerate = degenerate_keys(q)
     hits = []
     for key, first in least.items():
-        d = dim_of[mult[first]]
-        count = (q - 1) * (1 + more[key])
+        d, met = dim_key[mult[first]]
+        count = (q - 1) * (1 + more_of(key, 0))
         kind = KINDS[key in degenerate]
-        n_vectors, n_spaces = tables.totals[kind]
+        n_vectors, n_spaces = totals[kind]
         if count * n_spaces != n_vectors:
             raise RuntimeError(f"space {key} met on {count} vectors, but the {n_spaces} {kind} "
                                f"spaces hold {n_vectors}")
-        vectors[f"dim{d}"] += count
-        spaces[f"dim{d}"] += 1
-        vectors["dim0_" + kind] -= count
-        spaces["dim0_" + kind] -= 1
+        zero = zero_key[kind]
+        vectors[met] += count
+        spaces[met] += 1
+        vectors[zero] -= count
+        spaces[zero] -= 1
         if d < 3:
             hits.append((d, first))
     return Meet(gens, reached, mult, vectors, spaces, hits)

@@ -158,7 +158,7 @@ def verify_split_theorem_3_1(spec: SplitAlbertSpec) -> Verdict:
     r = len(regs)
     xs = regs[:(q - 1) ** 2]  # x_0 = 1
     on_regs = itemgetter(*(vec_index(q, y) for y in regs))
-    tables = {b: on_regs(table) for b, table in point_tables(spec).items()}
+    tables = {b: array("H", on_regs(table)) for b, table in point_tables(spec).items()}
     # pair p = i * r + j stands for (x, y) = (xs[i], regs[j])
     keys = array("q")
     for row in graph_keys(spec, xs, tables):

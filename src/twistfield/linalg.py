@@ -25,7 +25,7 @@ from array import array
 from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, combinations, product
-from operator import itemgetter
+from operator import add, itemgetter
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only; gf imports this module's codec
@@ -308,20 +308,52 @@ def inverse_columns(fld: Field, rows) -> tuple[Row, Row, Row] | None:
     return tuple(tuple(scale[c] for c in col) for col in cols)
 
 
+@lru_cache(maxsize=None)
+def _plane_shifts(fld: Field) -> tuple[tuple[bytes, ...], tuple[int, ...]]:
+    """The `bytes.translate` table of c -> c + s on F^2 codes c = c_0 + q c_1 for each
+    code s, in order, and q^2 times each digit: what `image_table` reads, once per field.
+    Each table composes a shift of digit 0 with one of digit 1; codes from q^2 on never
+    occur, but translate needs all 256.  ValueError unless q^2 <= 256."""
+    q = fld.order
+    qq = q * q
+    if qq > 256:
+        raise ValueError(f"image_table holds two digits of GF({q}) in a byte: q <= 16 only")
+    rest = bytes(range(qq, 256))
+    # shift1[s] adds s to digit 1, shift0[s] adds s to digit 0
+    blocks = [bytes(range(k, k + q)) for k in range(0, qq, q)]
+    shift1 = [b"".join([blocks[a] for a in row]) + rest for row in fld.add_t]
+    shift0 = [b"".join([bytes(row).translate(t) for t in shift1]) + rest for row in fld.add_t]
+    shifts = tuple(t0.translate(t1) for t1 in shift1 for t0 in shift0)
+    return shifts, tuple(range(0, qq * q, qq))
+
+
 def image_table(fld: Field, images) -> list[int]:
     """The index of v_0 m_0 + v_1 m_1 + v_2 m_2 for every v in F^3, in index order.
 
     `images` = (m_0, m_1, m_2) are the images of e_0, e_1, e_2 under a linear
     map, so this tabulates the map on indices; images (c_j, 0, 0) give the dot
     product with c.  `fld` must be tabulated.
+
+    It is made by digit planes, one C-level call per line, not one bytecode step per
+    entry: the low plane holds the first two digits of each image as one F^2 code per
+    byte, the high plane the last digit (a code with digit 1 zero).  A plane is the
+    outer sum over v_0, v_1, v_2 of the digits of v_j m_j: the q-byte line over v_0,
+    q copies of it joined, one per v_1, each shifted by a table of `_plane_shifts`,
+    and q copies of that for v_2.  The index is the low code plus q^2 times the high
+    digit.
     """
     q = fld.order
-    qq = q * q
-    add_t, mul_t = fld.add_t, fld.mul_t
-    m0, m1, m2 = ([tuple(mul_t[k][c] for c in m) for k in range(q)] for m in images)
-    out = []
-    for s2 in m2:
-        for s1 in m1:
-            t0, t1, t2 = (add_t[add_t[s1[k]][s2[k]]] for k in range(3))
-            out += [t0[u0] + q * t1[u1] + qq * t2[u2] for u0, u1, u2 in m0]
-    return out
+    mul_t = fld.mul_t
+    shifts, by_qq = _plane_shifts(fld)
+    lows, highs = [], []  # per j, the codes of the low digits and the high digit of v_j m_j
+    for m0, m1, m2 in images:
+        lows.append([a + q * b for a, b in zip(mul_t[m0], mul_t[m1])])
+        highs.append(mul_t[m2])
+    planes = []
+    for first, second, third in (lows, highs):
+        plane = bytes(first)
+        for step in (second, third):
+            plane = b"".join([plane.translate(shifts[s]) for s in step])
+        planes.append(plane)
+    low, high = planes
+    return list(map(add, low, map(by_qq.__getitem__, high)))

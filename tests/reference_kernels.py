@@ -1,9 +1,9 @@
 """Kernels the tests use as references: dense matrix products and inverses, the split
-Albert map written out from its basis rules, the q^6 left multiplication and division
-tables, the inventory before its column layout, the census kernel that reads the
-inventory's columns over those tables, the 2x2 helpers of `normalform` and the 7.2
-sum table written with one `Field` method call or one `vec_index` per entry.  No code
-in `src/` calls them."""
+Albert map written out from its basis rules, the index table of a linear map of F^3 one
+entry per bytecode step, the q^6 left multiplication and division tables, the inventory
+before its column layout, the census kernel that reads the inventory's columns over
+those tables, the 2x2 helpers of `normalform` and the 7.2 sum table written with one
+`Field` method call or one `vec_index` per entry.  No code in `src/` calls them."""
 
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ from operator import itemgetter
 from twistfield.algebra3 import basis_products
 from twistfield.engine.census import DIM_KEYS, KINDS, SpaceRec
 from twistfield.engine.spaces import DEGENERATE, NONDEGENERATE
-from twistfield.linalg import (decode_vector, f3_vectors, identity_rows, image_table, points,
-                               rref_rows, unit_row, vec_index)
+from twistfield.linalg import (decode_vector, f3_vectors, identity_rows, points, rref_rows,
+                               unit_row, vec_index)
 
 
 def mat_mul(fld, a, b):
@@ -101,6 +101,22 @@ def reference_phi(spec, x, y):
     return (out[0], out[1], out[2])
 
 
+def reference_image_table(fld, images) -> list[int]:
+    """`linalg.image_table` one entry per bytecode step: for each (v_2, v_1), the rows of
+    the addition table at the coordinates of v_1 m_1 + v_2 m_2, read at those of v_0 m_0
+    for each v_0."""
+    q = fld.order
+    qq = q * q
+    add_t, mul_t = fld.add_t, fld.mul_t
+    m0, m1, m2 = ([tuple(mul_t[k][c] for c in m) for k in range(q)] for m in images)
+    out = []
+    for s2 in m2:
+        for s1 in m1:
+            t0, t1, t2 = (add_t[add_t[s1[k]][s2[k]]] for k in range(3))
+            out += [t0[u0] + q * t1[u1] + qq * t2[u2] for u0, u1, u2 in m0]
+    return out
+
+
 def left_division_tables(alg) -> tuple[array, array]:
     """Left multiplication and left division on F^3 indices (`linalg` module docstring).
 
@@ -115,7 +131,7 @@ def left_division_tables(alg) -> tuple[array, array]:
     mul = array("H", bytes(2 * n * n))
     for x in range(n):
         # a*x = a0 (e_0 x) + a1 (e_1 x) + a2 (e_2 x), for a in index order
-        mul[x::n] = array("H", image_table(fld, basis_products(alg, vecs[x])))
+        mul[x::n] = array("H", reference_image_table(fld, basis_products(alg, vecs[x])))
     ldiv = array("H", bytes(2 * n))
     for a in range(1, n):
         row = mul[a * n:(a + 1) * n]

@@ -421,29 +421,40 @@ def test_left_division_tables_match_products(which, alg3, alg4):
                 assert ldiv[a * n + mul[a * n + x]] == x
 
 
-@pytest.mark.parametrize("which", ["q3", "q4"])
+@pytest.mark.parametrize("which", ["q3", "q4", "q7"])
 def test_division_tables_match_the_reference(which, alg3, inv3, alg4, inv4):
     # at every point a: L_a^-1 against the q^6 division table, and the keys of A(a, y)
-    # against the inventory's; then the scalings that carry a vector to its point
-    alg, inv = (alg3, inv3) if which == "q3" else (alg4, inv4)
-    fld = alg.field
-    q = fld.order
-    n, size = q**3, q * q + q + 1
-    vecs = f3_vectors(q)
-    linv, keys, scale, lead = census.division_tables(alg)
-    _, ldiv = left_division_tables(alg)
-    assert list(keys) == list(points(q)) and len(linv) == n * size
-    for p, a in enumerate(points(q)):
-        assert linv[p::size] == ldiv[a * n:(a + 1) * n]
-        assert list(keys[a]) == [inv.key[inv.space_of[a + n * y]] for y in range(n)]
-    for k in range(q):
-        assert [vecs[i] for i in scale[k * n:(k + 1) * n]] == [
-            tuple(fld.mul(k, c) for c in v) for v in vecs]
-    assert lead[0] == 0
-    for y in range(1, n):
-        point = scale[lead[y] + y]
-        assert lead[y] % n == 0 and point in points(q)
-        assert len(rref_rows(fld, (vecs[point], vecs[y]))[0]) == 1
+    # against the inventory's and against a_j y, a_j a = e_j, off the q^6 product table;
+    # then the scalings that carry a vector to its point; at q=7 for one c per isotopy class
+    if which == "q7":
+        tower = FieldTower.build(7)
+        specs = [TwistedFieldSpec(tower, pick_c_by_norm(tower, target)) for target in (6, 2)]
+        assert {isotopy_class(spec) for spec in specs} == set(IsotopyClass)
+        cases = [(alg, build_inventory(alg)) for alg in map(to_structure_constants, specs)]
+    else:
+        cases = [(alg3, inv3) if which == "q3" else (alg4, inv4)]
+    for alg, inv in cases:
+        fld = alg.field
+        q = fld.order
+        n, size = q**3, q * q + q + 1
+        vecs = f3_vectors(q)
+        linv, keys, scale, lead = census.division_tables(alg)
+        mul, ldiv = left_division_tables(alg)
+        assert list(keys) == list(points(q)) and len(linv) == n * size
+        for p, a in enumerate(points(q)):
+            assert linv[p::size] == ldiv[a * n:(a + 1) * n]
+            assert list(keys[a]) == [inv.key[inv.space_of[a + n * y]] for y in range(n)]
+            solve = [mul[a::n].index(e) for e in (1, q, q * q)]  # a_j a = e_j
+            assert list(keys[a]) == [sum(n**j * mul[s * n + y] for j, s in enumerate(solve))
+                                     for y in range(n)]
+        for k in range(q):
+            assert [vecs[i] for i in scale[k * n:(k + 1) * n]] == [
+                tuple(fld.mul(k, c) for c in v) for v in vecs]
+        assert lead[0] == 0
+        for y in range(1, n):
+            point = scale[lead[y] + y]
+            assert lead[y] % n == 0 and point in points(q)
+            assert len(rref_rows(fld, (vecs[point], vecs[y]))[0]) == 1
 
 
 def test_space_of_places_every_vector_in_its_space(alg3, inv3):

@@ -14,6 +14,7 @@ from twistfield.linalg import (
     decode_vector,
     det3,
     f3_vectors,
+    identity_rows,
     image_table,
     intersect_rows,
     inverse_columns,
@@ -211,18 +212,27 @@ def test_f3_vectors_in_index_order(q):
     assert vecs[1] == (1, 0, 0) and vecs[q] == (0, 1, 0) and vecs[q * q] == (0, 0, 1)
 
 
-@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("q", gf.SUPPORTED_Q)
 def test_image_table_is_mat_vec(q):
-    fld = FIELDS[q]
+    # random maps, the zero map and a rank-1 map, each against mat_vec; then dot maps
+    fld = gf.Field.of_order(q)
     rng = random.Random(q)
     vecs = f3_vectors(q)
-    for _ in range(4):
-        rows = [random_vector(rng, fld, 3) for _ in range(3)]
+    u, w = ((1, *random_vector(rng, fld, 2)) for _ in range(2))
+    rank1 = [tuple(fld.mul(a, b) for b in w) for a in u]  # u w^T, u and w nonzero
+    for rows in [[random_vector(rng, fld, 3) for _ in range(3)] for _ in range(4)] + [
+            [(0, 0, 0)] * 3, rank1]:
         table = image_table(fld, list(zip(*rows)))  # the images of e_j are the columns
         assert table == [vec_index(q, mat_vec(fld, rows, v)) for v in vecs]
-        c = random_vector(rng, fld, 3)
+    for c in [random_vector(rng, fld, 3) for _ in range(4)] + [(0, 0, 0), (1, 0, 0)]:
         assert image_table(fld, [(cj, 0, 0) for cj in c]) == [mat_vec(fld, [c], v)[0]
                                                              for v in vecs]
+
+
+def test_image_table_refuses_q_above_16():
+    # two digits share a byte, so GF(17) cannot be tabulated this way
+    with pytest.raises(ValueError, match="q <= 16"):
+        image_table(gf.Field.of_order(17), identity_rows(3))
 
 
 def test_cross_is_zero_iff_rank_below_two():
